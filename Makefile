@@ -52,8 +52,10 @@ staticcheck:
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own, so ./... never reaches its unit tests.
 short:
 	$(GO) test -short -timeout 20m ./...
+	$(GO) test -C bench ./...
 
 # One iteration of the landscape + dynamics benchmarks, archived the same
 # way CI archives its BENCH_ci.json artifact.

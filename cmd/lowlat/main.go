@@ -279,6 +279,7 @@ func cmdRoute(args []string, stdout, stderr io.Writer) error {
 			res, err := tmgen.Generate(g, tmgen.Config{
 				Seed: s, Locality: *locality,
 				NoLocality: *locality == 0, TargetMaxUtil: *load,
+				Cache: r.Cache().ForGraph(g),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("tm %d: %w", i, err)
@@ -405,6 +406,7 @@ func cmdDynamics(args []string, stdout, stderr io.Writer) error {
 		MaxFailureCases: *maxFailures,
 		Churn:           dynamics.ChurnModel(*churn),
 	}
+	r := engine.NewRunner(*workers)
 	base := tm.New(nil)
 	if cfg.Churn == dynamics.ChurnReplay {
 		if *replayFile == "" {
@@ -422,6 +424,7 @@ func cmdDynamics(args []string, stdout, stderr io.Writer) error {
 		res, err := tmgen.Generate(g, tmgen.Config{
 			Seed: *seed, Locality: *locality,
 			NoLocality: *locality == 0, TargetMaxUtil: *load,
+			Cache: r.Cache().ForGraph(g),
 		})
 		if err != nil {
 			return err
@@ -429,7 +432,6 @@ func cmdDynamics(args []string, stdout, stderr io.Writer) error {
 		base = res.Matrix
 	}
 
-	r := engine.NewRunner(*workers)
 	res, err := dynamics.Run(ctx, r, g, base, scheme, cfg)
 	if err != nil {
 		return err

@@ -199,7 +199,7 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 	defer func() { <-l.work }()
 
 	t0 := time.Now()
-	m, err := sweep.GenerateMatrix(g, spec.Seed, spec.Load, spec.Locality, l.st)
+	m, err := sweep.GenerateMatrixCached(g, spec.Seed, spec.Load, spec.Locality, l.st, l.solver.ForGraph(g))
 	l.obs.Observe(ctx, obs.StageMatrix, time.Since(t0))
 	if err != nil {
 		return store.Result{}, "", fmt.Errorf("generate matrix: %w", err)

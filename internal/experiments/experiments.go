@@ -186,8 +186,9 @@ type matrixEntry struct {
 }
 
 // matrices generates (or recalls) the config's traffic matrices for one
-// network.
-func (c Config) matrices(n Network) ([]*tm.Matrix, error) {
+// network, calibrating on cache (the run's PathCache for the network, so
+// the placements that follow start warm; nil means a private one).
+func (c Config) matrices(n Network, cache *routing.PathCache) ([]*tm.Matrix, error) {
 	key := matrixKey{
 		name:     n.Name,
 		seed:     c.Seed,
@@ -208,6 +209,7 @@ func (c Config) matrices(n Network) ([]*tm.Matrix, error) {
 			Locality:      c.Locality,
 			NoLocality:    c.Locality == 0,
 			TargetMaxUtil: c.TargetMaxUtil,
+			Cache:         cache,
 		}
 		e.ms, e.err = tmgen.GenerateSet(n.Graph, cfg, c.TMsPerTopology)
 	})
@@ -228,7 +230,7 @@ func hashName(s string) uint32 {
 func netMatrices(ctx context.Context, r *engine.Runner, cfg Config, nets []Network) ([][]*tm.Matrix, error) {
 	return engine.Map(ctx, r.Workers(), nets,
 		func(_ context.Context, _ int, n Network) ([]*tm.Matrix, error) {
-			ms, err := cfg.matrices(n)
+			ms, err := cfg.matrices(n, r.Cache().ForGraph(n.Graph))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", n.Name, err)
 			}

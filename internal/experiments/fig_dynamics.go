@@ -85,7 +85,7 @@ func FigDynamics(cfg Config) (*FigDynamicsResult, error) {
 	seq := r.WithWorkers(1)
 	rows, err := engine.Map(ctx, r.Workers(), pairs,
 		func(ctx context.Context, _ int, p pair) (*dynamics.Result, error) {
-			ms, err := cfg.matrices(p.net)
+			ms, err := cfg.matrices(p.net, seq.Cache().ForGraph(p.net.Graph))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", p.net.Name, err)
 			}

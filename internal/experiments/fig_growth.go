@@ -98,7 +98,7 @@ func Fig20(cfg Config) (*Fig20Result, error) {
 		g := grownNets[ci]
 		// The same traffic is offered to both topologies: demands do not
 		// change when links are added (node IDs are preserved by Grow).
-		ms, err := cfg.matrices(c.net)
+		ms, err := cfg.matrices(c.net, r.Cache().ForGraph(c.net.Graph))
 		if err != nil {
 			return nil, err
 		}

@@ -34,7 +34,7 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 	ctx, r := cfg.ctx(), cfg.newRunner()
 	g := topo.GTSLike()
 	net := Network{Name: "gts-like", Graph: g}
-	ms, err := cfg.matrices(net)
+	ms, err := cfg.matrices(net, r.Cache().ForGraph(g))
 	if err != nil {
 		return nil, err
 	}

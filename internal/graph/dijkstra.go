@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 const infDelay = math.MaxFloat64
 
@@ -13,18 +10,45 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap of pqItems ordered by dist. It performs exactly
+// the comparisons and swaps container/heap would (same sift-up and
+// sift-down), so ties pop in the same order and every path is unchanged;
+// being typed, it does not box each item into an interface on push and pop.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	*q = h
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].dist < h[j].dist {
+			j = r
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // ShortestPathTree runs Dijkstra from src with delay weights, honoring the
@@ -44,9 +68,9 @@ func (g *Graph) ShortestPathTree(src NodeID, linkMask, nodeMask *Mask) ([]float6
 	dist[src] = 0
 
 	q := make(pq, 0, g.NumNodes())
-	heap.Push(&q, pqItem{node: src, dist: 0})
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q.push(pqItem{node: src, dist: 0})
+	for len(q) > 0 {
+		it := q.pop()
 		if it.dist > dist[it.node] {
 			continue // stale entry
 		}
@@ -62,7 +86,7 @@ func (g *Graph) ShortestPathTree(src NodeID, linkMask, nodeMask *Mask) ([]float6
 			if nd < dist[l.To] {
 				dist[l.To] = nd
 				prev[l.To] = lid
-				heap.Push(&q, pqItem{node: l.To, dist: nd})
+				q.push(pqItem{node: l.To, dist: nd})
 			}
 		}
 	}

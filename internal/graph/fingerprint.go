@@ -11,8 +11,14 @@ import (
 // equal fingerprints route identically, which is what lets a
 // routing.SolverCache share path computations between separately built
 // copies of the same topology. Graphs are immutable, so the fingerprint is
-// stable for the life of the value.
+// stable for the life of the value: it is hashed once, on first use, and
+// remembered.
 func (g *Graph) Fingerprint() uint64 {
+	g.fpOnce.Do(func() { g.fp = g.fingerprint() })
+	return g.fp
+}
+
+func (g *Graph) fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	writeU64 := func(v uint64) {

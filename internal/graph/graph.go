@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"lowlat/internal/geo"
 )
@@ -46,6 +47,9 @@ type Graph struct {
 	links []Link
 	out   [][]LinkID
 	in    [][]LinkID
+
+	fpOnce sync.Once // memoizes Fingerprint
+	fp     uint64
 }
 
 // Name returns the graph's human-readable name.

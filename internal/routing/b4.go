@@ -22,6 +22,12 @@ type B4 struct {
 	Quanta int
 	// MaxPaths bounds each aggregate's path list. Default 32.
 	MaxPaths int
+	// Cache optionally shares the per-aggregate k-shortest-path lists
+	// with other placements on the same topology: B4 walks each pair's
+	// unmasked enumeration in order, which is exactly what a PathCache
+	// holds (only the spare capacity it tests them against is
+	// load-dependent).
+	Cache *PathCache
 }
 
 // Name implements Scheme.
@@ -42,10 +48,23 @@ func (b B4) withDefaults() B4 {
 	return b
 }
 
+// WithPathCache implements CacheableScheme; an explicitly set cache wins.
+func (b B4) WithPathCache(c *PathCache) Scheme {
+	if b.Cache == nil {
+		b.Cache = c
+	}
+	return b
+}
+
 // Place implements Scheme.
 func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	b = b.withDefaults()
-	if _, err := shortestDelays(g, m); err != nil {
+	cache := b.Cache
+	if cache == nil {
+		cache = NewPathCache(g)
+	}
+	sps, err := shortestDelaysCached(cache, g, m)
+	if err != nil {
 		return nil, err
 	}
 
@@ -55,19 +74,32 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	}
 
 	type aggState struct {
-		ksp       *graph.KSP
+		paths     []graph.Path // the aggregate's shortest paths fetched so far
 		pathIdx   int
-		remaining float64         // quanta left to place
-		placed    map[int]float64 // path index -> quanta placed
+		remaining float64   // quanta left to place
+		placed    []float64 // quanta placed, indexed like paths
 		stuck     bool
 	}
 	states := make([]*aggState, m.Len())
-	for i, a := range m.Aggregates {
+	for i := range states {
 		states[i] = &aggState{
-			ksp:       graph.NewKSP(g, a.Src, a.Dst, nil),
+			paths:     sps[i : i+1],
 			remaining: float64(b.Quanta),
-			placed:    make(map[int]float64),
+			placed:    make([]float64, 1),
 		}
+	}
+	// pathAt returns aggregate i's pathIdx-th shortest path, going to the
+	// cache only when the waterfill advances past the paths in hand.
+	pathAt := func(i int) (graph.Path, bool) {
+		st := states[i]
+		if st.pathIdx >= len(st.paths) {
+			a := m.Aggregates[i]
+			st.paths = cache.Paths(a.Src, a.Dst, st.pathIdx+1)
+			if st.pathIdx >= len(st.paths) {
+				return graph.Path{}, false
+			}
+		}
+		return st.paths[st.pathIdx], true
 	}
 
 	// fill runs the parallel waterfill round-robin: one quantum per
@@ -82,7 +114,7 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 				}
 				quantum := m.Aggregates[i].Volume / float64(b.Quanta)
 				for {
-					path, ok := st.ksp.At(st.pathIdx)
+					path, ok := pathAt(i)
 					if !ok || st.pathIdx >= b.MaxPaths {
 						st.stuck = true
 						break
@@ -90,6 +122,9 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 					if pathFits(spare, path, quantum) {
 						for _, lid := range path.Links {
 							spare[lid] -= quantum
+						}
+						for len(st.placed) <= st.pathIdx {
+							st.placed = append(st.placed, 0)
 						}
 						st.placed[st.pathIdx]++
 						st.remaining--
@@ -136,16 +171,18 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	}
 
 	p := NewPlacement(g, m)
+	p.base = baselineOf(sps)
 	for i, st := range states {
+		// Ascending path index is ascending delay, and the stable sort
+		// keeps equal-delay paths (both ways round a ring) in enumeration
+		// order, so the same inputs always give the same allocation list.
 		var allocs []PathAlloc
 		for idx, quanta := range st.placed {
-			path, _ := st.ksp.At(idx)
 			f := quanta / float64(b.Quanta)
 			if f > fracEps {
-				allocs = append(allocs, PathAlloc{Path: path, Fraction: f})
+				allocs = append(allocs, PathAlloc{Path: st.paths[idx], Fraction: f})
 			}
 		}
-		// Deterministic order for reproducibility.
 		sortAllocsByDelay(allocs)
 		p.Allocs[i] = allocs
 	}

@@ -82,49 +82,81 @@ func (c *PathCache) Generated(src, dst graph.NodeID) int {
 	return e.ksp.Generated()
 }
 
+// solverCacheCapacity bounds how many topologies a SolverCache retains.
+// It comfortably exceeds the number of networks any pool of workers
+// solves at once (sweeps and figure drivers visit networks in nested
+// order, so the working set is a handful), while keeping a daemon that
+// is asked for never-seen topologies all day at a fixed footprint.
+const solverCacheCapacity = 32
+
 // SolverCache shares path computations across an engine run: one PathCache
-// per distinct topology, keyed by graph fingerprint, so concurrent
-// placements of different matrices (or different schemes) on the same
-// network reuse each other's shortest-path and KSP work instead of
-// recomputing it per Place call.
+// per distinct topology, keyed by graph fingerprint, so matrix calibration
+// and concurrent placements of different matrices (or different schemes)
+// on the same network reuse each other's shortest-path and KSP work
+// instead of recomputing it per call.
+//
+// The cache is bounded: it retains the PathCaches of the
+// solverCacheCapacity most recently used topologies and drops the least
+// recently used one beyond that. What is retained per topology is its
+// PathCache — one lazy k-shortest-path enumerator per node pair queried
+// so far (found paths, Yen candidates) plus the graph the enumerators
+// walk; nothing is retained per call. Eviction only forgets: a PathCache
+// already handed out keeps working for whoever holds it, and a later
+// ForGraph for that topology starts a fresh one that enumerates the
+// identical paths.
 type SolverCache struct {
-	mu    sync.Mutex
-	byPtr map[*graph.Graph]*PathCache
-	byFP  map[uint64]*PathCache
+	mu   sync.Mutex
+	tick uint64                  // guarded by mu; ForGraph calls so far
+	byFP map[uint64]*solverEntry // guarded by mu
+}
+
+type solverEntry struct {
+	pc   *PathCache
+	used uint64 // the owner's tick at the last ForGraph; touched only under the owner's mu
 }
 
 // NewSolverCache returns an empty multi-topology cache.
 func NewSolverCache() *SolverCache {
-	return &SolverCache{
-		byPtr: make(map[*graph.Graph]*PathCache),
-		byFP:  make(map[uint64]*PathCache),
-	}
+	return &SolverCache{byFP: make(map[uint64]*solverEntry)}
 }
 
 // ForGraph returns the PathCache for g, creating it on first use. Graphs
-// are recognized structurally (by fingerprint), so two builds of the same
-// topology share one cache; the pointer index just skips re-hashing graphs
-// the cache has already seen.
+// are recognized structurally (by their memoized fingerprint), so two
+// builds of the same topology share one cache — which is what lets a
+// caller that rebuilds its graph on every request still run warm.
 func (s *SolverCache) ForGraph(g *graph.Graph) *PathCache {
+	fp := g.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if pc, ok := s.byPtr[g]; ok {
-		return pc
-	}
-	fp := g.Fingerprint()
-	pc, ok := s.byFP[fp]
+	s.tick++
+	e, ok := s.byFP[fp]
 	if !ok {
-		pc = NewPathCache(g)
-		s.byFP[fp] = pc
+		if len(s.byFP) >= solverCacheCapacity {
+			s.evictOldestLocked()
+		}
+		e = &solverEntry{pc: NewPathCache(g)}
+		s.byFP[fp] = e
 	}
-	s.byPtr[g] = pc
-	return pc
+	e.used = s.tick
+	return e.pc
+}
+
+// evictOldestLocked drops the least recently used topology.
+func (s *SolverCache) evictOldestLocked() {
+	var oldest uint64
+	least := s.tick // every retained entry was used at an earlier tick
+	for fp, e := range s.byFP {
+		if e.used < least {
+			oldest, least = fp, e.used
+		}
+	}
+	delete(s.byFP, oldest)
 }
 
 // Place routes one scenario through the shared cache: schemes that can
 // reuse path computations are bound to g's PathCache before placing;
-// schemes that cannot (the greedy allocators, whose masked path lookups
-// are load-dependent) place as-is.
+// schemes that cannot (MPLS-TE, whose CSPF lookups are masked by the load
+// already placed) place as-is.
 func (s *SolverCache) Place(scheme Scheme, g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	if cs, ok := scheme.(CacheableScheme); ok {
 		scheme = cs.WithPathCache(s.ForGraph(g))

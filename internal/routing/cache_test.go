@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"lowlat/internal/geo"
 	"lowlat/internal/graph"
 )
 
@@ -193,5 +194,124 @@ func TestDeterministicPlacements(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// distinctTopology returns a topology no other index shares: the ring's
+// first link delay encodes i.
+func distinctTopology(i int) *graph.Graph {
+	b := graph.NewBuilder("lru")
+	ids := make([]graph.NodeID, 5)
+	for j := range ids {
+		ids[j] = b.AddNode(string(rune('a'+j)), geo.Point{})
+	}
+	for j := range ids {
+		delay := 0.001
+		if j == 0 {
+			delay += float64(i) * 1e-6
+		}
+		b.AddBiLink(ids[j], ids[(j+1)%len(ids)], 10e9, delay)
+	}
+	return b.MustBuild()
+}
+
+func (s *SolverCache) retained() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.byFP)
+}
+
+// TestSolverCacheIsBounded: the cache retains at most solverCacheCapacity
+// topologies, evicts the least recently used one, and an evicted
+// PathCache keeps answering for whoever still holds it.
+func TestSolverCacheIsBounded(t *testing.T) {
+	sc := NewSolverCache()
+	graphs := make([]*graph.Graph, solverCacheCapacity+5)
+	for i := range graphs {
+		graphs[i] = distinctTopology(i)
+	}
+	held := make([]*PathCache, len(graphs))
+	for i := 0; i < solverCacheCapacity; i++ {
+		held[i] = sc.ForGraph(graphs[i])
+	}
+	want := held[1].Paths(0, 2, 2) // warm the cache that will be evicted first
+	if len(want) != 2 {
+		t.Fatalf("ring pair has %d paths, want 2", len(want))
+	}
+
+	// Touch topology 0 so that topology 1 is the least recently used.
+	if sc.ForGraph(graphs[0]) != held[0] {
+		t.Fatal("a retained topology must keep its PathCache")
+	}
+	for i := solverCacheCapacity; i < len(graphs); i++ {
+		held[i] = sc.ForGraph(graphs[i])
+		if n := sc.retained(); n > solverCacheCapacity {
+			t.Fatalf("cache retains %d topologies, capacity %d", n, solverCacheCapacity)
+		}
+	}
+	if sc.ForGraph(graphs[0]) != held[0] {
+		t.Fatal("the just-used topology must survive eviction")
+	}
+	last := len(graphs) - 1
+	if sc.ForGraph(graphs[last]) != held[last] {
+		t.Fatal("the newest topology must be retained")
+	}
+
+	// Topology 1 was evicted: the cache a solver already holds still
+	// answers (and extends), and a new ForGraph starts a fresh one that
+	// enumerates the same paths.
+	got := held[1].Paths(0, 2, 3)
+	if len(got) != 2 || !got[0].Equal(want[0]) || !got[1].Equal(want[1]) {
+		t.Fatal("an evicted PathCache must keep answering its holder")
+	}
+	fresh := sc.ForGraph(graphs[1])
+	if fresh == held[1] {
+		t.Fatal("topology 1 should have been evicted")
+	}
+	again := fresh.Paths(0, 2, 2)
+	if len(again) != 2 || !again[0].Equal(want[0]) || !again[1].Equal(want[1]) {
+		t.Fatal("a re-created PathCache must enumerate the same paths")
+	}
+}
+
+// TestSolverCacheFreshGraphPerCall: a caller that rebuilds its graph on
+// every request (backend.Local.place does, via sweep.ResolveNet) keeps
+// hitting one retained PathCache; nothing accumulates per call.
+func TestSolverCacheFreshGraphPerCall(t *testing.T) {
+	sc := NewSolverCache()
+	first := sc.ForGraph(distinctTopology(7))
+	for i := 0; i < 10*solverCacheCapacity; i++ {
+		if sc.ForGraph(distinctTopology(7)) != first {
+			t.Fatal("separately built copies of one topology must share a PathCache")
+		}
+	}
+	if n := sc.retained(); n != 1 {
+		t.Fatalf("cache retains %d topologies after one-topology traffic, want 1", n)
+	}
+	if first.Graph().Fingerprint() != distinctTopology(7).Fingerprint() {
+		t.Fatal("memoized fingerprint must equal a fresh build's")
+	}
+}
+
+// TestSolverCacheConcurrent drives ForGraph over more topologies than fit
+// from many goroutines; under -race this pins the LRU's locking.
+func TestSolverCacheConcurrent(t *testing.T) {
+	sc := NewSolverCache()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3*solverCacheCapacity; i++ {
+				g := distinctTopology((w*5 + i) % (2 * solverCacheCapacity))
+				if ps := sc.ForGraph(g).Paths(0, 2, 2); len(ps) != 2 {
+					t.Errorf("got %d paths, want 2", len(ps))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := sc.retained(); n > solverCacheCapacity {
+		t.Fatalf("cache retains %d topologies, capacity %d", n, solverCacheCapacity)
 	}
 }

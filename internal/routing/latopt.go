@@ -7,12 +7,13 @@ import (
 	"lowlat/internal/tm"
 )
 
-// Compile-time checks: the LP schemes and SP share path computations
+// Compile-time checks: the LP schemes, SP and B4 share path computations
 // through an engine run's SolverCache.
 var (
 	_ CacheableScheme = LatencyOpt{}
 	_ CacheableScheme = MinMax{}
 	_ CacheableScheme = SP{}
+	_ CacheableScheme = B4{}
 )
 
 // SolveStats reports the work an LP-based scheme performed, used by the

@@ -81,6 +81,7 @@ func (t MPLSTE) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	}
 
 	p := NewPlacement(g, m)
+	p.base = baselineOf(shortest)
 	mask := graph.NewMask(g.NumLinks())
 	for _, i := range order {
 		a := m.Aggregates[i]

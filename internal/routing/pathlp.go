@@ -65,6 +65,9 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 	if err != nil {
 		return nil, err
 	}
+	// Every round's placement is scored by its latency stretch; they all
+	// share the one baseline these paths give.
+	base := baselineOf(sps)
 
 	capScale := 1 - s.headroom
 	caps := make([]float64, g.NumLinks())
@@ -130,6 +133,7 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 		if err != nil {
 			return nil, err
 		}
+		placement.base = base
 		overloads := linkOverloads(placement, caps)
 		maxOv := 0.0
 		for _, ov := range overloads {

@@ -9,6 +9,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"lowlat/internal/graph"
 	"lowlat/internal/tm"
@@ -39,7 +40,26 @@ type Placement struct {
 	// Unplaced is the fraction (0..1) of each aggregate's volume the
 	// scheme could not place.
 	Unplaced []float64
+
+	// base is the all-shortest-paths baseline the stretch metrics divide
+	// by. It is a pointer so that a Placement copied by value shares it
+	// (and carries no lock by value).
+	base *spBaseline
 }
+
+// spBaseline holds each aggregate's shortest-path delay on the
+// placement's graph (S_a), indexed like TM.Aggregates; noPath marks an
+// unreachable pair. A scheme that already holds the shortest paths fills
+// delays before it returns the placement; otherwise the first stretch
+// query computes them, once.
+type spBaseline struct {
+	once   sync.Once
+	delays []float64
+}
+
+// noPath is the baseline delay of an aggregate whose endpoints are
+// disconnected.
+var noPath = math.Inf(1)
 
 // NewPlacement returns an empty placement for the matrix.
 func NewPlacement(g *graph.Graph, m *tm.Matrix) *Placement {
@@ -48,7 +68,55 @@ func NewPlacement(g *graph.Graph, m *tm.Matrix) *Placement {
 		TM:       m,
 		Allocs:   make([][]PathAlloc, m.Len()),
 		Unplaced: make([]float64, m.Len()),
+		base:     new(spBaseline),
 	}
+}
+
+// baselineOf is the baseline of a matrix whose per-aggregate shortest
+// paths the caller already holds.
+func baselineOf(sps []graph.Path) *spBaseline {
+	delays := make([]float64, len(sps))
+	for i, sp := range sps {
+		delays[i] = sp.Delay
+	}
+	return &spBaseline{delays: delays}
+}
+
+// baseline returns the per-aggregate shortest-path delays.
+func (p *Placement) baseline() []float64 {
+	if p.base == nil { // a Placement literal built without NewPlacement
+		return treeDelays(p.G, p.TM)
+	}
+	p.base.once.Do(func() {
+		if p.base.delays == nil {
+			p.base.delays = treeDelays(p.G, p.TM)
+		}
+	})
+	return p.base.delays
+}
+
+// treeDelays computes every aggregate's shortest-path delay from one
+// Dijkstra tree per distinct source. The tree's distance to dst is the
+// delay g.ShortestPath(src, dst, nil, nil) reports, bit for bit: that call
+// builds the same tree and reads the same entry.
+func treeDelays(g *graph.Graph, m *tm.Matrix) []float64 {
+	delays := make([]float64, m.Len())
+	dist := make([][]float64, g.NumNodes())
+	prev := make([][]graph.LinkID, g.NumNodes())
+	for i, a := range m.Aggregates {
+		if dist[a.Src] == nil {
+			dist[a.Src], prev[a.Src] = g.ShortestPathTree(a.Src, nil, nil)
+		}
+		switch {
+		case a.Dst == a.Src:
+			delays[i] = 0
+		case prev[a.Src][a.Dst] < 0:
+			delays[i] = noPath
+		default:
+			delays[i] = dist[a.Src][a.Dst]
+		}
+	}
+	return delays
 }
 
 // LinkLoads returns the traffic volume placed on every link (bits/sec).
@@ -120,10 +188,10 @@ func (p *Placement) CongestedPairFraction() float64 {
 // excluded from both sums.
 func (p *Placement) LatencyStretch() float64 {
 	num, den := 0.0, 0.0
+	sps := p.baseline()
 	for i, allocs := range p.Allocs {
 		agg := p.TM.Aggregates[i]
-		sp, ok := p.G.ShortestPath(agg.Src, agg.Dst, nil, nil)
-		if !ok {
+		if sps[i] == noPath {
 			continue
 		}
 		for _, a := range allocs {
@@ -131,7 +199,7 @@ func (p *Placement) LatencyStretch() float64 {
 				continue
 			}
 			num += agg.Volume * a.Fraction * a.Path.Delay
-			den += agg.Volume * a.Fraction * sp.Delay
+			den += agg.Volume * a.Fraction * sps[i]
 		}
 	}
 	if den == 0 {
@@ -145,20 +213,19 @@ func (p *Placement) LatencyStretch() float64 {
 // +Inf when some traffic is unplaced (the scenario "does not fit").
 func (p *Placement) MaxStretch() float64 {
 	maxS := 1.0
+	sps := p.baseline()
 	for i, allocs := range p.Allocs {
 		if p.Unplaced[i] > fracEps {
 			return math.Inf(1)
 		}
-		agg := p.TM.Aggregates[i]
-		sp, ok := p.G.ShortestPath(agg.Src, agg.Dst, nil, nil)
-		if !ok || sp.Delay <= 0 {
+		if sps[i] == noPath || sps[i] <= 0 {
 			continue
 		}
 		for _, a := range allocs {
 			if a.Fraction < fracEps {
 				continue
 			}
-			if s := a.Path.Delay / sp.Delay; s > maxS {
+			if s := a.Path.Delay / sps[i]; s > maxS {
 				maxS = s
 			}
 		}

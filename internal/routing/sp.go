@@ -39,6 +39,7 @@ func (s SP) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 		return nil, err
 	}
 	p := NewPlacement(g, m)
+	p.base = baselineOf(sps)
 	for i := range m.Aggregates {
 		p.Allocs[i] = []PathAlloc{{Path: sps[i], Fraction: 1}}
 	}

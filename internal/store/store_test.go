@@ -576,3 +576,27 @@ func countLines(t *testing.T, path string) int {
 	}
 	return strings.Count(string(data), "\n")
 }
+
+// TestMetricsOfDoesNoPathWork: a scheme-built placement carries its
+// shortest-path baseline, so summarizing it runs no Dijkstra. One
+// ShortestPathTree costs a few allocations and the old MetricsOf ran two
+// per aggregate — 480 here; what remains is a handful of per-link slices.
+func TestMetricsOfDoesNoPathWork(t *testing.T) {
+	g := topo.Ring("ring-16", 16, 1400, topo.Cap10G)
+	res, err := tmgen.Generate(g, tmgen.Config{Seed: 1})
+	if err != nil {
+		t.Fatalf("tmgen: %v", err)
+	}
+	if res.Matrix.Len() != 240 {
+		t.Fatalf("ring-16 matrix has %d aggregates, want 240", res.Matrix.Len())
+	}
+	for _, scheme := range []routing.Scheme{routing.SP{}, routing.B4{}, routing.MinMax{}, routing.LatencyOpt{}} {
+		p, err := scheme.Place(g, res.Matrix)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme.Name(), err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { MetricsOf(p) }); allocs >= 64 {
+			t.Errorf("%s: MetricsOf allocates %.0f times per call, want < 64", scheme.Name(), allocs)
+		}
+	}
+}

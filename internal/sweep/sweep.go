@@ -56,11 +56,20 @@ type Placer interface {
 // re-running the calibration solves; generation is deterministic in
 // (graph, seed, load, locality), which is what makes the memo sound.
 func GenerateMatrix(g *graph.Graph, seed int64, load, locality float64, st *store.Store) (*tm.Matrix, error) {
+	return GenerateMatrixCached(g, seed, load, locality, st, nil)
+}
+
+// GenerateMatrixCached is GenerateMatrix with the calibration solves run
+// on cache — the PathCache of g that the cell's placement solve will use
+// next, so the two stages enumerate each pair's paths once between them.
+// A nil cache is private to the call; the matrix is the same either way.
+func GenerateMatrixCached(g *graph.Graph, seed int64, load, locality float64, st *store.Store, cache *routing.PathCache) (*tm.Matrix, error) {
 	res, err := tmgen.Generate(g, tmgen.Config{
 		Seed:          seed,
 		Locality:      locality,
 		NoLocality:    locality == 0,
 		TargetMaxUtil: load,
+		Cache:         cache,
 	})
 	if err != nil {
 		return nil, err
@@ -81,7 +90,7 @@ func GenerateMatrix(g *graph.Graph, seed int64, load, locality float64, st *stor
 // the store-aware planner instead, which consults the calibration memo
 // to skip regeneration for fully-stored groups.
 func Plan(ctx context.Context, grid Grid, workers int) ([]Cell, error) {
-	cells, _, err := planWithStore(ctx, grid, workers, nil, false)
+	cells, _, err := planWithStore(ctx, grid, workers, nil, false, routing.NewSolverCache())
 	return cells, err
 }
 
@@ -103,8 +112,10 @@ type planStats struct {
 // recomputing), the group's cells are planned with a nil Scenario.Matrix
 // — they can never reach the engine, so the matrix is dead weight. Any
 // group with a memo miss or a missing cell regenerates its matrix (and
-// refreshes the memo). Cell order is identical either way.
-func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store, skipStored bool) ([]Cell, planStats, error) {
+// refreshes the memo), calibrating on solver's PathCache for the net — the
+// cache Run then solves the group's cells on. Cell order is identical
+// either way.
+func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store, skipStored bool, solver *routing.SolverCache) ([]Cell, planStats, error) {
 	var stats planStats
 	grid = grid.withDefaults()
 	if err := grid.validate(); err != nil {
@@ -173,7 +184,8 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 	gen, err := engine.Map(ctx, workers, genJobs,
 		func(_ context.Context, _ int, ji int) (*tm.Matrix, error) {
 			j := jobs[ji]
-			m, err := GenerateMatrix(nets[j.net].Graph, j.seed, grid.Load, grid.Locality, st)
+			g := nets[j.net].Graph
+			m, err := GenerateMatrixCached(g, j.seed, grid.Load, grid.Locality, st, solver.ForGraph(g))
 			if err != nil {
 				return nil, fmt.Errorf("%s seed %d: %w", nets[j.net].Name, j.seed, err)
 			}
@@ -308,7 +320,10 @@ type Options struct {
 // landed results were persisted, so a rerun resumes instead of starting
 // over.
 func Run(ctx context.Context, st *store.Store, grid Grid, opts Options) (*Report, error) {
-	cells, stats, err := planWithStore(ctx, grid, opts.Workers, st, !opts.Recompute)
+	// One solver cache for the run: matrix calibration during planning and
+	// the placement solves after it share each network's paths.
+	cache := routing.NewSolverCache()
+	cells, stats, err := planWithStore(ctx, grid, opts.Workers, st, !opts.Recompute, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +383,6 @@ func Run(ctx context.Context, st *store.Store, grid Grid, opts Options) (*Report
 			return res, nil
 		}
 	} else {
-		cache := engine.NewRunner(opts.Workers).Cache()
 		place = func(ctx context.Context, _ int, c Cell) (store.Result, error) {
 			if opts.OnPlace != nil {
 				opts.OnPlace(c)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"lowlat/internal/routing"
 	"lowlat/internal/store"
 )
 
@@ -267,7 +268,7 @@ func TestMemoSkipsRegeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memoed, stats, err := planWithStore(ctx, grid, 1, st, true)
+	memoed, stats, err := planWithStore(ctx, grid, 1, st, true, routing.NewSolverCache())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,15 @@
 // up to ℓ times their original demand (solved as a marginal-preserving
 // transportation LP), and scaled so that the MinMax-optimal peak link
 // utilization hits a target (the paper's "min-cut load").
+//
+// Calibration is a handful of MinMax solves of the same matrix at
+// different scales, so every path it needs depends on the topology alone.
+// Generate therefore runs all of them on one routing.PathCache — the
+// caller's (Config.Cache: the same cache the placement solves of that
+// network use, so a matrix and the schemes placed on it enumerate each
+// pair's shortest paths once between them) or a private one made for the
+// call. Enumeration is deterministic per pair: the matrix is the same bit
+// for bit whatever the cache already holds.
 package tmgen
 
 import (
@@ -40,6 +49,11 @@ type Config struct {
 	// FlowsPerGbps sets the aggregate flow counts n_a (default 1000,
 	// i.e. one flow per Mbps), proportional to volume.
 	FlowsPerGbps float64
+	// Cache optionally shares shortest-path and k-shortest-path work
+	// with other solves on the same topology; it must be bound to the
+	// graph being generated for. Nil means a private cache for the call.
+	// It never changes the result.
+	Cache *routing.PathCache
 }
 
 func (c Config) withDefaults() Config {
@@ -75,6 +89,10 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	n := g.NumNodes()
 	if n < 2 {
 		return nil, fmt.Errorf("tmgen: graph %q too small", g.Name())
+	}
+	cache := cfg.Cache
+	if cache == nil {
+		cache = routing.NewPathCache(g)
 	}
 	rng := stats.Rng(cfg.Seed)
 	masses := stats.ShuffledZipfWeights(n, cfg.ZipfExponent, rng)
@@ -135,7 +153,7 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	scale := 1.0
 	measured := 0.0
 	for round := 0; round < 5; round++ {
-		_, mmStats, err := (routing.MinMax{}).PlaceWithStats(g, unit.Scale(scale))
+		_, mmStats, err := (routing.MinMax{Cache: cache}).PlaceWithStats(g, unit.Scale(scale))
 		if err != nil {
 			return nil, err
 		}
@@ -166,8 +184,12 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// GenerateSet produces count independent matrices (seeds Seed, Seed+1, ...).
+// GenerateSet produces count independent matrices (seeds Seed, Seed+1, ...),
+// all calibrated on one path cache.
 func GenerateSet(g *graph.Graph, cfg Config, count int) ([]*tm.Matrix, error) {
+	if cfg.Cache == nil {
+		cfg.Cache = routing.NewPathCache(g)
+	}
 	out := make([]*tm.Matrix, 0, count)
 	for i := 0; i < count; i++ {
 		c := cfg

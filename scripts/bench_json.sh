@@ -27,6 +27,13 @@ go test -run NONE -bench 'Landscape|Dynamics|PredictivePlace|ExactPlace' -bencht
 # never block on, tracked for trajectory only.
 go test -run NONE -bench 'HistogramRecord|WindowedRecord' -benchtime 200000x ./internal/obs >> "$tmp"
 go test -run NONE -bench 'WindowRotate' -benchtime 20000x ./internal/obs >> "$tmp"
+
+# The ladder's matrix rung: one calibrated matrix per place_cold net, on a
+# never-used path cache (cold) and on the net's shared one (warm). An
+# iteration is tens of milliseconds and the first one pays the page
+# faults, so it runs at a fixed 20 iterations, never 1x; allocs/op is in
+# the log above the JSON.
+go test -run NONE -bench 'GenerateMatrix' -benchtime 20x ./internal/tmgen >> "$tmp"
 cat "$tmp"
 
 awk '

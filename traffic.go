@@ -45,7 +45,9 @@ func NewMatrix(aggs []Aggregate) *Matrix { return tm.New(aggs) }
 // GenerateTraffic synthesizes one gravity-model traffic matrix for g,
 // scaled so the MinMax-optimal peak utilization hits cfg.TargetMaxUtil
 // (default 0.77: traffic fits until it grows 30%, the paper's standard
-// load).
+// load). Setting cfg.Cache to the PathCache of g (NewPathCache, or a
+// SolverCache's ForGraph) shares the calibration's path work with the
+// placements that follow; it never changes the matrix.
 func GenerateTraffic(g *graph.Graph, cfg TrafficConfig) (*TrafficResult, error) {
 	return tmgen.Generate(g, cfg)
 }
