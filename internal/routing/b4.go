@@ -173,9 +173,12 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	p := NewPlacement(g, m)
 	p.base = baselineOf(sps)
 	for i, st := range states {
-		// Ascending path index is ascending delay, and the stable sort
-		// keeps equal-delay paths (both ways round a ring) in enumeration
-		// order, so the same inputs always give the same allocation list.
+		// Collected in ascending path index, then sorted by delay. The
+		// sort is not a no-op: Yen's sums a candidate's root and spur
+		// delays separately, so consecutive KSP paths can invert by an ulp
+		// (55 of 237 614 adjacent pairs over the zoo's nets of <= 30 nodes).
+		// It is stable, so equal-delay paths (both ways round a ring) keep
+		// enumeration order and the same inputs give the same list.
 		var allocs []PathAlloc
 		for idx, quanta := range st.placed {
 			f := quanta / float64(b.Quanta)

@@ -173,7 +173,7 @@ func TestStretchMatchesPerAggregateDijkstra(t *testing.T) {
 }
 
 // TestStretchSkipRules builds placements by hand (nothing pre-fills their
-// baseline, so it is computed lazily from per-source trees) on a graph
+// baseline, so each query computes it from per-source trees) on a graph
 // with an isolated node and a zero-delay link, covering every skip rule:
 // unreachable pair, zero shortest delay, unplaced volume, src == dst.
 func TestStretchSkipRules(t *testing.T) {
@@ -227,7 +227,8 @@ func TestStretchSkipRules(t *testing.T) {
 	}
 	checkStretch(t, "unplaced", q)
 
-	// The lazy baseline is computed once even under concurrent first use.
+	// A hand-built placement's on-demand baseline writes nothing, so
+	// concurrent stretch queries are safe.
 	r := build()
 	want := refLatencyStretch(r)
 	var wg sync.WaitGroup
@@ -244,6 +245,24 @@ func TestStretchSkipRules(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSolverCacheHoldsTheZoo pins the capacity to the repo's largest
+// working set: figure drivers calibrate every zoo network and then solve
+// scheme-outer, network-inner on one SolverCache, so a second pass over
+// the whole zoo must find every topology's PathCache still retained.
+func TestSolverCacheHoldsTheZoo(t *testing.T) {
+	sc := routing.NewSolverCache()
+	zoo := topo.Zoo()
+	first := make([]*routing.PathCache, len(zoo))
+	for i, e := range zoo {
+		first[i] = sc.ForGraph(e.Build())
+	}
+	for i, e := range zoo {
+		if sc.ForGraph(e.Build()) != first[i] {
+			t.Fatalf("%s was evicted within one pass over the zoo", e.Name)
+		}
+	}
 }
 
 // TestB4IsDeterministic is the regression test for B4 collecting its

@@ -83,11 +83,13 @@ func (c *PathCache) Generated(src, dst graph.NodeID) int {
 }
 
 // solverCacheCapacity bounds how many topologies a SolverCache retains.
-// It comfortably exceeds the number of networks any pool of workers
-// solves at once (sweeps and figure drivers visit networks in nested
-// order, so the working set is a handful), while keeping a daemon that
-// is asked for never-seen topologies all day at a fixed footprint.
-const solverCacheCapacity = 32
+// It is sized from the largest working set in the repo: a figure run
+// calibrates matrices for every network of the zoo (topo.ZooSize, 116)
+// and then solves scheme-outer, network-inner on the same cache (Fig. 4,
+// Fig. 16), so anything smaller than the zoo turns that cyclic scan into
+// a 0 % hit rate. It still keeps a daemon that is asked for never-seen
+// topologies all day at a fixed footprint.
+const solverCacheCapacity = 128
 
 // SolverCache shares path computations across an engine run: one PathCache
 // per distinct topology, keyed by graph fingerprint, so matrix calibration

@@ -9,7 +9,6 @@ package routing
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"lowlat/internal/graph"
 	"lowlat/internal/tm"
@@ -42,19 +41,11 @@ type Placement struct {
 	Unplaced []float64
 
 	// base is the all-shortest-paths baseline the stretch metrics divide
-	// by. It is a pointer so that a Placement copied by value shares it
-	// (and carries no lock by value).
-	base *spBaseline
-}
-
-// spBaseline holds each aggregate's shortest-path delay on the
-// placement's graph (S_a), indexed like TM.Aggregates; noPath marks an
-// unreachable pair. A scheme that already holds the shortest paths fills
-// delays before it returns the placement; otherwise the first stretch
-// query computes them, once.
-type spBaseline struct {
-	once   sync.Once
-	delays []float64
+	// by: each aggregate's shortest-path delay on G (S_a), indexed like
+	// TM.Aggregates, noPath for an unreachable pair. The scheme that built
+	// the placement sets it from the shortest paths it already holds; nil
+	// (a hand-built placement) means baseline computes it on demand.
+	base []float64
 }
 
 // noPath is the baseline delay of an aggregate whose endpoints are
@@ -68,31 +59,25 @@ func NewPlacement(g *graph.Graph, m *tm.Matrix) *Placement {
 		TM:       m,
 		Allocs:   make([][]PathAlloc, m.Len()),
 		Unplaced: make([]float64, m.Len()),
-		base:     new(spBaseline),
 	}
 }
 
 // baselineOf is the baseline of a matrix whose per-aggregate shortest
 // paths the caller already holds.
-func baselineOf(sps []graph.Path) *spBaseline {
+func baselineOf(sps []graph.Path) []float64 {
 	delays := make([]float64, len(sps))
 	for i, sp := range sps {
 		delays[i] = sp.Delay
 	}
-	return &spBaseline{delays: delays}
+	return delays
 }
 
 // baseline returns the per-aggregate shortest-path delays.
 func (p *Placement) baseline() []float64 {
-	if p.base == nil { // a Placement literal built without NewPlacement
+	if p.base == nil {
 		return treeDelays(p.G, p.TM)
 	}
-	p.base.once.Do(func() {
-		if p.base.delays == nil {
-			p.base.delays = treeDelays(p.G, p.TM)
-		}
-	})
-	return p.base.delays
+	return p.base
 }
 
 // treeDelays computes every aggregate's shortest-path delay from one

@@ -41,7 +41,9 @@ func generate(t *testing.T, g *graph.Graph, seed int64, cache *routing.PathCache
 // measured MinMax utilization are identical whether Generate runs without
 // a cache, on a fresh one, or — concurrently with the other seeds — on a
 // shared one that other seeds' calibrations and LatencyOpt, MinMax and B4
-// solves have already extended.
+// solves have already extended. The shared leg is the one with state to
+// get wrong, so it runs every seed; a fresh cache is the same code path
+// as no cache (Generate makes one), so two seeds cover it.
 func TestGenerateIgnoresCacheState(t *testing.T) {
 	nets := []string{"ring-16", "wheel-16", "tree-2x4", "grid-4x4"}
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -56,12 +58,17 @@ func TestGenerateIgnoresCacheState(t *testing.T) {
 			want := make([]calibration, len(seeds))
 			for i, seed := range seeds {
 				want[i] = generate(t, g, seed, nil)
+			}
+			for i, seed := range seeds[:2] {
 				if got := generate(t, g, seed, routing.NewPathCache(g)); got != want[i] {
 					t.Fatalf("seed %d: fresh cache gave %+v, no cache %+v", seed, got, want[i])
 				}
 			}
 
 			// Pre-warm one shared cache with work no seed under test does.
+			// 1.15x the calibrated load still fits under 10% headroom
+			// (0.77 * 1.15 < 0.9), so LatencyOpt does not grind through
+			// its growth rounds on traffic that cannot fit.
 			shared := routing.NewPathCache(g)
 			warm, err := tmgen.Generate(g, tmgen.Config{Seed: 1000, Cache: shared})
 			if err != nil {
@@ -72,7 +79,7 @@ func TestGenerateIgnoresCacheState(t *testing.T) {
 				routing.MinMax{Cache: shared},
 				routing.B4{Cache: shared},
 			} {
-				if _, err := s.Place(g, warm.Matrix.Scale(1.2)); err != nil {
+				if _, err := s.Place(g, warm.Matrix.Scale(1.15)); err != nil {
 					t.Fatalf("warming with %s: %v", s.Name(), err)
 				}
 			}
