@@ -34,8 +34,11 @@ type LDRResult = core.Result
 type MuxCheckConfig = mux.CheckConfig
 
 // MuxVerdict is the outcome of the two §5 multiplexing tests on one link:
-// the temporal-correlation queue test and the FFT-convolution exceedance
-// test.
+// the temporal-correlation queue test and the PMF-convolution exceedance
+// test. Each convolution runs as the direct product over its operands'
+// non-zero bins when that is less work than the FFT the paper names, and
+// as the FFT otherwise; the direct product is the exact one of the two,
+// and they agree on ExceedProb to within 1e-9 (threshold: 1.67e-4).
 type MuxVerdict = mux.Verdict
 
 // NewController returns an LDR controller for the topology.

@@ -8,7 +8,8 @@
 //     for the predicted demands, growing per-aggregate path sets only
 //     around overloaded links (k-shortest paths are cached across runs);
 //  4. every link of the proposed placement is appraised for statistical
-//     multiplexing (temporal-correlation and FFT-convolution tests); and
+//     multiplexing (peak-sum prefilter, then the temporal-correlation and
+//     PMF-convolution tests); and
 //  5. aggregates sharing a failing link have their demands scaled up —
 //     adding headroom exactly where multiplexing is poor — and the loop
 //     repeats from 3.
@@ -91,8 +92,37 @@ type Result struct {
 	UnresolvedLinks []graph.LinkID
 	// Stats accumulates LP solver work across all rounds.
 	Stats routing.SolveStats
+	// Appraisal counts what the multiplexing appraisal did across all
+	// rounds.
+	Appraisal Appraisal
 	// Runtime is the wall-clock duration of the cycle.
 	Runtime time.Duration
+}
+
+// Appraisal counts link checks by how far each got: cleared by the
+// peak-sum prefilter, rejected by the temporal test, or taken through the
+// PMF convolution. A slow cycle is one with many Convolved.
+type Appraisal struct {
+	Links             int // link checks run
+	SkippedByPeakSum  int
+	FailedTemporal    int
+	Convolved         int
+	FailedConvolution int
+}
+
+func (a *Appraisal) count(v mux.Verdict) {
+	a.Links++
+	switch {
+	case v.SkippedByPeakSum:
+		a.SkippedByPeakSum++
+	case v.FailedTemporal:
+		a.FailedTemporal++
+	default:
+		a.Convolved++
+		if v.FailedConvolution {
+			a.FailedConvolution++
+		}
+	}
 }
 
 // Controller is a long-lived LDR instance bound to one topology. It owns
@@ -103,16 +133,21 @@ type Controller struct {
 	cfg   Config
 	cache *routing.PathCache
 	preds map[[2]graph.NodeID]*predict.Predictor
+	// checkLinks is the appraisal of one placement, appraiseLinks; the
+	// differential tests swap in the reference implementation.
+	checkLinks func(p *routing.Placement, inputs []AggregateInput, peaks []float64, visit func(graph.LinkID, mux.Verdict))
 }
 
 // NewController returns a Controller for the topology.
 func NewController(g *graph.Graph, cfg Config) *Controller {
-	return &Controller{
+	c := &Controller{
 		g:     g,
 		cfg:   cfg.withDefaults(),
 		cache: routing.NewPathCache(g),
 		preds: make(map[[2]graph.NodeID]*predict.Predictor),
 	}
+	c.checkLinks = c.appraiseLinks
+	return c
 }
 
 // DropCaches clears the KSP cache, simulating a cold start (for the
@@ -127,15 +162,7 @@ func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("core: no aggregates")
 	}
-	// Order inputs the way tm.New orders aggregates, so input index i,
-	// matrix aggregate i and placement.Allocs[i] all line up.
-	inputs = append([]AggregateInput(nil), inputs...)
-	sort.Slice(inputs, func(a, b int) bool {
-		if inputs[a].Src != inputs[b].Src {
-			return inputs[a].Src < inputs[b].Src
-		}
-		return inputs[a].Dst < inputs[b].Dst
-	})
+	inputs = sortedInputs(inputs)
 	for i := 1; i < len(inputs); i++ {
 		if inputs[i].Src == inputs[i-1].Src && inputs[i].Dst == inputs[i-1].Dst {
 			return nil, fmt.Errorf("core: duplicate aggregate %d -> %d", inputs[i].Src, inputs[i].Dst)
@@ -143,7 +170,9 @@ func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 	}
 
 	// Predict next-minute means (Algorithm 1) from the measured series.
+	// Each series' peak is taken once here for every round's appraisal.
 	base := make([]float64, len(inputs))
+	peaks := make([]float64, len(inputs))
 	for i, in := range inputs {
 		if len(in.Series) == 0 {
 			return nil, fmt.Errorf("core: aggregate %d has no measurements", i)
@@ -160,6 +189,7 @@ func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 			c.preds[key] = p
 		}
 		base[i] = p.Next(mean)
+		peaks[i] = mux.Peak(in.Series)
 	}
 
 	multipliers := make([]float64, len(inputs))
@@ -230,7 +260,7 @@ func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 		res.Placement = placement
 		res.Demands = demands
 
-		failing := c.appraise(placement, inputs)
+		failing := c.appraise(placement, inputs, peaks, &res.Appraisal)
 		if len(failing) == 0 {
 			res.UnresolvedLinks = nil
 			res.Runtime = time.Since(start)
@@ -268,33 +298,16 @@ func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 	return res, nil
 }
 
-// appraise runs the multiplexing tests on every link of the placement and
-// returns the links that fail. Each aggregate contributes its measured
-// series scaled by the fraction placed on the link.
-func (c *Controller) appraise(p *routing.Placement, inputs []AggregateInput) []graph.LinkID {
-	perLink := make(map[graph.LinkID][][]float64)
-	for i, allocs := range p.Allocs {
-		for _, al := range allocs {
-			if al.Fraction < 1e-7 {
-				continue
-			}
-			scaled := make([]float64, len(inputs[i].Series))
-			for t, v := range inputs[i].Series {
-				scaled[t] = v * al.Fraction
-			}
-			for _, lid := range al.Path.Links {
-				perLink[lid] = append(perLink[lid], scaled)
-			}
-		}
-	}
+// appraise runs the multiplexing tests on every link of the placement,
+// tallies the verdicts and returns the links that fail, in LinkID order.
+func (c *Controller) appraise(p *routing.Placement, inputs []AggregateInput, peaks []float64, tally *Appraisal) []graph.LinkID {
 	var failing []graph.LinkID
-	for lid, series := range perLink {
-		verdict := mux.CheckLink(series, c.g.Link(lid).Capacity, c.cfg.Mux)
-		if !verdict.Pass {
+	c.checkLinks(p, inputs, peaks, func(lid graph.LinkID, v mux.Verdict) {
+		tally.count(v)
+		if !v.Pass {
 			failing = append(failing, lid)
 		}
-	}
-	sortLinkIDs(failing)
+	})
 	return failing
 }
 
@@ -303,6 +316,20 @@ func (c *Controller) appraise(p *routing.Placement, inputs []AggregateInput) []g
 // retrofit headroom onto B4 or MinMax. inputs are matched to the
 // placement's aggregates by (src, dst) order.
 func (c *Controller) AppraisePlacement(p *routing.Placement, inputs []AggregateInput) map[graph.LinkID]mux.Verdict {
+	inputs = sortedInputs(inputs)
+	peaks := make([]float64, len(inputs))
+	for i, in := range inputs {
+		peaks[i] = mux.Peak(in.Series)
+	}
+	out := make(map[graph.LinkID]mux.Verdict)
+	c.checkLinks(p, inputs, peaks, func(lid graph.LinkID, v mux.Verdict) { out[lid] = v })
+	return out
+}
+
+// sortedInputs returns a copy of inputs ordered the way tm.New orders
+// aggregates, so input index i, matrix aggregate i and placement.Allocs[i]
+// all line up.
+func sortedInputs(inputs []AggregateInput) []AggregateInput {
 	inputs = append([]AggregateInput(nil), inputs...)
 	sort.Slice(inputs, func(a, b int) bool {
 		if inputs[a].Src != inputs[b].Src {
@@ -310,32 +337,53 @@ func (c *Controller) AppraisePlacement(p *routing.Placement, inputs []AggregateI
 		}
 		return inputs[a].Dst < inputs[b].Dst
 	})
-	out := make(map[graph.LinkID]mux.Verdict)
-	perLink := make(map[graph.LinkID][][]float64)
+	return inputs
+}
+
+// linkTraffic is what one link carries under a placement: the series of
+// each allocation crossing it, and each series' peak.
+type linkTraffic struct {
+	series [][]float64
+	peaks  []float64
+}
+
+// appraiseLinks runs the multiplexing tests on every link the placement
+// uses, in LinkID order, handing each verdict to visit. peaks[i] is
+// mux.Peak(inputs[i].Series).
+//
+// An aggregate contributes its measured series scaled by the fraction
+// placed on the link. A whole allocation contributes the input series
+// itself — shared, read-only — and only a split one a scaled copy; either
+// way the peak follows from the aggregate's: rounding is monotone, so
+// max(v*f) == max(v)*f bit for bit, and the prefilter decides a link
+// without touching a sample.
+func (c *Controller) appraiseLinks(p *routing.Placement, inputs []AggregateInput, peaks []float64, visit func(graph.LinkID, mux.Verdict)) {
+	links := make([]linkTraffic, c.g.NumLinks())
 	for i, allocs := range p.Allocs {
 		for _, al := range allocs {
 			if al.Fraction < 1e-7 {
 				continue
 			}
-			scaled := make([]float64, len(inputs[i].Series))
-			for t, v := range inputs[i].Series {
-				scaled[t] = v * al.Fraction
+			series, peak := inputs[i].Series, peaks[i]
+			if al.Fraction != 1 {
+				series = make([]float64, len(series))
+				for t, v := range inputs[i].Series {
+					series[t] = v * al.Fraction
+				}
+				peak *= al.Fraction
 			}
 			for _, lid := range al.Path.Links {
-				perLink[lid] = append(perLink[lid], scaled)
+				lt := &links[lid]
+				lt.series = append(lt.series, series)
+				lt.peaks = append(lt.peaks, peak)
 			}
 		}
 	}
-	for lid, series := range perLink {
-		out[lid] = mux.CheckLink(series, c.g.Link(lid).Capacity, c.cfg.Mux)
-	}
-	return out
-}
-
-func sortLinkIDs(ids []graph.LinkID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+	for lid, lt := range links {
+		if len(lt.series) == 0 {
+			continue
 		}
+		lid := graph.LinkID(lid)
+		visit(lid, mux.CheckLinkPeaks(lt.series, lt.peaks, c.g.Link(lid).Capacity, c.cfg.Mux))
 	}
 }

@@ -1,6 +1,32 @@
 package mux
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
+
+// stageTwiddles[s] holds the 2^s factors exp(iπj/2^s), j < 2^s, that the
+// butterflies of half-length 2^s multiply by. A stage's factors do not
+// depend on the transform size, so each is computed once, directly from
+// its angle, and every transform of every size reads the same values.
+var stageTwiddles [bits.UintSize - 1]struct {
+	once sync.Once
+	w    []complex128
+}
+
+func twiddles(stage int) []complex128 {
+	t := &stageTwiddles[stage]
+	t.once.Do(func() {
+		half := 1 << stage
+		t.w = make([]complex128, half)
+		for j := range t.w {
+			sin, cos := math.Sincos(math.Pi * float64(j) / float64(half))
+			t.w[j] = complex(cos, sin)
+		}
+	})
+	return t.w
+}
 
 // fft performs an in-place iterative radix-2 Cooley-Tukey transform.
 // len(a) must be a power of two. invert=true computes the inverse
@@ -21,21 +47,20 @@ func fft(a []complex128, invert bool) {
 			a[i], a[j] = a[j], a[i]
 		}
 	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := 2 * math.Pi / float64(length)
-		if invert {
-			ang = -ang
-		}
-		wl := complex(math.Cos(ang), math.Sin(ang))
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length >> 1
-			for j := 0; j < half; j++ {
-				u := a[i+j]
-				v := a[i+j+half] * w
-				a[i+j] = u + v
-				a[i+j+half] = u - v
-				w *= wl
+	// The inverse transform's factors are the conjugates.
+	sign := 1.0
+	if invert {
+		sign = -1
+	}
+	for stage, half := 0, 1; half < n; stage, half = stage+1, half<<1 {
+		tw := twiddles(stage)
+		for i := 0; i < n; i += 2 * half {
+			lo, hi := a[i:i+half], a[i+half:i+2*half]
+			for j, w := range tw {
+				u := lo[j]
+				v := hi[j] * complex(real(w), sign*imag(w))
+				lo[j] = u + v
+				hi[j] = u - v
 			}
 		}
 	}

@@ -2,10 +2,13 @@ package mux
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"lowlat/internal/trace"
 )
 
 func TestFFTRoundTrip(t *testing.T) {
@@ -75,16 +78,60 @@ func TestFromSamples(t *testing.T) {
 	}
 }
 
+func TestFromSamplesClampsBeforeConverting(t *testing.T) {
+	// int() of an out-of-range float is implementation-defined: +Inf is
+	// bin 0 on amd64 and the overflow bucket on arm64 unless the clamp
+	// happens in floating point. Unreadable samples count as overflow.
+	const levels = 4
+	for _, tc := range []struct {
+		name     string
+		sample   float64
+		binWidth float64
+		bin      int
+	}{
+		{"zero", 0, 10, 0},
+		{"in range", 25, 10, 2},
+		{"last in-range bin", 39.999, 10, 3},
+		{"exactly capacity", 40, 10, levels},
+		{"beyond capacity", 1e6, 10, levels},
+		{"beyond int64", 1e300, 10, levels},
+		{"+Inf", math.Inf(1), 10, levels},
+		{"NaN", math.NaN(), 10, levels},
+		{"small negative", -3, 10, 0},
+		{"negative beyond int64", -1e300, 10, 0},
+		{"-Inf", math.Inf(-1), 10, 0},
+		{"zero bin width, traffic", 5, 0, levels},
+		{"zero bin width, no traffic", 0, 0, levels}, // 0/0 is NaN
+		{"zero bin width, negative", -5, 0, 0},
+	} {
+		p := FromSamples([]float64{tc.sample}, tc.binWidth, levels)
+		for i, v := range p.P {
+			if want := map[bool]float64{true: 1, false: 0}[i == tc.bin]; v != want {
+				t.Errorf("%s: P = %v, want all mass in bin %d", tc.name, p.P, tc.bin)
+				break
+			}
+		}
+	}
+}
+
 func TestConvolveMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
+	// Which operands carry overflow mass: neither, one side, the other,
+	// both. Small supports take the direct product, large ones the FFT.
+	for trial := 0; trial < 120; trial++ {
 		levels := 8 + rng.Intn(120)
-		mk := func() PMF {
+		if trial%3 == 0 {
+			levels = 200 + rng.Intn(400)
+		}
+		mk := func(overflow bool) PMF {
 			n := 1 + rng.Intn(levels)
 			p := PMF{BinWidth: 1, P: make([]float64, levels+1)}
 			sum := 0.0
 			for i := 0; i < n; i++ {
-				p.P[rng.Intn(levels+1)] += rng.Float64()
+				p.P[rng.Intn(levels)] += rng.Float64()
+			}
+			if overflow {
+				p.P[levels] = rng.Float64()
 			}
 			for _, v := range p.P {
 				sum += v
@@ -94,12 +141,28 @@ func TestConvolveMatchesNaive(t *testing.T) {
 			}
 			return p
 		}
-		a, b := mk(), mk()
+		a, b := mk(trial&1 != 0), mk(trial&2 != 0)
 		fast := Convolve(a, b, levels, false)
 		slow := Convolve(a, b, levels, true)
 		for i := range fast.P {
 			if math.Abs(fast.P[i]-slow.P[i]) > 1e-9 {
-				t.Fatalf("trial %d: bin %d: fft %v naive %v", trial, i, fast.P[i], slow.P[i])
+				t.Fatalf("trial %d: bin %d: adaptive %v naive %v", trial, i, fast.P[i], slow.P[i])
+			}
+		}
+		// Both methods, whichever Convolve picked.
+		var c convolver
+		oa, ob := scanOperand(a.P, levels), scanOperand(b.P, levels)
+		direct, viaFFT := make([]float64, levels+1), make([]float64, levels+1)
+		overlap := oa.tail*(ob.mass+ob.tail) + ob.tail*oa.mass
+		direct[levels] = overlap + directProduct(direct, oa, ob, levels)
+		n := 1
+		for n < oa.hi-oa.lo+ob.hi-ob.lo+1 {
+			n <<= 1
+		}
+		viaFFT[levels] = overlap + c.fftProduct(viaFFT, oa, ob, n, levels)
+		for i := range slow.P {
+			if math.Abs(direct[i]-slow.P[i]) > 1e-12 || math.Abs(viaFFT[i]-slow.P[i]) > 1e-9 {
+				t.Fatalf("trial %d: bin %d: direct %v fft %v naive %v", trial, i, direct[i], viaFFT[i], slow.P[i])
 			}
 		}
 	}
@@ -120,14 +183,39 @@ func TestConvolveIndependentSum(t *testing.T) {
 func TestConvolveOverflowSticky(t *testing.T) {
 	// Mass already in overflow stays in overflow after convolution.
 	over := PMF{BinWidth: 1, P: []float64{0.5, 0, 0.5}} // levels=2
-	sum := Convolve(over, over, 2, false)
-	// (over+over): only 0+0 stays in range: 0.25 at 0; everything else
-	// involves >= capacity mass or lands at >= 2.
-	if math.Abs(sum.P[0]-0.25) > 1e-9 {
-		t.Fatalf("P[0] = %v", sum.P[0])
+	in := PMF{BinWidth: 1, P: []float64{0.5, 0.5, 0}}
+	for _, tc := range []struct {
+		name       string
+		a, b       PMF
+		p0, p1, tl float64
+	}{
+		// (over+over): only 0+0 stays in range: 0.25 at 0; everything
+		// else involves >= capacity mass or lands at >= 2.
+		{"both sides", over, over, 0.25, 0, 0.75},
+		// (over+in): 0+0 and 0+1 stay in range.
+		{"left only", over, in, 0.25, 0.25, 0.5},
+		{"right only", in, over, 0.25, 0.25, 0.5},
+		// (in+in): 1+1 reaches capacity with no overflow mass going in.
+		{"neither", in, in, 0.25, 0.5, 0.25},
+	} {
+		for _, naive := range []bool{false, true} {
+			sum := Convolve(tc.a, tc.b, 2, naive)
+			if math.Abs(sum.P[0]-tc.p0) > 1e-9 || math.Abs(sum.P[1]-tc.p1) > 1e-9 || math.Abs(sum.TailMass()-tc.tl) > 1e-9 {
+				t.Fatalf("%s (naive %v): %v, want [%v %v %v]", tc.name, naive, sum.P, tc.p0, tc.p1, tc.tl)
+			}
+		}
 	}
-	if math.Abs(sum.TailMass()-0.75) > 1e-9 {
-		t.Fatalf("tail = %v, want 0.75", sum.TailMass())
+	// An operand that is all overflow, and one with no overflow bucket at
+	// all (ConvolveAll's empty product).
+	all := PMF{BinWidth: 1, P: []float64{0, 0, 1}}
+	one := ConvolveAll(nil, 2, false)
+	for _, naive := range []bool{false, true} {
+		if got := Convolve(all, in, 2, naive); got.TailMass() != 1 || got.P[0] != 0 || got.P[1] != 0 {
+			t.Fatalf("all-overflow operand (naive %v): %v", naive, got.P)
+		}
+		if got := Convolve(one, in, 2, naive); got.P[0] != 0.5 || got.P[1] != 0.5 || got.TailMass() != 0 {
+			t.Fatalf("identity operand (naive %v): %v", naive, got.P)
+		}
 	}
 }
 
@@ -253,15 +341,58 @@ func constSeries(v float64, n int) []float64 {
 	return s
 }
 
-func BenchmarkConvolveFFT1024(b *testing.B) {
+// BenchmarkConvolve is the evidence for directCrossover: both methods on
+// the pair the appraisal meets all the time (two PMFs of 600 samples each,
+// a handful of non-zero bins) and on the pair it must not be slow on (two
+// full-support PMFs). ns/op over the work — multiply-adds for direct,
+// butterflies for fft, both reported — gives the two unit costs whose
+// ratio the constant is.
+func BenchmarkConvolve(b *testing.B) {
+	const levels = 1024
 	rng := rand.New(rand.NewSource(1))
-	p := randomPMF(rng, 1024)
-	q := randomPMF(rng, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Convolve(p, q, 1024, false)
+	binWidth := 10e9 / levels
+	pairs := []struct {
+		name string
+		a, b PMF
+	}{
+		{"sparse",
+			FromSamples(trace.AggregateSeries(1, 600, 0.5e9, 0.1, 0.8), binWidth, levels),
+			FromSamples(trace.AggregateSeries(2, 600, 0.7e9, 0.1, 0.8), binWidth, levels)},
+		{"dense", randomPMF(rng, levels), randomPMF(rng, levels)},
+	}
+	for _, pair := range pairs {
+		oa, ob := scanOperand(pair.a.P, levels), scanOperand(pair.b.P, levels)
+		spanA, spanB := oa.hi-oa.lo+1, ob.hi-ob.lo+1
+		n := 1
+		for n < spanA+spanB-1 {
+			n <<= 1
+		}
+		dst := make([]float64, levels+1)
+		b.Run(pair.name+"/direct", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				clear(dst)
+				sinkTail = directProduct(dst, oa, ob, levels)
+			}
+			b.ReportMetric(float64(oa.nnz*spanB), "madds/op")
+		})
+		b.Run(pair.name+"/fft", func(b *testing.B) {
+			var c convolver
+			for i := 0; i < b.N; i++ {
+				clear(dst)
+				sinkTail = c.fftProduct(dst, oa, ob, n, levels)
+			}
+			b.ReportMetric(float64(3*(n/2)*bits.Len(uint(n-1))), "butterflies/op")
+		})
+		b.Run(pair.name+"/adaptive", func(b *testing.B) {
+			var c convolver
+			for i := 0; i < b.N; i++ {
+				sinkTail = c.convolve(dst, oa, ob, levels).tail
+			}
+		})
 	}
 }
+
+var sinkTail float64
 
 func BenchmarkConvolveNaive1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

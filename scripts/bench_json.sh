@@ -34,6 +34,12 @@ go test -run NONE -bench 'WindowRotate' -benchtime 20000x ./internal/obs >> "$tm
 # faults, so it runs at a fixed 20 iterations, never 1x; allocs/op is in
 # the log above the JSON.
 go test -run NONE -bench 'GenerateMatrix' -benchtime 20x ./internal/tmgen >> "$tmp"
+
+# The control-cycle rung: one Controller.Optimize (predict, LP,
+# multiplexing appraisal) per reopt_loop net on a long-lived controller.
+# A cycle is milliseconds and its cost depends on the measurement set, so
+# 24 iterations — four passes over the six sets — never 1x.
+go test -run NONE -bench 'ControlCycle' -benchtime 24x ./internal/core >> "$tmp"
 cat "$tmp"
 
 awk '
