@@ -88,12 +88,14 @@
 //     Query / Stats) and its Local (engine over a writable store) and
 //     Store (read-only) implementations: the seam every consumer —
 //     sweeps, figure drivers, daemons, CLIs — accesses the landscape
-//     through; plus the Predictive wrapper serving interpolated
-//     answers with exact fallback and background refinement
-//   - internal/serve — the query-serving daemon: a thin HTTP skin over
-//     any placement backend with singleflight-coalesced on-demand
-//     placement, an LRU over content keys, 429 backpressure from the
-//     backend's bounded in-flight computation limit, per-class CDF
+//     through; plus the wrappers around it, all embedding one
+//     capability-forwarding base: Predictive (interpolated answers with
+//     exact fallback and background refinement) and Cached (the one
+//     LRU + request-coalescing tier, on either side of the wire)
+//   - internal/serve — the query-serving daemon: a thin HTTP skin that
+//     mounts backend.Cached over any placement backend (coalesced
+//     on-demand placement, an LRU over content keys), 429 backpressure
+//     from the backend's bounded in-flight computation limit, per-class CDF
 //     summaries, stats counters, graceful drain, the typed client, and
 //     the Remote backend adapting that client (with seeded-jitter 429
 //     backoff) back to the interface

@@ -12,9 +12,15 @@
 // The interface is deliberately small and symmetric with the store's two
 // addressing forms: Lookup takes a content key (the answer's identity),
 // Place takes a request spec (the question's coordinates), Query takes a
-// filter over the stored metadata. Everything else — caching, request
-// coalescing, retry, replica health — is an implementation concern layered
-// by the individual backends and by internal/serve's HTTP skin.
+// filter over the stored metadata. Everything else is layered around
+// it by wrappers, one mechanism per job: Cached is the serving stack's
+// only cache-and-coalescing tier (a bounded LRU over content keys, a
+// spec→key shortcut, one flight per spec — mounted by serve.Server
+// inside the daemon and stacked over a serve.Remote on the client side
+// of the wire), Predictive the interpolation fast path. Every wrapper
+// embeds Forward, the one rule by which the optional extensions below
+// reach through a wrapper to the backend beneath it; retry and replica
+// health belong to serve.Remote and cluster.Backend.
 package backend
 
 import (
@@ -55,8 +61,8 @@ const (
 	SourceStore Source = "store"
 	// SourceComputed means this request ran the placement engine.
 	SourceComputed Source = "computed"
-	// SourceCache means a cache in front of the backend answered (the
-	// HTTP layer's LRU; backends themselves never report it).
+	// SourceCache means a Cached tier in front of the backend answered
+	// from its LRU.
 	SourceCache Source = "cache"
 	// SourceBackend is the fallback for backends that don't report
 	// provenance.
@@ -261,4 +267,13 @@ type Eventer interface {
 // /v1/health uses it for readiness reasons on cluster fronts.
 type DownReporter interface {
 	DownReplicas() []string
+}
+
+// Journaler is the optional journal-identity extension: name the journal
+// the backend records its own transitions into (the one its Events fold
+// starts from). A serving front compares it against its own to tell
+// whether the daemon shares one journal across layers — in which case
+// the backend's Events already carry the front's entries.
+type Journaler interface {
+	Journal() *obs.Journal
 }

@@ -78,3 +78,28 @@ func BenchmarkPredictivePlace(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCachedPlaceHit is the ladder's cache-tier rung: one Place
+// answered by Cached's LRU — spec normalisation, the spec→key shortcut,
+// the content-key lookup — with nothing beneath it consulted.
+func BenchmarkCachedPlaceHit(b *testing.B) {
+	st, err := store.OpenSharded(b.TempDir(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	cached := backend.NewCached(backend.NewLocal(st, backend.LocalOptions{Workers: 1}), backend.CachedOptions{})
+	ctx := context.Background()
+	spec := store.CellSpec{Net: "star-6", Seed: 1, Scheme: "sp", Locality: 1}
+	if _, err := cached.Place(ctx, spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, src, err := cached.PlaceSourced(ctx, spec)
+		if err != nil || src != backend.SourceCache {
+			b.Fatalf("iteration %d: source %q, %v", i, src, err)
+		}
+	}
+}

@@ -1,16 +1,12 @@
 package backend
 
 import (
-	"container/list"
 	"context"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"lowlat/internal/obs"
 	"lowlat/internal/store"
-	"lowlat/internal/sweep"
 )
 
 // CachedOptions tunes a Cached backend. The zero value caches 512
@@ -28,26 +24,36 @@ func (o CachedOptions) withDefaults() CachedOptions {
 	return o
 }
 
-// Cached wraps any placement backend with a client-side read tier: a
-// bounded LRU over content keys, a request-spec→content-key shortcut,
-// and singleflight coalescing of concurrent Place calls for one spec.
-// It is the same hot-path shape the serving daemon runs at its HTTP
-// layer, stacked on the *client* side of the wire — a fleet of front
-// daemons (or sweep workers) each wrapping its RemoteBackend in Cached
-// absorbs hot-key traffic locally instead of hammering the ring owner.
+// Cached wraps any placement backend with the serving stack's one read
+// tier: a bounded LRU over content keys, a request-spec→content-key
+// shortcut, and coalescing of concurrent Place calls for one spec onto
+// a single inner dispatch. It is used on either side of the wire:
+// serve.Server mounts it between its HTTP handlers and the backend it
+// fronts, and a client (a front daemon, a sweep worker, `lowlat
+// -remote-cache`) wraps its serve.Remote in it to absorb hot-key
+// traffic locally instead of hammering the ring owner.
 //
 // Reads can serve stale answers only in the sense that a cell re-put
 // with different contents under the same key is not seen until
 // eviction; cells are content-addressed, so in practice a hit is the
-// answer. Writes (Put) pass through and refresh the cache.
+// answer. Writes (Put) pass through and refresh the cache. Answers
+// without a content key (predicted estimates) are never cached: under
+// the zero key every one of them would collide onto a single slot.
+//
+// The leader of a flight dispatches on its own context: a library
+// caller owns its context, so cancelling the leader cancels the
+// dispatch and its followers receive the leader's error. Followers stop
+// waiting when their own context dies. A caller that wants the flight
+// to outlive its leader (the daemon does) puts that policy in the
+// backend it hands to NewCached. A panic under the leader propagates to
+// the leader's caller; its followers receive an error and the spec is
+// released, so the next Place dispatches fresh.
 type Cached struct {
-	inner Backend
-	opts  CachedOptions
+	Forward
 
-	lru  *cachedLRU               // content key -> result
-	keys *cachedLRU               // normalized spec string -> result key
-	mu   sync.Mutex               // guards flights
-	fl   map[string]*cachedFlight // in-progress Place dispatches by spec
+	lru     *lruCache[store.CellKey, store.Result] // content key -> result
+	keys    *lruCache[string, store.CellKey]       // normalized spec string -> content key
+	flights *flightGroup                           // in-progress Place dispatches by spec
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -55,49 +61,43 @@ type Cached struct {
 	obs       *obs.Registry
 }
 
-// cachedFlight is one in-progress Place dispatch shared by every caller
-// that asked for the same spec while it ran.
-type cachedFlight struct {
-	done chan struct{}
-	res  store.Result
-	src  Source
-	err  error
-}
-
-// NewCached wraps inner with the client-side cache tier.
+// NewCached wraps inner with the cache tier.
 func NewCached(inner Backend, opts CachedOptions) *Cached {
 	opts = opts.withDefaults()
 	return &Cached{
-		inner: inner,
-		opts:  opts,
-		lru:   newCachedLRU(opts.Size),
-		keys:  newCachedLRU(opts.Size),
-		fl:    make(map[string]*cachedFlight),
-		obs:   obs.NewRegistry(),
+		Forward: NewForward(inner),
+		lru:     newLRU[store.CellKey, store.Result](opts.Size),
+		keys:    newLRU[string, store.CellKey](opts.Size),
+		flights: newFlightGroup(),
+		obs:     obs.NewRegistry(),
 	}
 }
-
-// Inner exposes the wrapped backend.
-func (c *Cached) Inner() Backend { return c.inner }
 
 // Lookup serves a content key from the LRU when it can, filling the
 // cache from the wrapped backend on a miss.
 func (c *Cached) Lookup(k store.CellKey) (store.Result, bool) {
-	ks := k.String()
-	if r, ok := c.lru.get(ks); ok {
-		c.hits.Add(1)
-		return r, true
-	}
-	c.misses.Add(1)
-	r, ok := c.inner.Lookup(k)
-	if ok {
-		c.lru.add(ks, r)
-	}
+	r, _, ok := c.LookupSourced(k)
 	return r, ok
 }
 
-// Place resolves one cell, serving repeats from the local cache and
-// coalescing concurrent duplicates onto one inner dispatch.
+// LookupSourced is Lookup with provenance: SourceCache for an LRU hit,
+// SourceStore for a key the wrapped backend held.
+func (c *Cached) LookupSourced(k store.CellKey) (store.Result, Source, bool) {
+	if r, ok := c.lru.get(k); ok {
+		c.hits.Add(1)
+		return r, SourceCache, true
+	}
+	c.misses.Add(1)
+	r, ok := c.inner.Lookup(k)
+	if !ok {
+		return store.Result{}, "", false
+	}
+	c.lru.add(k, r)
+	return r, SourceStore, true
+}
+
+// Place resolves one cell, serving repeats from the cache and coalescing
+// concurrent duplicates onto one inner dispatch.
 func (c *Cached) Place(ctx context.Context, spec store.CellSpec) (store.Result, error) {
 	r, _, err := c.PlaceSourced(ctx, spec)
 	return r, err
@@ -108,160 +108,69 @@ func (c *Cached) Place(ctx context.Context, spec store.CellSpec) (store.Result, 
 func (c *Cached) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, Source, error) {
 	spec = spec.Normalized()
 	rk := spec.String()
-	// Hot path: a spec served before maps straight to its content key.
+	// Hot path: a spec served before maps straight to its content key —
+	// no graph build, no flight.
 	t0 := time.Now()
-	if rs, ok := c.keys.get(rk); ok {
-		if r, hit := c.lru.get(rs.Key.String()); hit {
+	if ck, ok := c.keys.get(rk); ok {
+		if r, hit := c.lru.get(ck); hit {
 			c.hits.Add(1)
-			c.obs.Observe(ctx, obs.StageCachedPlace, time.Since(t0))
+			c.obs.Hist(obs.StageCachedPlace).Record(time.Since(t0))
 			return r, SourceCache, nil
 		}
 	}
 	c.misses.Add(1)
 
-	c.mu.Lock()
-	if f, ok := c.fl[rk]; ok {
-		c.mu.Unlock()
-		c.coalesced.Add(1)
-		select {
-		case <-f.done:
-			return f.res, f.src, f.err
-		case <-ctx.Done():
-			return store.Result{}, "", ctx.Err()
+	out, err := c.flights.do(ctx, rk, func() (outcome, error) {
+		res, src, err := PlaceSourced(ctx, c.inner, spec)
+		if err != nil {
+			return outcome{}, err
 		}
-	}
-	f := &cachedFlight{done: make(chan struct{})}
-	c.fl[rk] = f
-	c.mu.Unlock()
-
-	// The leader dispatches for its followers; its own ctx still bounds
-	// the dispatch (unlike the daemon, a library caller owns its context
-	// — a caller that wants flight-outlives-leader semantics puts the
-	// daemon in front).
-	defer func() {
-		c.mu.Lock()
-		delete(c.fl, rk)
-		c.mu.Unlock()
-		close(f.done)
-	}()
-	f.res, f.src, f.err = PlaceSourced(ctx, c.inner, spec)
-	if f.err == nil && f.res.Key != (store.CellKey{}) {
-		// Predicted answers carry a zero key and stay uncached — the same
-		// collision rule the daemon's LRU applies.
-		c.keys.add(rk, f.res)
-		c.lru.add(f.res.Key.String(), f.res)
-	}
-	return f.res, f.src, f.err
-}
-
-// Query passes through: listing queries are not cached (their answers
-// change as the landscape fills in, and the backend's own store index
-// already serves them cheaply).
-func (c *Cached) Query(f sweep.Filter) []store.Result { return c.inner.Query(f) }
-
-// QueryContext passes through when the wrapped backend is error-aware.
-func (c *Cached) QueryContext(ctx context.Context, f sweep.Filter) ([]store.Result, error) {
-	if cq, ok := c.inner.(ContextQuerier); ok {
-		return cq.QueryContext(ctx, f)
-	}
-	return c.inner.Query(f), nil
-}
-
-// Probe passes through when the wrapped backend is probeable.
-func (c *Cached) Probe(ctx context.Context) error {
-	if pr, ok := c.inner.(Prober); ok {
-		return pr.Probe(ctx)
-	}
-	return nil
+		if res.Key != (store.CellKey{}) {
+			c.keys.add(rk, res.Key)
+			c.lru.add(res.Key, res)
+		}
+		return outcome{source: src, result: res}, nil
+	}, func() { c.coalesced.Add(1) })
+	return out.result, out.source, err
 }
 
 // Put writes through to the wrapped backend and refreshes the cache, so
 // a replicated or healed cell serves hot immediately.
 func (c *Cached) Put(r store.Result) error {
-	pt, ok := c.inner.(Putter)
-	if !ok {
-		return fmt.Errorf("cached: wrapped backend accepts no writes: %w", ErrNotStored)
-	}
-	if err := pt.Put(r); err != nil {
+	if err := c.Forward.Put(r); err != nil {
 		return err
 	}
-	c.lru.add(r.Key.String(), r)
+	c.lru.add(r.Key, r)
 	return nil
 }
 
-// Keys passes through when the wrapped backend enumerates its inventory.
-func (c *Cached) Keys(ctx context.Context) ([]store.CellKey, error) {
-	if kl, ok := c.inner.(KeyLister); ok {
-		return kl.Keys(ctx)
-	}
-	return nil, fmt.Errorf("cached: wrapped backend enumerates no keys")
+// CacheStats is the tier's own counter block: answers served from the
+// LRU, requests that consulted it and fell through, Place calls that
+// joined another caller's dispatch, and the LRU's current entry count.
+type CacheStats struct {
+	Hits, Misses, Coalesced int64
+	Entries                 int
 }
 
-// KeyDigest passes through when the wrapped backend digests its
-// inventory.
-func (c *Cached) KeyDigest(ctx context.Context) (store.Digest, int, error) {
-	if kd, ok := c.inner.(KeyDigester); ok {
-		return kd.KeyDigest(ctx)
+// CacheStats snapshots the tier's counters without touching the wrapped
+// backend — what a daemon reports beside its backend's own stats.
+func (c *Cached) CacheStats() CacheStats {
+	return CacheStats{
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Coalesced: c.coalesced.Load(),
+		Entries:   c.lru.len(),
 	}
-	return 0, 0, fmt.Errorf("cached: wrapped backend digests no keys")
 }
 
 // Stats snapshots the wrapped backend and overlays the cache counters.
 func (c *Cached) Stats() Stats {
 	s := c.inner.Stats()
+	cs := c.CacheStats()
 	s.Backend = "cached+" + s.Backend
-	s.CacheHits = c.hits.Load()
-	s.CacheMisses = c.misses.Load()
-	s.Coalesced = c.coalesced.Load()
+	s.CacheHits = cs.Hits
+	s.CacheMisses = cs.Misses
+	s.Coalesced = cs.Coalesced
 	s.Stages = obs.MergeStages(s.Stages, c.obs.Snapshot())
 	return s
-}
-
-// cachedLRU is a bounded string→Result map with least-recently-used
-// eviction — the same shape the daemon's HTTP layer runs, kept local to
-// this package so the client tier carries no serving dependency.
-type cachedLRU struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
-}
-
-type cachedEntry struct {
-	key string
-	val store.Result
-}
-
-func newCachedLRU(capacity int) *cachedLRU {
-	return &cachedLRU{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// get returns the cached value for key, promoting it to most recent.
-func (c *cachedLRU) get(key string) (store.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok {
-		return store.Result{}, false
-	}
-	c.ll.MoveToFront(e)
-	return e.Value.(*cachedEntry).val, true
-}
-
-// add inserts or refreshes an entry, evicting the least recently used
-// beyond capacity.
-func (c *cachedLRU) add(key string, val store.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
-		e.Value.(*cachedEntry).val = val
-		c.ll.MoveToFront(e)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&cachedEntry{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.m, last.Value.(*cachedEntry).key)
-	}
 }

@@ -115,3 +115,70 @@ func TestCachedPutWriteThrough(t *testing.T) {
 		t.Fatal("lookup after put was not served from the cache")
 	}
 }
+
+// panicOnce is a backend whose first Place panics once a follower has
+// joined the flight, and whose later Places answer normally.
+type panicOnce struct {
+	Backend
+	c      *Cached
+	placed atomic.Int64
+}
+
+func (p *panicOnce) Place(context.Context, store.CellSpec) (store.Result, error) {
+	if p.placed.Add(1) == 1 {
+		for p.c.Stats().Coalesced < 1 {
+			time.Sleep(time.Millisecond)
+		}
+		panic("solver exploded")
+	}
+	return store.Result{Key: store.CellKey{Graph: 1, Matrix: 2, Scheme: "sp", Config: 3}}, nil
+}
+
+// TestCachedLeaderPanicFailsFollowers pins the tier's survival property
+// end to end: the wrapped backend panics under a flight's leader (whose
+// caller recovers, as net/http does for a handler and engine.Stream for
+// a sweep worker); the follower must get an error — not a zero result
+// with a nil error — and the spec must be released, so the next Place
+// dispatches fresh instead of joining a flight that will never finish.
+func TestCachedLeaderPanicFailsFollowers(t *testing.T) {
+	st, err := store.OpenSharded(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	inner := &panicOnce{Backend: NewStore(st)}
+	c := NewCached(inner, CachedOptions{})
+	inner.c = c
+	spec := store.CellSpec{Net: "star-6", Seed: 1, Scheme: "sp", Locality: 1}
+
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		c.Place(context.Background(), spec)
+	}()
+	// The follower starts once the leader is inside the backend — its
+	// flight is registered by then, so this call can only join it — and
+	// the leader holds the panic until the join is counted.
+	for inner.placed.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	res, err := c.Place(context.Background(), spec)
+	if r := <-leaderDone; r == nil {
+		t.Fatal("leader panic did not propagate to the leader's caller")
+	}
+	if err == nil {
+		t.Fatalf("follower of a panicked leader got a nil error (result %+v)", res)
+	}
+	if got := c.Stats().Coalesced; got != 1 {
+		t.Fatalf("coalesced = %d, want 1", got)
+	}
+
+	// The spec is free again: a fresh Place reaches the backend.
+	res, err = c.Place(context.Background(), spec)
+	if err != nil || res.Key == (store.CellKey{}) {
+		t.Fatalf("post-panic place = %+v, %v; want a fresh dispatch", res, err)
+	}
+	if n := inner.placed.Load(); n != 2 {
+		t.Fatalf("backend saw %d places, want 2 (the panicked one and the fresh one)", n)
+	}
+}

@@ -1,22 +1,26 @@
-package serve
+package backend
 
 import (
 	"context"
-	"net/http"
+	"errors"
 	"sync"
 
 	"lowlat/internal/store"
 )
 
-// outcome is what one place flight resolves to: the stored result and
-// where it came from ("cache", "store", "computed").
+// errLeaderPanicked is what the followers of a flight receive when its
+// leader panicked instead of returning; the HTTP layer renders it as 500.
+var errLeaderPanicked = errors.New("request leader panicked; see server log")
+
+// outcome is what one place flight resolves to: the result and where it
+// came from ("store", "computed", "predicted").
 type outcome struct {
-	source string
+	source Source
 	result store.Result
 }
 
-// flight is one in-progress computation shared by every request that
-// asked for the same key while it ran.
+// flight is one in-progress dispatch shared by every caller that asked
+// for the same key while it ran.
 type flight struct {
 	done chan struct{}
 	val  outcome
@@ -62,14 +66,15 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (outcome, er
 	g.m[key] = f
 	g.mu.Unlock()
 
-	// The flight must resolve even if fn panics (net/http recovers the
-	// leader's goroutine, but nothing would recover the followers):
-	// convert the panic into an error for them, release the key so the
-	// next request retries, and let the panic keep propagating.
+	// The flight must resolve even if fn panics (net/http recovers a
+	// handler's goroutine and engine.Stream a sweep worker's, but nothing
+	// would recover the followers): convert the panic into an error for
+	// them, release the key so the next caller retries, and let the
+	// panic keep propagating.
 	completed := false
 	defer func() {
 		if !completed {
-			f.err = errf(http.StatusInternalServerError, "request leader panicked; see server log")
+			f.err = errLeaderPanicked
 		}
 		g.mu.Lock()
 		delete(g.m, key)

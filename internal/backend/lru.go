@@ -1,0 +1,68 @@
+package backend
+
+import (
+	"container/list"
+	"sync"
+)
+
+// lruCache is a bounded map with least-recently-used eviction — the one
+// cache type of the serving stack. Cached runs two (content key ->
+// stored result, ahead of the wrapped backend, and request spec ->
+// content key, the shortcut that lets a repeat Place skip graph
+// construction); Predictive runs one (net term -> netInfo). All must
+// stay bounded on a long-running daemon — request coordinates and net
+// terms are client-supplied, so an unbounded index would grow
+// monotonically under a varied workload.
+type lruCache[K comparable, V any] struct {
+	mu  sync.Mutex
+	cap int
+	ll  *list.List          // front = most recently used; guarded by mu
+	m   map[K]*list.Element // guarded by mu
+}
+
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+func newLRU[K comparable, V any](capacity int) *lruCache[K, V] {
+	return &lruCache[K, V]{cap: capacity, ll: list.New(), m: make(map[K]*list.Element)}
+}
+
+// get returns the cached value for key, promoting it to most recent.
+func (c *lruCache[K, V]) get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.ll.MoveToFront(e)
+	return e.Value.(*lruEntry[K, V]).val, true
+}
+
+// add inserts or refreshes an entry, evicting the least recently used
+// beyond capacity.
+func (c *lruCache[K, V]) add(key K, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[key]; ok {
+		e.Value.(*lruEntry[K, V]).val = val
+		c.ll.MoveToFront(e)
+		return
+	}
+	c.m[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
+	for c.ll.Len() > c.cap {
+		last := c.ll.Back()
+		c.ll.Remove(last)
+		delete(c.m, last.Value.(*lruEntry[K, V]).key)
+	}
+}
+
+// len reports the current entry count.
+func (c *lruCache[K, V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +60,14 @@ type netInfo struct {
 	fp    store.Digest
 }
 
+// netCacheCapacity bounds Predictive's net-term cache. Net terms are
+// client-supplied ("randomgeo:8:<any seed>"), so the cache must not
+// grow with every distinct term a long-running daemon is asked about.
+// Sized, like routing's solverCacheCapacity, to hold the largest
+// trained working set the repo has — the 116-network zoo — with room
+// to spare; an evicted term costs one ResolveNet on its next request.
+const netCacheCapacity = 128
+
 // Predictive wraps any placement backend with the landscape
 // interpolation fast path: Place first asks the trained index for a
 // confident estimate — microseconds, no graph construction, no matrix
@@ -75,12 +82,11 @@ type netInfo struct {
 // Query pass straight through to the wrapped backend — content-key
 // access is exact by definition.
 type Predictive struct {
-	inner Backend
-	idx   *predict.Index
-	opts  PredictiveOptions
+	Forward
+	idx  *predict.Index
+	opts PredictiveOptions
 
-	nmu  sync.RWMutex
-	nets map[string]netInfo // guarded by nmu
+	nets *lruCache[string, netInfo] // net term -> what Place needs of it
 
 	refine   chan store.CellSpec
 	inflight sync.Map // spec string -> struct{}: refinements queued or running
@@ -106,12 +112,12 @@ func NewPredictive(inner Backend, opts PredictiveOptions) *Predictive {
 		idx = predict.NewIndex(opts.Predict)
 	}
 	p := &Predictive{
-		inner: inner,
-		idx:   idx,
-		opts:  opts,
-		nets:  make(map[string]netInfo),
-		stop:  make(chan struct{}),
-		obs:   obs.NewRegistry(),
+		Forward: NewForward(inner),
+		idx:     idx,
+		opts:    opts,
+		nets:    newLRU[string, netInfo](netCacheCapacity),
+		stop:    make(chan struct{}),
+		obs:     obs.NewRegistry(),
 	}
 	if opts.Refine {
 		p.refine = make(chan store.CellSpec, opts.RefineQueue)
@@ -120,9 +126,6 @@ func NewPredictive(inner Backend, opts PredictiveOptions) *Predictive {
 	}
 	return p
 }
-
-// Inner exposes the wrapped backend.
-func (p *Predictive) Inner() Backend { return p.inner }
 
 // Index exposes the interpolation index (for training, sweep hooks and
 // inspection).
@@ -133,8 +136,6 @@ func (p *Predictive) Index() *predict.Index { return p.idx }
 // construction on the serving path.
 func (p *Predictive) Train(results []store.Result) {
 	p.idx.Train(results)
-	p.nmu.Lock()
-	defer p.nmu.Unlock()
 	for _, r := range results {
 		if r.Key == (store.CellKey{}) || r.Meta.Net == "" {
 			continue
@@ -142,7 +143,7 @@ func (p *Predictive) Train(results []store.Result) {
 		// Meta.Net is the display name; for zoo and named nets it is also
 		// the grid term, which is what specs arrive with. Generated nets
 		// ("randomgeo:30:7") resolve on first request instead.
-		p.nets[r.Meta.Net] = netInfo{name: r.Meta.Net, class: r.Meta.Class, fp: r.Key.Graph}
+		p.nets.add(r.Meta.Net, netInfo{name: r.Meta.Net, class: r.Meta.Class, fp: r.Key.Graph})
 	}
 }
 
@@ -160,45 +161,19 @@ func (p *Predictive) Close() error {
 }
 
 // netFor resolves a net term to its cached info, constructing the
-// topology at most once per term for the life of the backend.
+// topology once per term for as long as the term stays among the
+// netCacheCapacity most recently used.
 func (p *Predictive) netFor(term string) (netInfo, error) {
-	p.nmu.RLock()
-	info, ok := p.nets[term]
-	p.nmu.RUnlock()
-	if ok {
+	if info, ok := p.nets.get(term); ok {
 		return info, nil
 	}
 	net, err := sweep.ResolveNet(term)
 	if err != nil {
 		return netInfo{}, specf("%v", err)
 	}
-	info = netInfo{name: net.Name, class: net.Class, fp: store.Digest(net.Graph.Fingerprint())}
-	p.nmu.Lock()
-	p.nets[term] = info
-	p.nmu.Unlock()
+	info := netInfo{name: net.Name, class: net.Class, fp: store.Digest(net.Graph.Fingerprint())}
+	p.nets.add(term, info)
 	return info, nil
-}
-
-// Lookup passes through: content-key access never predicts.
-func (p *Predictive) Lookup(k store.CellKey) (store.Result, bool) { return p.inner.Lookup(k) }
-
-// Query passes through.
-func (p *Predictive) Query(f sweep.Filter) []store.Result { return p.inner.Query(f) }
-
-// QueryContext passes through when the wrapped backend is error-aware.
-func (p *Predictive) QueryContext(ctx context.Context, f sweep.Filter) ([]store.Result, error) {
-	if cq, ok := p.inner.(ContextQuerier); ok {
-		return cq.QueryContext(ctx, f)
-	}
-	return p.inner.Query(f), nil
-}
-
-// Probe passes through when the wrapped backend is probeable.
-func (p *Predictive) Probe(ctx context.Context) error {
-	if pr, ok := p.inner.(Prober); ok {
-		return pr.Probe(ctx)
-	}
-	return nil
 }
 
 // Put persists an externally computed result through the wrapped backend
@@ -206,32 +181,11 @@ func (p *Predictive) Probe(ctx context.Context) error {
 // the surface sharpens from replication traffic too. Backends that
 // cannot accept writes refuse with ErrNotStored.
 func (p *Predictive) Put(r store.Result) error {
-	pt, ok := p.inner.(Putter)
-	if !ok {
-		return fmt.Errorf("predictive: wrapped backend accepts no writes: %w", ErrNotStored)
-	}
-	if err := pt.Put(r); err != nil {
+	if err := p.Forward.Put(r); err != nil {
 		return err
 	}
 	p.idx.Observe(r)
 	return nil
-}
-
-// Keys passes through when the wrapped backend enumerates its inventory.
-func (p *Predictive) Keys(ctx context.Context) ([]store.CellKey, error) {
-	if kl, ok := p.inner.(KeyLister); ok {
-		return kl.Keys(ctx)
-	}
-	return nil, fmt.Errorf("predictive: wrapped backend enumerates no keys")
-}
-
-// KeyDigest passes through when the wrapped backend digests its
-// inventory.
-func (p *Predictive) KeyDigest(ctx context.Context) (store.Digest, int, error) {
-	if kd, ok := p.inner.(KeyDigester); ok {
-		return kd.KeyDigest(ctx)
-	}
-	return 0, 0, fmt.Errorf("predictive: wrapped backend digests no keys")
 }
 
 // Place resolves one cell: a confident interpolation when the trained

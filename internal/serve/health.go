@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strconv"
 
-	"lowlat/internal/backend"
 	"lowlat/internal/obs"
 )
 
@@ -70,12 +69,9 @@ func (s *Server) sloLookup() obs.WindowLookup {
 // replica makes it degraded. Status transitions are journaled once each
 // as EventHealthState.
 func (s *Server) Health() HealthReport {
-	rep := HealthReport{Status: HealthOK}
-	if dr, ok := s.b.(backend.DownReporter); ok {
-		rep.DownReplicas = dr.DownReplicas()
-		for _, l := range rep.DownReplicas {
-			rep.Reasons = append(rep.Reasons, "replica "+l+" down")
-		}
+	rep := HealthReport{Status: HealthOK, DownReplicas: s.tier.DownReplicas()}
+	for _, l := range rep.DownReplicas {
+		rep.Reasons = append(rep.Reasons, "replica "+l+" down")
 	}
 	rep.SLOs = s.slo.Eval(s.sloLookup())
 	for _, st := range rep.SLOs {
@@ -133,20 +129,19 @@ type EventsResponse struct {
 }
 
 // eventsSince collects events after the cursor: the backend's folded
-// view (own journal + replicas) when it keeps one, merged with the
-// server's own journal — unless they are the same journal, as in a
-// daemon that shares one journal between its serving and cluster layers.
+// view (own journal + replicas; nothing when it keeps no journal),
+// merged with the server's own journal — unless they are the same
+// journal, as in a daemon that shares one journal between its serving
+// and cluster layers. Both questions go through the tier, so wrappers
+// between the server and a cluster (a predictive front) do not hide the
+// answer.
 func (s *Server) eventsSince(r *http.Request, since int64, limit int) []obs.Event {
 	local := s.journal.Since(since, limit)
-	ev, ok := s.b.(backend.Eventer)
-	if !ok {
+	evs, err := s.tier.Events(r.Context(), since, limit)
+	if err != nil || len(evs) == 0 {
 		return local
 	}
-	evs, err := ev.Events(r.Context(), since, limit)
-	if err != nil {
-		return local
-	}
-	if jr, ok := s.b.(interface{ Journal() *obs.Journal }); ok && jr.Journal() == s.journal {
+	if s.tier.Journal() == s.journal {
 		// Shared journal: the backend's fold already contains every local
 		// entry; appending ours would double-report.
 		return evs

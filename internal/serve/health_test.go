@@ -244,21 +244,34 @@ func TestWatchBadParams(t *testing.T) {
 }
 
 // TestHealthDegradedOnDownReplica maps a down replica (without any SLO
-// breach) to degraded — 200, named replica.
+// breach) to degraded — 200, named replica — whether the server fronts
+// the reporting backend directly or through a wrapper: a predictive
+// front over a cluster is the stack `lowlatd -cluster -predict` runs.
 func TestHealthDegradedOnDownReplica(t *testing.T) {
-	s := NewBackendServer(downBackend{failingBackend{}}, Options{})
-	rep := s.Health()
-	if rep.Status != HealthDegraded {
-		t.Fatalf("health with a down replica = %q, want %q", rep.Status, HealthDegraded)
-	}
-	if len(rep.Reasons) != 1 || !strings.Contains(rep.Reasons[0], "replica-2") {
-		t.Fatalf("reasons = %v, want the down replica named", rep.Reasons)
-	}
-	// The transition journaled once, not per evaluation.
-	s.Health()
-	evs := s.journal.Since(0, 0)
-	if len(evs) != 1 || evs[0].Type != obs.EventHealthState {
-		t.Fatalf("journal = %+v, want one health transition", evs)
+	down := downBackend{failingBackend{}}
+	pb := backend.NewPredictive(down, backend.PredictiveOptions{})
+	t.Cleanup(func() { pb.Close() })
+	for name, b := range map[string]backend.Backend{
+		"direct":     down,
+		"predictive": pb,
+		"cached":     backend.NewCached(down, backend.CachedOptions{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := NewBackendServer(b, Options{})
+			rep := s.Health()
+			if rep.Status != HealthDegraded {
+				t.Fatalf("health with a down replica = %q, want %q", rep.Status, HealthDegraded)
+			}
+			if len(rep.Reasons) != 1 || !strings.Contains(rep.Reasons[0], "replica-2") {
+				t.Fatalf("reasons = %v, want the down replica named", rep.Reasons)
+			}
+			// The transition journaled once, not per evaluation.
+			s.Health()
+			evs := s.journal.Since(0, 0)
+			if len(evs) != 1 || evs[0].Type != obs.EventHealthState {
+				t.Fatalf("journal = %+v, want one health transition", evs)
+			}
+		})
 	}
 }
 

@@ -15,13 +15,19 @@
 // same daemon is a stateless front for N sharded replicas — daemons
 // compose.
 //
-// The hot path is production-shaped rather than a bare mux:
+// The hot path is production-shaped rather than a bare mux, and none of
+// it is implemented here: the server mounts backend.Cached — the same
+// cache tier a client stacks on its side of the wire — between its
+// handlers and the backend it fronts, so
 //
-//   - requests for the same content coalesce through a singleflight
-//     group, so N concurrent misses on one cell trigger one backend
-//     dispatch (one computation, wherever the backend routes it);
+//   - requests for the same spec coalesce onto one flight, and N
+//     concurrent misses on one cell trigger one backend dispatch (one
+//     computation, wherever the backend routes it);
 //   - finished cells sit in a bounded LRU keyed by content key, ahead of
 //     the backend;
+//   - a flight outlives its leader: the one policy the daemon adds under
+//     the tier (detached) severs the dispatch from the leading request's
+//     cancellation and bounds it by PlaceTimeout instead;
 //   - the Local backend bounds admitted computations by a semaphore —
 //     beyond it /v1/place answers 429 immediately instead of queueing
 //     without bound — and runs actual solves on a bounded worker pool;
@@ -238,15 +244,13 @@ type Stats struct {
 	Windows map[string][]obs.WindowSnapshot `json:"windows,omitempty"`
 }
 
-// counters is the server's HTTP-layer atomic counter block; compute-side
-// counters live in the backend.
+// counters is the server's HTTP-layer atomic counter block; cache
+// counters live in the mounted tier, compute-side counters in the
+// backend.
 type counters struct {
 	queries      atomic.Int64
 	cells        atomic.Int64
 	places       atomic.Int64
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
-	coalesced    atomic.Int64
 	replications atomic.Int64
 }
 
@@ -328,12 +332,10 @@ func errf(code int, format string, args ...any) *apiError {
 // store) or NewBackendServer (over any backend), mount via Handler, or
 // run with Serve / ListenAndServe.
 type Server struct {
-	b       backend.Backend
+	b       backend.Backend // the backend the server fronts
+	tier    *backend.Cached // LRU + coalescing over detached{b}; every handler goes through it
 	opts    Options
-	owned   *backend.Predictive      // set when New wrapped the backend itself
-	lru     *lruCache[store.Result]  // content key -> response
-	keys    *lruCache[store.CellKey] // request key -> content key shortcut
-	flights *flightGroup
+	owned   *backend.Predictive // set when New wrapped the backend itself
 	c       counters
 	mux     *http.ServeMux
 	h       http.Handler // mux wrapped in the tracing middleware
@@ -377,19 +379,46 @@ func New(st *store.Store, opts Options) *Server {
 	return s
 }
 
+// detached is the daemon's flight policy, mounted under the cache tier:
+// the tier's flight leader computes for its followers, so a leader that
+// disconnects must not abort the dispatch — but a blackholed downstream
+// must not pin the flight (and its request key) forever either. The
+// dispatch therefore runs on the leader's context with cancellation
+// severed and PlaceTimeout in its place. Values ride along, so the
+// leader's Trace still collects backend stage timings and the request
+// ID still reaches downstream daemons.
+type detached struct {
+	backend.Forward
+	timeout time.Duration
+}
+
+// Place implements backend.Backend.
+func (d detached) Place(ctx context.Context, spec store.CellSpec) (store.Result, error) {
+	r, _, err := d.PlaceSourced(ctx, spec)
+	return r, err
+}
+
+// PlaceSourced dispatches on a context that outlives ctx's cancellation,
+// bounded by the timeout.
+func (d detached) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, backend.Source, error) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), d.timeout)
+	defer cancel()
+	return d.Forward.PlaceSourced(ctx, spec)
+}
+
 // NewBackendServer builds a Server over any placement backend — a remote
-// daemon, a consistent-hash cluster — adding the HTTP skin: LRU response
-// cache, singleflight coalescing, JSON endpoints. Options.Workers,
-// MaxInflight and OnPlace are ignored (they configure a backend New
-// would build).
+// daemon, a consistent-hash cluster — adding the HTTP skin: the mounted
+// cache tier (LRU response cache, request coalescing) and the JSON
+// endpoints. Options.Workers, MaxInflight and OnPlace are ignored (they
+// configure a backend New would build).
 func NewBackendServer(b backend.Backend, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		b:           b,
+		b: b,
+		tier: backend.NewCached(
+			detached{Forward: backend.NewForward(b), timeout: opts.PlaceTimeout},
+			backend.CachedOptions{Size: opts.CacheSize}),
 		opts:        opts,
-		lru:         newLRU[store.Result](opts.CacheSize),
-		keys:        newLRU[store.CellKey](opts.CacheSize),
-		flights:     newFlightGroup(),
 		mux:         http.NewServeMux(),
 		obs:         obs.NewRegistryWindows(opts.Windows),
 		slow:        obs.NewSlowRing(opts.SlowRingSize),
@@ -544,15 +573,22 @@ func stagesString(st []obs.StageTiming) string {
 // Backend exposes the backend the server fronts.
 func (s *Server) Backend() backend.Backend { return s.b }
 
+// Tier exposes the stack every handler goes through: the mounted cache
+// tier, whose Inner is the outlive-the-leader wrapper over Backend().
+func (s *Server) Tier() *backend.Cached { return s.tier }
+
 // Handler returns the server's HTTP handler (for tests and embedding),
 // tracing middleware included.
 func (s *Server) Handler() http.Handler { return s.h }
 
-// Stats snapshots the counters: the HTTP layer's own (requests, LRU
-// hits, coalesces) merged with the backend's (store gauges, hit/compute/
-// reject counts).
+// Stats snapshots the counters: the HTTP layer's own (requests), the
+// mounted tier's (LRU hits, coalesces) and the backend's (store gauges,
+// hit/compute/reject counts). The backend is asked directly, not through
+// the tier: the daemon reports the backend it fronts ("local"), and the
+// tier's hits are already timed inside http_place.
 func (s *Server) Stats() Stats {
 	bs := s.b.Stats()
+	cs := s.tier.CacheStats()
 	return Stats{
 		Backend:       bs.Backend,
 		StoreCells:    bs.Cells,
@@ -561,15 +597,15 @@ func (s *Server) Stats() Stats {
 		Queries:       s.c.queries.Load(),
 		CellLookups:   s.c.cells.Load(),
 		PlaceRequests: s.c.places.Load(),
-		CacheHits:     s.c.cacheHits.Load(),
-		CacheMisses:   s.c.cacheMisses.Load(),
+		CacheHits:     cs.Hits,
+		CacheMisses:   cs.Misses,
 		StoreHits:     bs.StoreHits,
 		MemoHits:      bs.MemoHits,
-		Coalesced:     s.c.coalesced.Load(),
+		Coalesced:     cs.Coalesced,
 		Computed:      bs.Computed,
 		Rejected:      bs.Rejected,
 		InFlight:      bs.InFlight,
-		CachedEntries: s.lru.len(),
+		CachedEntries: cs.Entries,
 
 		Predicted:        bs.Predicted,
 		PredictFallbacks: bs.PredictFallbacks,
@@ -767,7 +803,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	results := s.b.Query(f)
+	results := s.tier.Query(f)
 	if results == nil {
 		results = []store.Result{}
 	}
@@ -790,7 +826,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		}
 		points = n
 	}
-	writeJSON(w, http.StatusOK, Summarize(s.b.Query(f), points))
+	writeJSON(w, http.StatusOK, Summarize(s.tier.Query(f), points))
 }
 
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
@@ -804,21 +840,13 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	ks := key.String()
 	tr := obs.TraceFrom(r.Context())
 	tr.Annotate("key", ks)
-	if res, ok := s.lru.get(ks); ok {
-		s.c.cacheHits.Add(1)
-		tr.Annotate("source", "cache")
-		writeJSON(w, http.StatusOK, CellResponse{Source: "cache", Result: res})
-		return
-	}
-	s.c.cacheMisses.Add(1)
-	res, ok := s.b.Lookup(key)
+	res, src, ok := s.tier.LookupSourced(key)
 	if !ok {
 		writeError(w, errf(http.StatusNotFound, "cell %s not stored", ks))
 		return
 	}
-	s.lru.add(ks, res)
-	tr.Annotate("source", "store")
-	writeJSON(w, http.StatusOK, CellResponse{Source: "store", Result: res})
+	tr.Annotate("source", string(src))
+	writeJSON(w, http.StatusOK, CellResponse{Source: string(src), Result: res})
 }
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
@@ -841,77 +869,35 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		Locality: locality,
 	}.Normalized()
 	// Cheap validation up front: a malformed request answers 400 without
-	// touching the coalescing layer or the backend. Net-term resolution
-	// (graph construction) stays inside the flight.
+	// touching the cache tier or the backend. Net-term resolution (graph
+	// construction) stays inside the flight.
 	if _, err := backend.CheckSpec(spec); err != nil {
 		writeError(w, err)
 		return
 	}
 
-	rk := spec.String()
 	tr := obs.TraceFrom(r.Context())
-	tr.Annotate("spec", rk)
-	// Hot path: a request key served before maps straight to its content
-	// key — LRU lookup with no graph build, no flight.
-	if ck, ok := s.keys.get(rk); ok {
-		if res, hit := s.lru.get(ck.String()); hit {
-			s.c.cacheHits.Add(1)
-			tr.Annotate("source", "cache")
-			writeJSON(w, http.StatusOK, PlaceResponse{Source: "cache", Result: res})
-			return
-		}
-	}
-	s.c.cacheMisses.Add(1)
-
-	out, err := s.flights.do(r.Context(), rk,
-		func() (outcome, error) { return s.placeMiss(tr, rk, spec) },
-		func() { s.c.coalesced.Add(1) })
+	tr.Annotate("spec", spec.String())
+	res, src, err := s.tier.PlaceSourced(r.Context(), spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	tr.Annotate("source", out.source)
+	tr.Annotate("source", string(src))
 	writeJSON(w, http.StatusOK, PlaceResponse{
-		Source:    out.source,
-		Predicted: out.source == string(backend.SourcePredicted),
-		Result:    out.result,
+		Source:    string(src),
+		Predicted: src == backend.SourcePredicted,
+		Result:    res,
 	})
-}
-
-// placeMiss resolves one place request as the leader of its flight: one
-// backend dispatch, then the LRU and key-shortcut caches warm for the
-// next request. The dispatch deliberately does not inherit the leader's
-// request context — the leader computes for its followers, so a
-// disconnecting leader must not abort the flight — but it is bounded by
-// PlaceTimeout so a blackholed downstream cannot pin the flight (and
-// its request key) forever. The leader's trace rides along explicitly
-// (cancellation is severed, observability is not), so backend stage
-// timings land on the leader's log line and the request ID reaches
-// downstream daemons.
-func (s *Server) placeMiss(tr *obs.Trace, rk string, spec store.CellSpec) (outcome, error) {
-	ctx, cancel := context.WithTimeout(obs.WithTrace(context.Background(), tr), s.opts.PlaceTimeout)
-	defer cancel()
-	res, src, err := backend.PlaceSourced(ctx, s.b, spec)
-	if err != nil {
-		return outcome{}, err
-	}
-	// Predicted answers carry no content key: caching one under the zero
-	// key would collide every predicted response onto a single LRU slot
-	// (and serve request A's estimate to request B). Estimates stay
-	// uncached; the index itself is the fast path.
-	if res.Key != (store.CellKey{}) {
-		s.keys.add(rk, res.Key)
-		s.lru.add(res.Key.String(), res)
-	}
-	return outcome{source: string(src), result: res}, nil
 }
 
 // handleReplicate accepts one already-computed cell from a cluster peer
 // — the write half of replication and anti-entropy healing. The body is
 // the cell's canonical wire form (store.MarshalResult bytes); a keyless
 // record is rejected as corruption, and a backend that accepts no writes
-// (read-only mount, remote proxy without the extension) answers 403. An
-// accepted cell warms the LRU, so a healed cell serves hot immediately.
+// (read-only mount, remote proxy without the extension) answers 403. The
+// tier's Put writes through and warms the LRU, so a healed cell serves
+// hot immediately.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
@@ -923,38 +909,23 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errf(http.StatusBadRequest, "%v", err))
 		return
 	}
-	pt, ok := s.b.(backend.Putter)
-	if !ok {
-		writeError(w, fmt.Errorf("backend accepts no replicated writes: %w", backend.ErrNotStored))
-		return
-	}
-	if err := pt.Put(res); err != nil {
+	if err := s.tier.Put(res); err != nil {
 		writeError(w, err)
 		return
 	}
 	s.c.replications.Add(1)
-	s.lru.add(res.Key.String(), res)
 	writeJSON(w, http.StatusOK, ReplicateResponse{Stored: true, Key: res.Key.String()})
 }
 
 // handleDigest answers the store's key inventory: always the count and
 // the order-independent key-set digest, and the full canonical key list
 // when asked with ?keys=1. Two daemons holding equal key sets answer
-// equal digests whatever order their stores filled in.
+// equal digests whatever order their stores filled in. A backend that
+// keeps no inventory answers 501.
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
-	kd, ok := s.b.(backend.KeyDigester)
-	if !ok {
-		writeError(w, errf(http.StatusNotImplemented, "backend digests no keys"))
-		return
-	}
 	resp := DigestResponse{}
 	if r.URL.Query().Get("keys") == "1" {
-		kl, ok := s.b.(backend.KeyLister)
-		if !ok {
-			writeError(w, errf(http.StatusNotImplemented, "backend enumerates no keys"))
-			return
-		}
-		keys, err := kl.Keys(r.Context())
+		keys, err := s.tier.Keys(r.Context())
 		if err != nil {
 			writeError(w, err)
 			return
@@ -966,7 +937,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 			resp.Keys[i] = k.String()
 		}
 	} else {
-		d, n, err := kd.KeyDigest(r.Context())
+		d, n, err := s.tier.KeyDigest(r.Context())
 		if err != nil {
 			writeError(w, err)
 			return
@@ -991,9 +962,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writeError renders an error as {"error": ...} with its HTTP status.
 // Backend error kinds map onto the API's status contract — overload to
 // 429, refuse-to-compute to 403, bad specs to 400, unreachable
-// downstreams to 502 — and a StatusError from a proxied daemon passes its
-// code through, so a front daemon re-renders its cluster's answers
-// faithfully.
+// downstreams to 502, a capability the backend lacks to 501 — and a
+// StatusError from a proxied daemon passes its code through, so a front
+// daemon re-renders its cluster's answers faithfully.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	var ae *apiError
@@ -1012,6 +983,8 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusForbidden
 	case errors.Is(err, backend.ErrUnavailable):
 		code = http.StatusBadGateway
+	case errors.Is(err, errors.ErrUnsupported):
+		code = http.StatusNotImplemented
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusServiceUnavailable
 	}

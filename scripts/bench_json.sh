@@ -40,6 +40,15 @@ go test -run NONE -bench 'GenerateMatrix' -benchtime 20x ./internal/tmgen >> "$t
 # A cycle is milliseconds and its cost depends on the measurement set, so
 # 24 iterations — four passes over the six sets — never 1x.
 go test -run NONE -bench 'ControlCycle' -benchtime 24x ./internal/core >> "$tmp"
+
+# The serving rungs: one /v1/place through the whole handler (httptest
+# recorder, no socket) answered by the mounted cache tier's LRU
+# (cache_hit) or by backend.Local's store-hit path under it (store_hit),
+# and one Place answered by backend.Cached alone. Tens of microseconds
+# and about one, so fixed iteration counts large enough to leave clock
+# granularity behind, never 1x; allocs/op is in the log above the JSON.
+go test -run NONE -bench 'ServePlace' -benchtime 20000x ./internal/serve >> "$tmp"
+go test -run NONE -bench 'CachedPlaceHit' -benchtime 200000x ./internal/backend >> "$tmp"
 cat "$tmp"
 
 awk '
