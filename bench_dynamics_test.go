@@ -1,8 +1,8 @@
 package lowlat
 
-// Benchmark for the dynamic-workload subsystem, part of the CI perf
-// trajectory (the workflow's bench job matches 'Landscape|Dynamics' and
-// archives ns/op as BENCH_ci.json).
+// Benchmark for the dynamic-workload subsystem's timeline machinery. The
+// re-optimised epoch itself is on the CI ladder as
+// internal/dynamics.BenchmarkDynamicsEpoch, at a fixed iteration count.
 
 import (
 	"context"
@@ -12,24 +12,6 @@ import (
 	"lowlat/internal/tmgen"
 	"lowlat/internal/topo"
 )
-
-// BenchmarkDynamicsTimeline replays a six-epoch random-failure + diurnal
-// churn timeline on a 4x4 grid, re-optimizing MinMax every epoch — the
-// fig_dynamics driver's unit of work.
-func BenchmarkDynamicsTimeline(b *testing.B) {
-	g := topo.Grid("bench-dyn-grid", 4, 4, 300, topo.Cap10G)
-	res, err := tmgen.Generate(g, tmgen.Config{Seed: 1, TargetMaxUtil: 0.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DynamicsConfig{Seed: 1, Epochs: 6, Failures: FailRandom, Churn: ChurnDiurnal}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunDynamics(context.Background(), 0, g, res.Matrix, routing.MinMax{}, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkDynamicsSingleFailureSweep enumerates every single-link
 // failure of the grid under shortest-path routing — the fastest scheme,

@@ -299,9 +299,8 @@ type epochState struct {
 
 // timeline materializes the per-epoch (degraded graph, evolved matrix)
 // states for a run, sequentially and deterministically; only placement
-// fans out.
+// fans out. cfg already has its defaults (Run applies them).
 func timeline(g *graph.Graph, base *tm.Matrix, cfg Config) ([]epochState, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

@@ -8,6 +8,13 @@
 // The solver minimizes c·x subject to linear constraints and per-variable
 // bounds lo <= x <= hi. Lower bounds must be finite; upper bounds may be
 // +Inf. Maximization is expressed by negating the objective.
+//
+// A solve's large buffers (the m x n tableau above all) live in a
+// Workspace. Problem.Solve uses a fresh one; a caller that solves a run of
+// similar problems — the path solver's growth rounds — passes its own to
+// SolveIn and allocates them once. A Workspace is not safe for concurrent
+// use, and its contents are undefined between solves: nothing a Solution
+// returns points into it.
 package lp
 
 import (
@@ -106,9 +113,10 @@ func (p *Problem) NumVars() int { return len(p.obj) }
 func (p *Problem) NumRows() int { return len(p.rows) }
 
 // AddConstraint adds the constraint Σ terms (op) rhs. Terms referencing the
-// same variable multiple times are summed.
+// same variable multiple times are summed. A slice passed as terms... is
+// retained, not copied: the caller must not modify it afterwards.
 func (p *Problem) AddConstraint(op Op, rhs float64, terms ...Term) {
-	p.rows = append(p.rows, conRow{terms: append([]Term(nil), terms...), op: op, rhs: rhs})
+	p.rows = append(p.rows, conRow{terms: terms, op: op, rhs: rhs})
 }
 
 // Solution is the result of solving a Problem.
@@ -125,13 +133,23 @@ type Solution struct {
 // returned only for malformed problems (invalid bounds, bad variable
 // indices) or if the iteration safety limit is hit; infeasibility and
 // unboundedness are reported via Solution.Status.
-func (p *Problem) Solve() (*Solution, error) {
+func (p *Problem) Solve() (*Solution, error) { return p.SolveIn(new(Workspace)) }
+
+// SolveIn is Solve with the tableau built in ws, reusing whatever ws
+// already holds that is large enough.
+func (p *Problem) SolveIn(ws *Workspace) (*Solution, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	s := newSimplex(p)
-	return s.solve(p)
+	if testHookSolve != nil {
+		testHookSolve(p)
+	}
+	return newSimplex(p, ws).solve(p)
 }
+
+// testHookSolve, set only by this package's tests, sees every valid problem
+// about to be solved: the differential test's tap on the path solver's LPs.
+var testHookSolve func(*Problem)
 
 func (p *Problem) validate() error {
 	for j := range p.obj {

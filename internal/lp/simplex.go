@@ -13,6 +13,7 @@ type simplex struct {
 	tab  [][]float64 // m x n tableau, B^-1 A in the current coordinates
 	bhat []float64   // B^-1 b, always >= 0
 	zrow []float64   // reduced costs for the current phase
+	cost []float64   // the current phase's cost vector
 
 	u       []float64 // upper bound per column (post-shift), may be +Inf
 	flipped []bool    // column currently complemented
@@ -32,56 +33,85 @@ const (
 	epsFeas  = 1e-7
 )
 
-func newSimplex(p *Problem) *simplex {
-	nStruct := len(p.obj)
+// Workspace holds the buffers of a solve whose size grows with the problem,
+// so that consecutive solves allocate them once. The zero value is ready to
+// use; see the package comment for the contract.
+type Workspace struct {
+	tab              []float64   // m x n tableau cells, row-major
+	rows             [][]float64 // the m row views into tab
+	bhat, zrow, cost []float64
+	nzbuf            []int32
+}
 
-	// Shift variables to lower bound 0 and fold the shift into each
-	// row's rhs; normalize rows so rhs >= 0.
-	type normRow struct {
-		coef []float64 // dense over structural vars
-		op   Op
-		rhs  float64
+// zeroed returns n zeros, in buf's memory when it is large enough.
+func zeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-	rows := make([]normRow, len(p.rows))
-	for i, r := range p.rows {
-		nr := normRow{coef: make([]float64, nStruct), op: r.op, rhs: r.rhs}
-		for _, t := range r.terms {
-			nr.coef[t.Var] += t.Coeff
-			nr.rhs -= t.Coeff * p.lo[t.Var]
-		}
-		if nr.rhs < 0 {
-			for j := range nr.coef {
-				nr.coef[j] = -nr.coef[j]
-			}
-			nr.rhs = -nr.rhs
-			switch nr.op {
-			case LE:
-				nr.op = GE
-			case GE:
-				nr.op = LE
-			}
-		}
-		rows[i] = nr
-	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
 
-	// Count columns: slacks for LE/GE, artificials for GE/EQ.
+// normOp is a row's operator once the row is scaled to a nonnegative rhs.
+func normOp(op Op, rhs float64) Op {
+	if rhs < 0 {
+		switch op {
+		case LE:
+			return GE
+		case GE:
+			return LE
+		}
+	}
+	return op
+}
+
+func newSimplex(p *Problem, ws *Workspace) *simplex {
+	nStruct, m := len(p.obj), len(p.rows)
+
+	// Shift variables to lower bound 0, folding the shift into each row's
+	// rhs, and count columns: slacks for LE/GE, artificials for GE/EQ,
+	// after a row with negative rhs is negated (below) so that rhs >= 0.
+	ws.bhat = zeroed(ws.bhat, m)
 	nSlack, nArt := 0, 0
-	for _, r := range rows {
-		if r.op == LE || r.op == GE {
+	for i, r := range p.rows {
+		rhs := r.rhs
+		for _, t := range r.terms {
+			rhs -= t.Coeff * p.lo[t.Var]
+		}
+		ws.bhat[i] = rhs
+		op := normOp(r.op, rhs)
+		if op != EQ {
 			nSlack++
 		}
-		if r.op == GE || r.op == EQ {
+		if op != LE {
 			nArt++
 		}
 	}
-	m := len(rows)
 	n := nStruct + nSlack + nArt
 
+	if cap(ws.tab) < m*n {
+		// Let go of the old tableau, and the row views into it, before
+		// allocating the larger one: while the workspace still held it the
+		// collector could not, and place_cold's peak RSS rose 13 %.
+		ws.tab = nil
+		clear(ws.rows[:cap(ws.rows)])
+	}
+	ws.tab = zeroed(ws.tab, m*n)
+	ws.zrow, ws.cost = zeroed(ws.zrow, n), zeroed(ws.cost, n)
+	if cap(ws.rows) < m {
+		ws.rows = make([][]float64, m)
+	}
+	if cap(ws.nzbuf) < n {
+		ws.nzbuf = make([]int32, 0, n)
+	}
 	s := &simplex{
 		m: m, n: n,
-		tab:      make([][]float64, m),
-		bhat:     make([]float64, m),
-		zrow:     make([]float64, n),
+		tab:      ws.rows[:m],
+		bhat:     ws.bhat,
+		zrow:     ws.zrow,
+		cost:     ws.cost,
+		nzbuf:    ws.nzbuf[:0],
 		u:        make([]float64, n),
 		flipped:  make([]bool, n),
 		banned:   make([]bool, n),
@@ -102,11 +132,19 @@ func newSimplex(p *Problem) *simplex {
 
 	slack := nStruct
 	art := s.artStart
-	for i, r := range rows {
-		row := make([]float64, n)
-		copy(row, r.coef)
-		s.bhat[i] = r.rhs
-		switch r.op {
+	for i, r := range p.rows {
+		row := ws.tab[i*n : (i+1)*n]
+		for _, t := range r.terms {
+			row[t.Var] += t.Coeff
+		}
+		op := normOp(r.op, s.bhat[i])
+		if s.bhat[i] < 0 {
+			for j, c := range row[:nStruct] {
+				row[j] = -c
+			}
+			s.bhat[i] = -s.bhat[i]
+		}
+		switch op {
 		case LE:
 			row[slack] = 1
 			s.setBasic(i, slack)
@@ -141,13 +179,12 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 	maxIter := 2000 + 200*(s.m+s.n)
 
 	if s.artStart < s.n {
-		// Phase 1: minimize the sum of artificials.
-		cost := make([]float64, s.n)
+		// Phase 1: minimize the sum of artificials (cost starts zeroed).
 		for j := s.artStart; j < s.n; j++ {
-			cost[j] = 1
+			s.cost[j] = 1
 		}
-		s.resetZrow(cost)
-		status, err := s.iterate(cost, maxIter)
+		s.resetZrow()
+		status, err := s.iterate(maxIter)
 		if err != nil {
 			return nil, err
 		}
@@ -163,10 +200,9 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 	}
 
 	// Phase 2: the real objective.
-	cost := make([]float64, s.n)
-	copy(cost, p.obj)
-	s.resetZrow(cost)
-	status, err := s.iterate(cost, maxIter)
+	clear(s.cost[copy(s.cost, p.obj):])
+	s.resetZrow()
+	status, err := s.iterate(maxIter)
 	if err != nil {
 		return nil, err
 	}
@@ -220,14 +256,14 @@ func (s *simplex) retireArtificials() {
 	}
 }
 
-// resetZrow recomputes reduced costs from scratch for the given phase cost
-// vector, accounting for flipped columns.
-func (s *simplex) resetZrow(cost []float64) {
+// resetZrow recomputes reduced costs from scratch for the current phase's
+// cost vector, accounting for flipped columns.
+func (s *simplex) resetZrow() {
 	colCost := func(j int) float64 {
 		if s.flipped[j] {
-			return -cost[j]
+			return -s.cost[j]
 		}
-		return cost[j]
+		return s.cost[j]
 	}
 	for j := 0; j < s.n; j++ {
 		s.zrow[j] = colCost(j)
@@ -250,7 +286,7 @@ func (s *simplex) resetZrow(cost []float64) {
 
 // iterate performs simplex pivots until optimal/unbounded for the current
 // zrow, switching to Bland's rule after a burn-in to guarantee termination.
-func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
+func (s *simplex) iterate(maxIter int) (Status, error) {
 	blandAfter := 500 + 20*(s.m+s.n)
 	for iter := 0; iter < maxIter; iter++ {
 		bland := iter > blandAfter
@@ -258,7 +294,7 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 		if e < 0 {
 			return Optimal, nil
 		}
-		limit, limitRow, limitKind := s.ratioTest(e)
+		limitRow, limitKind := s.ratioTest(e)
 		switch limitKind {
 		case limitNone:
 			return Unbounded, nil
@@ -272,7 +308,6 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 			s.flipBasic(limitRow)
 			s.pivot(limitRow, e)
 		}
-		_ = limit
 	}
 	return Optimal, ErrIterationLimit
 }
@@ -305,7 +340,7 @@ const (
 // ratioTest determines how far the entering column e can increase. Ties
 // between rows are broken towards the smallest basic column index, which
 // together with Bland's entering rule prevents cycling.
-func (s *simplex) ratioTest(e int) (float64, int, limitKind) {
+func (s *simplex) ratioTest(e int) (int, limitKind) {
 	limit := s.u[e] // +Inf when e is unbounded above
 	kind := limitSelf
 	row := -1
@@ -332,12 +367,9 @@ func (s *simplex) ratioTest(e int) (float64, int, limitKind) {
 		}
 	}
 	if math.IsInf(limit, 1) {
-		return 0, -1, limitNone
+		return -1, limitNone
 	}
-	if limit < 0 {
-		limit = 0
-	}
-	return limit, row, kind
+	return row, kind
 }
 
 // flipColumn complements nonbasic column j (x -> u - x), moving it between
@@ -382,9 +414,6 @@ func (s *simplex) pivot(r, e int) {
 	s.pivots++
 	rowR := s.tab[r]
 	inv := 1 / rowR[e]
-	if s.nzbuf == nil {
-		s.nzbuf = make([]int32, 0, s.n)
-	}
 	nz := s.nzbuf[:0]
 	for j := 0; j < s.n; j++ {
 		if v := rowR[j]; v != 0 {

@@ -72,18 +72,11 @@ func (o LatencyOpt) WithPathCache(c *PathCache) Scheme {
 
 // PlaceWithStats is Place plus solver statistics.
 func (o LatencyOpt) PlaceWithStats(g *graph.Graph, m *tm.Matrix) (*Placement, SolveStats, error) {
-	s := &pathSolver{kind: kindLatency, headroom: o.Headroom, cache: o.Cache, maxPaths: o.MaxPaths, polish: o.Exact}
-	res, err := s.solve(g, m)
-	if err != nil {
-		return nil, SolveStats{}, err
-	}
-	stats := SolveStats{
-		LPRuns:      s.lpRuns,
-		LPPivots:    s.lpPivots,
-		GrowRounds:  s.growRounds,
-		MaxOverload: res.maxOverload,
-	}
-	return res.placement, stats, nil
+	return o.solver().place(g, m)
+}
+
+func (o LatencyOpt) solver() *pathSolver {
+	return &pathSolver{kind: kindLatency, headroom: o.Headroom, cache: o.Cache, maxPaths: o.MaxPaths, polish: o.Exact}
 }
 
 // MinMax is TeXCP/MATE-style traffic engineering: minimize the maximum
@@ -128,16 +121,9 @@ func (mm MinMax) WithPathCache(c *PathCache) Scheme {
 
 // PlaceWithStats is Place plus solver statistics.
 func (mm MinMax) PlaceWithStats(g *graph.Graph, m *tm.Matrix) (*Placement, SolveStats, error) {
-	s := &pathSolver{kind: kindMinMax, fixedK: mm.K, cache: mm.Cache, maxPaths: mm.MaxPaths, bound: mm.StretchBound}
-	res, err := s.solve(g, m)
-	if err != nil {
-		return nil, SolveStats{}, err
-	}
-	stats := SolveStats{
-		LPRuns:      s.lpRuns,
-		LPPivots:    s.lpPivots,
-		GrowRounds:  s.growRounds,
-		MaxOverload: res.maxOverload,
-	}
-	return res.placement, stats, nil
+	return mm.solver().place(g, m)
+}
+
+func (mm MinMax) solver() *pathSolver {
+	return &pathSolver{kind: kindMinMax, fixedK: mm.K, cache: mm.Cache, maxPaths: mm.MaxPaths, bound: mm.StretchBound}
 }

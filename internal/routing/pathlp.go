@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"sort"
 
 	"lowlat/internal/graph"
 	"lowlat/internal/lp"
@@ -40,6 +39,11 @@ type pathSolver struct {
 	bound    float64 // >0: never consider paths longer than bound x shortest
 	maxPaths int
 	cache    *PathCache
+	// ws holds the simplex tableau across this solve's growth rounds and
+	// Omax re-solves; a pathSolver lives for one solve, so it dies with it.
+	ws lp.Workspace
+	// onModel, set only by tests, sees every LP assembled and its inputs.
+	onModel func(prob *lp.Problem, pm *pathModel, withOmax bool)
 
 	// stats
 	lpRuns     int
@@ -52,6 +56,21 @@ type pathSolveResult struct {
 	// maxOverload is the final max(load/capacity') across links, using
 	// headroom-scaled capacities (1.0 means exactly full).
 	maxOverload float64
+}
+
+// place is solve plus the statistics the schemes report.
+func (s *pathSolver) place(g *graph.Graph, m *tm.Matrix) (*Placement, SolveStats, error) {
+	res, err := s.solve(g, m)
+	if err != nil {
+		return nil, SolveStats{}, err
+	}
+	stats := SolveStats{
+		LPRuns:      s.lpRuns,
+		LPPivots:    s.lpPivots,
+		GrowRounds:  s.growRounds,
+		MaxOverload: res.maxOverload,
+	}
+	return res.placement, stats, nil
 }
 
 func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, error) {
@@ -201,11 +220,9 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 // could grow.
 func (s *pathSolver) growAround(m *tm.Matrix, pathSets [][]graph.Path,
 	kCount []int, capped []bool, overloads []float64, threshold float64) bool {
-	hot := make(map[graph.LinkID]bool)
+	hot := make([]bool, len(overloads))
 	for lid, ov := range overloads {
-		if ov >= threshold-1e-9 && ov > 0 {
-			hot[graph.LinkID(lid)] = true
-		}
+		hot[lid] = ov >= threshold-1e-9 && ov > 0
 	}
 	grew := false
 	for i := range m.Aggregates {
@@ -230,6 +247,26 @@ func (s *pathSolver) growAround(m *tm.Matrix, pathSets [][]graph.Path,
 	return grew
 }
 
+// pathModel is what one growth round's LP is assembled from: the current
+// path sets and the per-link loads they fix.
+type pathModel struct {
+	kind     pathSolveKind
+	m        *tm.Matrix
+	sps      []graph.Path   // shortest path per aggregate
+	pathSets [][]graph.Path // candidate paths per aggregate, delay-sorted
+	caps     []float64      // headroom-scaled capacity per link
+	norm     float64        // delay normalization
+	minS     float64        // smallest shortest-path delay (tie-break)
+	// fixed is the load each link carries before any fraction moves:
+	// single-path aggregates plus every multi-path aggregate's shortest
+	// path at full fraction (the substitution baseline).
+	fixed []float64
+	multi []int // aggregates with more than one candidate path
+	// varBase[a]+p is the LP variable of multi-path aggregate a's path
+	// p >= 1; build fills it.
+	varBase []int
+}
+
 // solveOnce formulates and solves the Figure 12 LP over the current path
 // sets. Aggregates with a single candidate path contribute fixed load;
 // only multi-path aggregates get variables, which is what keeps the LP
@@ -243,129 +280,51 @@ func (s *pathSolver) growAround(m *tm.Matrix, pathSets [][]graph.Path,
 func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 	pathSets [][]graph.Path, caps []float64, norm, minS float64) (*Placement, error) {
 	placement := NewPlacement(g, m)
-
-	// Fixed load per link: single-path aggregates plus every multi-path
-	// aggregate's shortest path at full fraction (the substitution
-	// baseline).
-	fixed := make([]float64, g.NumLinks())
-	var multi []int
+	pm := &pathModel{kind: s.kind, m: m, sps: sps, pathSets: pathSets, caps: caps, norm: norm, minS: minS,
+		fixed: make([]float64, g.NumLinks()), varBase: make([]int, len(pathSets))}
 	for i, ps := range pathSets {
 		if len(ps) <= 1 {
 			placement.Allocs[i] = []PathAlloc{{Path: ps[0], Fraction: 1}}
 		} else {
-			multi = append(multi, i)
+			pm.multi = append(pm.multi, i)
 		}
 		for _, lid := range ps[0].Links {
-			fixed[lid] += m.Aggregates[i].Volume
+			pm.fixed[lid] += m.Aggregates[i].Volume
 		}
 	}
-	if len(multi) == 0 {
+	if len(pm.multi) == 0 {
 		return placement, nil
 	}
 
-	// buildModel assembles the whole LP: y_ap variables (p >= 1, the
-	// fraction moved OFF the shortest path onto path p, with the
-	// Figure 12 delay cost n_a * (d_p - d_p0) * (1 + M1 * minS/S_a)),
-	// per-aggregate budget rows, and capacity rows in utilization units.
-	// O_l is modeled as 1 + o_l with o_l >= 0; only links whose fixed
-	// load already exceeds capacity yield a negative rhs (and hence a
-	// phase-1 artificial).
-	type varRef struct{ agg, path int }
-	buildModel := func(withOmax bool) (*lp.Problem, map[varRef]int, []int) {
-		prob := lp.NewProblem()
-		varOf := make(map[varRef]int)
-		linkCoeff := make(map[graph.LinkID]map[int]float64) // link -> var -> volume delta
-		addCoeff := func(lid graph.LinkID, v int, c float64) {
-			mm := linkCoeff[lid]
-			if mm == nil {
-				mm = make(map[int]float64)
-				linkCoeff[lid] = mm
-			}
-			mm[v] += c
+	solveModel := func(withOmax bool) (*lp.Solution, []int, error) {
+		prob, ols := pm.build(withOmax)
+		if s.onModel != nil {
+			s.onModel(prob, pm, withOmax)
 		}
-		for _, i := range multi {
-			a := m.Aggregates[i]
-			tieBreak := 1 + tinyM1*minS/sps[i].Delay
-			p0 := pathSets[i][0]
-			rowTerms := make([]lp.Term, 0, len(pathSets[i])-1)
-			for pi := 1; pi < len(pathSets[i]); pi++ {
-				p := pathSets[i][pi]
-				coeff := float64(a.Flows) * a.EffectiveWeight() * (p.Delay - p0.Delay) * tieBreak / norm
-				if coeff < 0 {
-					coeff = 0 // paths are delay-sorted; guard rounding
-				}
-				v := prob.AddVar(0, 1, coeff)
-				varOf[varRef{i, pi}] = v
-				for _, lid := range p.Links {
-					addCoeff(lid, v, a.Volume)
-				}
-				for _, lid := range p0.Links {
-					addCoeff(lid, v, -a.Volume)
-				}
-				rowTerms = append(rowTerms, lp.Term{Var: v, Coeff: 1})
-			}
-			// Moved fractions cannot exceed the whole aggregate.
-			prob.AddConstraint(lp.LE, 1, rowTerms...)
-		}
-
-		var activeLinks []graph.LinkID
-		for lid := range linkCoeff {
-			activeLinks = append(activeLinks, lid)
-		}
-		sort.Slice(activeLinks, func(a, b int) bool { return activeLinks[a] < activeLinks[b] })
-
-		var ols []int
-		switch s.kind {
-		case kindLatency:
-			oMax := -1
-			if withOmax {
-				oMax = prob.AddVar(0, math.Inf(1), bigM2)
-			}
-			for _, lid := range activeLinks {
-				ol := prob.AddVar(0, math.Inf(1), bigM3)
-				ols = append(ols, ol)
-				terms := capacityRow(linkCoeff[lid], caps[lid], ol)
-				prob.AddConstraint(lp.LE, 1-fixed[lid]/caps[lid], terms...)
-				if withOmax {
-					prob.AddConstraint(lp.LE, 0, lp.Term{Var: ol, Coeff: 1}, lp.Term{Var: oMax, Coeff: -1})
-				}
-			}
-		case kindMinMax:
-			u := prob.AddVar(0, math.Inf(1), bigM2)
-			for _, lid := range activeLinks {
-				terms := capacityRow(linkCoeff[lid], caps[lid], u)
-				prob.AddConstraint(lp.LE, -fixed[lid]/caps[lid], terms...)
-			}
-		}
-		return prob, varOf, ols
-	}
-
-	solveModel := func(withOmax bool) (*lp.Solution, map[varRef]int, []int, error) {
-		prob, varOf, ols := buildModel(withOmax)
-		sol, err := prob.Solve()
+		sol, err := prob.SolveIn(&s.ws)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if sol.Status != lp.Optimal {
-			return nil, nil, nil, &solveStatusError{status: sol.Status.String()}
+			return nil, nil, &solveStatusError{status: sol.Status.String()}
 		}
 		s.lpRuns++
 		s.lpPivots += sol.Iterations
-		return sol, varOf, ols, nil
+		return sol, ols, nil
 	}
 
 	// First pass without the Omax machinery: when the traffic fits, all
 	// o_l are zero and Omax would be too, so the optimum is identical at
 	// half the rows. Only when overload remains do we re-solve with the
 	// full Figure 12 objective (minimize the maximum overload first).
-	sol, varOf, ols, err := solveModel(false)
+	sol, ols, err := solveModel(false)
 	if err != nil {
 		return nil, err
 	}
 	if s.kind == kindLatency {
 		for _, ol := range ols {
 			if sol.X[ol] > 1e-9 {
-				sol, varOf, _, err = solveModel(true)
+				sol, _, err = solveModel(true)
 				if err != nil {
 					return nil, err
 				}
@@ -374,11 +333,11 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 		}
 	}
 
-	for _, i := range multi {
+	for _, i := range pm.multi {
 		var allocs []PathAlloc
 		moved := 0.0
 		for pi := 1; pi < len(pathSets[i]); pi++ {
-			f := sol.X[varOf[varRef{i, pi}]]
+			f := sol.X[pm.varBase[i]+pi]
 			if f > fracEps {
 				allocs = append(allocs, PathAlloc{Path: pathSets[i][pi], Fraction: f})
 				moved += f
@@ -398,22 +357,102 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 	return placement, nil
 }
 
-// capacityRow converts a link's per-variable volume deltas into
-// utilization-unit LP terms plus the overload variable.
-func capacityRow(coeffs map[int]float64, capacity float64, overloadVar int) []lp.Term {
-	terms := make([]lp.Term, 0, len(coeffs)+1)
-	vars := make([]int, 0, len(coeffs))
-	for v := range coeffs {
-		vars = append(vars, v)
-	}
-	sort.Ints(vars)
-	for _, v := range vars {
-		if c := coeffs[v]; c != 0 {
-			terms = append(terms, lp.Term{Var: v, Coeff: c / capacity})
+// build assembles the whole LP: y_ap variables (p >= 1, the fraction moved
+// OFF the shortest path onto path p, with the Figure 12 delay cost
+// n_a * (d_p - d_p0) * (1 + M1 * minS/S_a)), per-aggregate budget rows, and
+// capacity rows in utilization units. O_l is modeled as 1 + o_l with
+// o_l >= 0; only links whose fixed load already exceeds capacity yield a
+// negative rhs (and hence a phase-1 artificial). It returns the o_l
+// variables beside the problem.
+//
+// No maps and no sorting: variables are numbered aggregate by aggregate,
+// path by path, so a link's terms, appended as the variables are created,
+// are sorted by variable by construction. A link on both p and p0 gets
+// +vol then -vol, exactly zero, and drops out — it is the last term
+// appended, so it is popped — but the link stays active: its row is
+// emitted even when every coefficient cancels.
+func (pm *pathModel) build(withOmax bool) (*lp.Problem, []int) {
+	prob := lp.NewProblem()
+	// One arena for every link's terms, each slice sized to the most the
+	// link can receive plus its overload variable; a link that receives
+	// none is inactive and gets no row.
+	touches := make([]int, len(pm.caps))
+	size := len(touches)
+	for _, i := range pm.multi {
+		ps := pm.pathSets[i]
+		for _, p := range ps[1:] {
+			for _, lid := range p.Links {
+				touches[lid]++
+			}
+			for _, lid := range ps[0].Links {
+				touches[lid]++
+			}
+			size += len(p.Links) + len(ps[0].Links)
 		}
 	}
-	terms = append(terms, lp.Term{Var: overloadVar, Coeff: -1})
-	return terms
+	arena := make([]lp.Term, size)
+	linkTerms := make([][]lp.Term, len(touches))
+	for lid, n := range touches {
+		linkTerms[lid], arena = arena[:0:n+1], arena[n+1:]
+	}
+	for _, i := range pm.multi {
+		a := pm.m.Aggregates[i]
+		tieBreak := 1 + tinyM1*pm.minS/pm.sps[i].Delay
+		ps := pm.pathSets[i]
+		pm.varBase[i] = prob.NumVars() - 1
+		rowTerms := make([]lp.Term, 0, len(ps)-1)
+		for _, p := range ps[1:] {
+			coeff := float64(a.Flows) * a.EffectiveWeight() * (p.Delay - ps[0].Delay) * tieBreak / pm.norm
+			if coeff < 0 {
+				coeff = 0 // paths are delay-sorted; guard rounding
+			}
+			v := prob.AddVar(0, 1, coeff)
+			rowTerms = append(rowTerms, lp.Term{Var: v, Coeff: 1})
+			if a.Volume == 0 {
+				continue // touches its links, so their rows stay, but adds no term
+			}
+			for _, lid := range p.Links {
+				linkTerms[lid] = append(linkTerms[lid], lp.Term{Var: v, Coeff: a.Volume / pm.caps[lid]})
+			}
+			for _, lid := range ps[0].Links {
+				if t := linkTerms[lid]; len(t) > 0 && t[len(t)-1].Var == v {
+					linkTerms[lid] = t[:len(t)-1]
+				} else {
+					linkTerms[lid] = append(t, lp.Term{Var: v, Coeff: -a.Volume / pm.caps[lid]})
+				}
+			}
+		}
+		// Moved fractions cannot exceed the whole aggregate.
+		prob.AddConstraint(lp.LE, 1, rowTerms...)
+	}
+
+	var ols []int
+	switch pm.kind {
+	case kindLatency:
+		oMax := -1
+		if withOmax {
+			oMax = prob.AddVar(0, math.Inf(1), bigM2)
+		}
+		for lid, terms := range linkTerms {
+			if touches[lid] == 0 {
+				continue
+			}
+			ol := prob.AddVar(0, math.Inf(1), bigM3)
+			ols = append(ols, ol)
+			prob.AddConstraint(lp.LE, 1-pm.fixed[lid]/pm.caps[lid], append(terms, lp.Term{Var: ol, Coeff: -1})...)
+			if withOmax {
+				prob.AddConstraint(lp.LE, 0, lp.Term{Var: ol, Coeff: 1}, lp.Term{Var: oMax, Coeff: -1})
+			}
+		}
+	case kindMinMax:
+		u := prob.AddVar(0, math.Inf(1), bigM2)
+		for lid, terms := range linkTerms {
+			if touches[lid] > 0 {
+				prob.AddConstraint(lp.LE, -pm.fixed[lid]/pm.caps[lid], append(terms, lp.Term{Var: u, Coeff: -1})...)
+			}
+		}
+	}
+	return prob, ols
 }
 
 type solveStatusError struct{ status string }

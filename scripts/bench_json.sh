@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Runs the CI benchmark subset (the landscape sweep, the dynamics
-# timelines, and the predictive-vs-exact place pair that tracks the fast
-# path's speedup claim) once each and converts the `go test -bench`
-# output into a flat JSON object mapping benchmark name -> ns/op,
+# Runs the CI benchmark subset (the landscape sweep and the
+# predictive-vs-exact place pair that tracks the fast path's speedup claim
+# once each, the ladder rungs at fixed iteration counts) and converts the
+# `go test -bench` output into a flat JSON object mapping benchmark name -> ns/op,
 # written to $1 (default BENCH_ci.json). CI archives the file on every
 # push so the repository accumulates a perf trajectory; `make bench`
 # produces the same file locally, and each PR checks in a snapshot as
@@ -17,7 +17,7 @@ trap 'rm -f "$tmp"' EXIT
 # must fail the job. PredictivePlace/ExactPlace are matched by their full
 # suffixes so AblationB4Place (a different, much heavier family) stays
 # out of this subset.
-go test -run NONE -bench 'Landscape|Dynamics|PredictivePlace|ExactPlace' -benchtime 1x ./... > "$tmp"
+go test -run NONE -bench 'Landscape|PredictivePlace|ExactPlace' -benchtime 1x ./... > "$tmp"
 
 # The histogram/windowed record hot paths are nanoseconds, so
 # -benchtime 1x would measure clock noise; give them real iterations in
@@ -40,6 +40,16 @@ go test -run NONE -bench 'GenerateMatrix' -benchtime 20x ./internal/tmgen >> "$t
 # A cycle is milliseconds and its cost depends on the measurement set, so
 # 24 iterations — four passes over the six sets — never 1x.
 go test -run NONE -bench 'ControlCycle' -benchtime 24x ./internal/core >> "$tmp"
+
+# The re-optimisation rungs: one epoch of a reopt_loop failure timeline
+# (fresh runner, so cold path caches, per iteration of two six-epoch
+# timelines; ns/op is per epoch) on each of that workload's nets, and the
+# assembly alone of one overloaded epoch's path LP. An epoch is tens of
+# milliseconds, so 20 iterations (240 epochs); an assembly is tens of
+# microseconds, so 2000. These replace the single-sample
+# BenchmarkDynamicsTimeline row; allocs/op is in the log above the JSON.
+go test -run NONE -bench 'DynamicsEpoch' -benchtime 20x ./internal/dynamics >> "$tmp"
+go test -run NONE -bench 'PathLPBuild' -benchtime 2000x ./internal/routing >> "$tmp"
 
 # The serving rungs: one /v1/place through the whole handler (httptest
 # recorder, no socket) answered by the mounted cache tier's LRU
