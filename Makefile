@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet staticcheck analyze shellcheck govulncheck build short bench race sweep-smoke serve-smoke cluster-smoke predict-gate clean
+.PHONY: ci vet staticcheck analyze shellcheck govulncheck build short bench race cli-smoke sweep-smoke serve-smoke cluster-smoke predict-gate clean
 
-ci: vet staticcheck analyze shellcheck build short predict-gate bench
+ci: vet staticcheck analyze shellcheck build short cli-smoke predict-gate bench
 
 vet:
 	$(GO) vet ./...
@@ -64,6 +64,12 @@ bench:
 
 race:
 	$(GO) test -race -timeout 75m ./...
+
+# CLI smoke test: build lowlat once and run topo -> llpd -> tm -> sim on
+# the real binary, checking each exit code, plus exit 2 for a bad flag
+# and a non-positive count. Leaves nothing behind.
+cli-smoke:
+	sh ./scripts/cli_smoke.sh
 
 # Resumability smoke test: run a small sweep into a local store, run it
 # again (every cell must be reused), and export the result slice. The

@@ -1,16 +1,13 @@
 package lowlat
 
 // Benchmarks for the modules beyond the paper's figures: the fluid
-// simulator, the closed control loop, topology file I/O, the wire
-// protocol, and the MPLS-TE vs B4 greedy-order ablation.
+// simulator, the closed control loop, topology file I/O, and the MPLS-TE
+// vs B4 greedy-order ablation.
 
 import (
 	"bytes"
-	"net"
 	"testing"
 
-	"lowlat/internal/ctrlplane"
-	"lowlat/internal/geo"
 	"lowlat/internal/graph"
 	"lowlat/internal/routing"
 	"lowlat/internal/sim"
@@ -32,21 +29,6 @@ func gridSpecsForBench(b *testing.B, g *graphGraph) (*tmgen.Result, []sim.Aggreg
 		b.Fatal(err)
 	}
 	return res, sim.SpecsFromMatrix(res.Matrix, 1)
-}
-
-func diamondForBench(b *testing.B) *graph.Graph {
-	b.Helper()
-	bd := graph.NewBuilder("bench-diamond")
-	a := bd.AddNode("a", geo.Point{})
-	u := bd.AddNode("u", geo.Point{})
-	v := bd.AddNode("v", geo.Point{})
-	z := bd.AddNode("z", geo.Point{})
-	bd.AddBiLink(a, u, 10e9, 0.001)
-	bd.AddBiLink(u, z, 10e9, 0.001)
-	bd.AddBiLink(a, v, 10e9, 0.002)
-	bd.AddBiLink(v, z, 10e9, 0.002)
-	bd.AddBiLink(a, z, 10e9, 0.0015)
-	return bd.MustBuild()
 }
 
 type graphGraph struct{ g *graph.Graph }
@@ -137,59 +119,6 @@ func BenchmarkTopoIOReadRepetita(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := topoio.ReadRepetita(bytes.NewReader(data), topoio.RepetitaOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCtrlplaneReportRoundTrip measures one report -> optimize ->
-// install cycle over loopback TCP with a single-aggregate router.
-func BenchmarkCtrlplaneReportRoundTrip(b *testing.B) {
-	g := diamondForBench(b)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := ctrlplane.NewServer(g, ctrlplane.ServerConfig{Logf: func(string, ...interface{}) {}})
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	agent, err := ctrlplane.Dial(ln.Addr().String(), "a", []ctrlplane.AggregateKey{{Src: "a", Dst: "z"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer agent.Close()
-	series := trace.AggregateSeries(1, 600, 5e9, 0.2, 0.9)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := agent.Report([][]float64{series}, []int{5000}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := agent.WaitInstall(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireFrame measures raw protocol encode/decode for a
-// minute-of-measurements report.
-func BenchmarkWireFrame(b *testing.B) {
-	rep := &ctrlplane.Report{Node: "a", Round: 1}
-	rep.Aggregates = append(rep.Aggregates, ctrlplane.AggregateReport{
-		Key:       ctrlplane.AggregateKey{Src: "a", Dst: "z"},
-		Flows:     1000,
-		SeriesBps: trace.AggregateSeries(1, 600, 5e9, 0.2, 0.9),
-	})
-	env := &ctrlplane.Envelope{Type: ctrlplane.MsgReport, Report: rep}
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := ctrlplane.WriteFrame(&buf, env); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ctrlplane.ReadFrame(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,17 @@
-// Command lowlat is the reproduction's command-line interface: inspect the
-// synthetic topology zoo, run routing schemes on generated traffic, replay
-// dynamic failure/churn workloads, and regenerate the paper's figures.
+// Command lowlat is the reproduction's command-line interface: inspect and
+// convert topologies, score them with APA/LLPD, generate traffic matrices,
+// run routing schemes on generated traffic, simulate the closed control
+// loop, replay dynamic failure/churn workloads, and regenerate the paper's
+// figures.
 //
 // Usage:
 //
 //	lowlat zoo                           list zoo networks with LLPD
 //	lowlat topo -net gts-like            print one topology (text format)
+//	lowlat topo -file net.graphml -to repetita -o net.graph
+//	lowlat llpd -net gts-like -cdf       APA quartiles, LLPD and APA CDF
+//	lowlat tm -net gts-like -count 5     gravity-model traffic matrices
+//	lowlat sim -net gts-like -minutes 10 closed-loop control cycle (Figure 11)
 //	lowlat route -net gts-like -scheme ldr [-headroom 0.1] [-tms 3]
 //	lowlat dynamics -net gts-like -scheme ldr -failures random -churn diurnal
 //	lowlat exp -name fig3 [-tms 3] [-max-networks 20]
@@ -18,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,6 +33,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,16 +44,20 @@ import (
 	"lowlat/internal/dynamics"
 	"lowlat/internal/engine"
 	"lowlat/internal/experiments"
+	"lowlat/internal/graph"
 	"lowlat/internal/metrics"
 	"lowlat/internal/obs"
 	"lowlat/internal/predict"
 	"lowlat/internal/routing"
 	"lowlat/internal/serve"
+	"lowlat/internal/sim"
+	"lowlat/internal/stats"
 	"lowlat/internal/store"
 	"lowlat/internal/sweep"
 	"lowlat/internal/tm"
 	"lowlat/internal/tmgen"
 	"lowlat/internal/topo"
+	"lowlat/internal/topoio"
 	"lowlat/internal/trace"
 )
 
@@ -68,6 +80,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = cmdZoo(args[1:], stdout, stderr)
 	case "topo":
 		err = cmdTopo(args[1:], stdout, stderr)
+	case "llpd":
+		err = cmdLLPD(args[1:], stdout, stderr)
+	case "tm":
+		err = cmdTM(args[1:], stdout, stderr)
+	case "sim":
+		err = cmdSim(args[1:], stdout, stderr)
 	case "route":
 		err = cmdRoute(args[1:], stdout, stderr)
 	case "dynamics":
@@ -125,6 +143,63 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 	return fs
 }
 
+// count is an int flag that must be at least 1. The flag package reports
+// a smaller value as a malformed flag, so it exits 2 like any other usage
+// error instead of panicking or being silently replaced by a default.
+type count int
+
+func (c *count) String() string { return strconv.Itoa(int(*c)) }
+
+func (c *count) Set(s string) error {
+	v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return errors.New("parse error")
+	}
+	if v < 1 {
+		return errors.New("must be at least 1")
+	}
+	*c = count(v)
+	return nil
+}
+
+// countFlag registers a count flag on fs and returns its value.
+func countFlag(fs *flag.FlagSet, name string, value int, usage string) *int {
+	p := &value
+	fs.Var((*count)(p), name, usage)
+	return p
+}
+
+// isSet reports whether the flag name was given on the command line.
+func isSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			set = true
+		}
+	})
+	return set
+}
+
+// loadGraph returns the topology a command's -net and -file flags select:
+// the file (GraphML, REPETITA or native, sniffed from its content) when
+// file is non-empty, else the zoo network net. A -net set explicitly
+// beside -file is an error; a defaulted one yields to the file.
+func loadGraph(fs *flag.FlagSet, net, file string) (*graph.Graph, error) {
+	switch {
+	case file != "" && isSet(fs, "net"):
+		return nil, errors.New("use -net or -file, not both")
+	case file != "":
+		return topoio.ReadFile(file, topoio.ReadOptions{})
+	case net == "":
+		return nil, errors.New("one of -net or -file is required")
+	}
+	e, ok := topo.ByName(net)
+	if !ok {
+		return nil, fmt.Errorf("unknown network %q", net)
+	}
+	return e.Build(), nil
+}
+
 // parseFlags wraps fs.Parse, tagging real parse errors as usage errors.
 func parseFlags(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
@@ -139,7 +214,20 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   lowlat zoo                                  list networks with size and LLPD
-  lowlat topo -net <name>                     print a topology in text format
+  lowlat topo [-net <name> | -file <path>]    print or convert a topology
+         flags: -to native|graphml|repetita (default native) -o <file>
+  lowlat llpd -net <name> | -file <path>      score a topology: LLPD and APA
+         flags: -stretch <f> (default 1.4) -apa <f> (default 0.7)
+                -cdf (print the APA CDF, the Figure 1 curve)
+  lowlat tm -net <name> | -file <path>        generate gravity-model matrices
+         flags: -count <n> -seed <n> -locality <f> (0 = pure gravity)
+                -load <f> -out <dir> (write <dir>/<net>-tm<N>.txt)
+  lowlat sim [-net <name> | -file <path>]     closed-loop control cycle: each
+         minute the controller re-optimizes from the last minute's
+         measurements and the fluid simulator plays the next minute
+         flags: -controller ldr|latopt|sp|b4|minmax|minmax-k10|mplste
+                -minutes <n> -seed <n> -load <f> -locality <f>
+                -buffer <sec> (0 = unbounded) -drift <f>
   lowlat route -net <name> -scheme <s>        route generated traffic
          schemes: sp, b4, mplste, minmax, minmax-k10, ldr
          flags: -headroom <f> -tms <n> -seed <n> -load <f> -locality <f>
@@ -215,23 +303,185 @@ func cmdZoo(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// cmdTopo prints one topology, or converts it between the on-disk
+// formats: the library's native text, Internet Topology Zoo GraphML and
+// REPETITA.
 func cmdTopo(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("topo", stderr)
-	name := fs.String("net", "gts-like", "network name")
+	name := fs.String("net", "gts-like", "zoo network name")
+	file := fs.String("file", "", "topology file (graphml, repetita, or native) instead of -net")
+	to := fs.String("to", "native", "output format: native, graphml, repetita")
+	out := fs.String("o", "", "output file (default stdout)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	e, ok := topo.ByName(*name)
-	if !ok {
-		return fmt.Errorf("unknown network %q", *name)
+	g, err := loadGraph(fs, *name, *file)
+	if err != nil {
+		return err
 	}
-	_, err := stdout.Write(topo.Marshal(e.Build()))
-	return err
+	var buf bytes.Buffer
+	switch *to {
+	case "native":
+		buf.Write(topo.Marshal(g))
+	case "graphml":
+		err = topoio.WriteGraphML(&buf, g)
+	case "repetita":
+		err = topoio.WriteRepetita(&buf, g)
+	default:
+		err = fmt.Errorf("unknown format %q", *to)
+	}
+	if err != nil {
+		return err
+	}
+	if *out == "" {
+		_, err = stdout.Write(buf.Bytes())
+		return err
+	}
+	if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %s (%s, %d nodes, %d links)\n", *out, *to, g.NumNodes(), g.NumLinks())
+	return nil
 }
 
-// parseScheme resolves a -scheme flag value.
-func parseScheme(name string, headroom float64) (routing.Scheme, error) {
-	return routing.ByName(name, headroom)
+// cmdLLPD scores a topology with the paper's §2 metrics: per-pair
+// alternate path availability (APA) and the network-level LLPD.
+func cmdLLPD(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("llpd", stderr)
+	name := fs.String("net", "", "zoo network name")
+	file := fs.String("file", "", "topology file (graphml, repetita, or native)")
+	stretch := fs.Float64("stretch", 1.4, "path stretch limit for APA viability")
+	thresh := fs.Float64("apa", 0.7, "APA threshold defining LLPD")
+	cdf := fs.Bool("cdf", false, "print the full APA CDF (Figure 1 curve)")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	g, err := loadGraph(fs, *name, *file)
+	if err != nil {
+		return err
+	}
+	cfg := metrics.APAConfig{StretchLimit: *stretch, APAThreshold: *thresh}
+	fmt.Fprintf(stdout, "%s: %d nodes, %d links, diameter %.1f ms\n",
+		g.Name(), g.NumNodes(), g.NumLinks(), g.Diameter()*1e3)
+	fmt.Fprintf(stdout, "LLPD = %.3f (stretch limit %.2f, APA threshold %.2f)\n",
+		metrics.LLPD(g, cfg), cfg.StretchLimit, cfg.APAThreshold)
+	dist := metrics.APADistribution(g, cfg)
+	if len(dist) == 0 {
+		return nil
+	}
+	c := stats.NewCDF(dist)
+	fmt.Fprintf(stdout, "APA quartiles: p25 %.3f  median %.3f  p75 %.3f  mean %.3f\n",
+		c.Quantile(0.25), c.Quantile(0.5), c.Quantile(0.75), c.Mean())
+	if *cdf {
+		fmt.Fprintln(stdout, "\napa cumulative-fraction")
+		for _, pt := range c.Points(21) {
+			fmt.Fprintf(stdout, "%.3f %.4f\n", pt.X, pt.Y)
+		}
+	}
+	return nil
+}
+
+// cmdTM generates gravity-model traffic matrices for a topology, mirroring
+// the authors' tm-gen tool [20]: Zipf PoP masses, the paper's locality
+// parameter, and scaling to a target min-cut load. Matrices go to stdout
+// (separated by blank lines) or, with -out, to <dir>/<net>-tm<N>.txt.
+func cmdTM(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("tm", stderr)
+	name := fs.String("net", "", "zoo network name (see `lowlat zoo`)")
+	file := fs.String("file", "", "topology file (graphml, repetita, or native)")
+	n := countFlag(fs, "count", 1, "number of independent matrices")
+	seed := fs.Int64("seed", 1, "base random seed")
+	locality := fs.Float64("locality", 1, "locality parameter ℓ (0 = pure gravity)")
+	load := fs.Float64("load", 1/1.3, "target MinMax peak utilization")
+	outDir := fs.String("out", "", "write matrices to this directory instead of stdout")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	g, err := loadGraph(fs, *name, *file)
+	if err != nil {
+		return err
+	}
+	cfg := tmgen.Config{Locality: *locality, NoLocality: *locality == 0, TargetMaxUtil: *load}
+	for i := 0; i < *n; i++ {
+		cfg.Seed = *seed + int64(i)
+		res, err := tmgen.Generate(g, cfg)
+		if err != nil {
+			return fmt.Errorf("matrix %d: %w", i, err)
+		}
+		data := tm.Marshal(g, res.Matrix)
+		if *outDir == "" {
+			fmt.Fprintf(stdout, "# matrix %d: scale %.4g, minmax peak util %.3f\n%s\n",
+				i, res.ScaleFactor, res.MinMaxUtil, data)
+			continue
+		}
+		path := filepath.Join(*outDir, fmt.Sprintf("%s-tm%d.txt", g.Name(), i))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d aggregates, peak util %.3f)\n", path, res.Matrix.Len(), res.MinMaxUtil)
+	}
+	return nil
+}
+
+// cmdSim runs the closed-loop control cycle of Figure 11: every simulated
+// minute the controller re-optimizes from the previous minute's
+// measurements, and the installed placement carries the next (drifted,
+// bursty) minute through the fluid simulator. Controller "ldr" is the
+// paper's core.Controller; every other name is a fixed routing scheme.
+func cmdSim(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("sim", stderr)
+	name := fs.String("net", "gts-like", "zoo network name")
+	file := fs.String("file", "", "topology file instead of -net")
+	minutes := countFlag(fs, "minutes", 10, "simulated minutes")
+	seed := fs.Int64("seed", 1, "random seed")
+	load := fs.Float64("load", 0.55, "target MinMax peak utilization for the base traffic")
+	locality := fs.Float64("locality", 1, "traffic locality ℓ")
+	controller := fs.String("controller", "ldr", "ldr, latopt, sp, b4, minmax, minmax-k10, mplste")
+	buffer := fs.Float64("buffer", 0, "link buffer in seconds of capacity (0 = unbounded)")
+	drift := fs.Float64("drift", 0.025, "per-minute relative mean drift")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	g, err := loadGraph(fs, *name, *file)
+	if err != nil {
+		return err
+	}
+	cfg := sim.ClosedLoopConfig{
+		Minutes:        *minutes,
+		Seed:           *seed,
+		BufferSec:      *buffer,
+		DriftPerMinute: *drift,
+	}
+	if *controller != "ldr" { // nil Scheme: the controller, at the paper's defaults
+		if cfg.Scheme, err = routing.ByName(*controller, 0); err != nil {
+			return err
+		}
+	}
+	res, err := tmgen.Generate(g, tmgen.Config{
+		Seed: *seed, TargetMaxUtil: *load, Locality: *locality, NoLocality: *locality == 0,
+	})
+	if err != nil {
+		return err
+	}
+	specs := sim.SpecsFromMatrix(res.Matrix, *seed)
+
+	fmt.Fprintf(stdout, "%s: %d nodes, %d links, %d aggregates, controller %s\n\n",
+		g.Name(), g.NumNodes(), g.NumLinks(), len(specs), *controller)
+	out, err := sim.RunClosedLoop(g, specs, cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%6s %12s %12s %10s %10s %6s %6s\n",
+		"minute", "max-queue", "congested", "stretch", "dropped", "mux", "unres")
+	for _, ms := range out.Minutes {
+		fmt.Fprintf(stdout, "%6d %10.2fms %12.3f %10.4f %9.3f%% %6d %6d\n",
+			ms.Minute, ms.MaxQueueSec*1e3, ms.CongestedFraction,
+			ms.LatencyStretch, ms.DropFraction*100, ms.MuxRounds, ms.Unresolved)
+	}
+	fmt.Fprintf(stdout, "\nworst queue %.2f ms, %d/%d minutes over the %.0f ms budget, mean stretch %.4f\n",
+		out.WorstQueueSec*1e3, out.QueueViolations, len(out.Minutes),
+		out.QueueBoundSec*1e3, out.MeanStretch)
+	return nil
 }
 
 func cmdRoute(args []string, stdout, stderr io.Writer) error {
@@ -239,7 +489,7 @@ func cmdRoute(args []string, stdout, stderr io.Writer) error {
 	name := fs.String("net", "gts-like", "network name")
 	schemeName := fs.String("scheme", "ldr", "sp | b4 | mplste | minmax | minmax-k10 | ldr")
 	headroom := fs.Float64("headroom", 0, "reserved link fraction (b4/ldr)")
-	tms := fs.Int("tms", 3, "traffic matrices to evaluate")
+	tms := countFlag(fs, "tms", 3, "traffic matrices to evaluate")
 	seed := fs.Int64("seed", 1, "random seed")
 	load := fs.Float64("load", 1/1.3, "target min-cut utilization")
 	locality := fs.Float64("locality", 1, "traffic locality parameter")
@@ -251,13 +501,11 @@ func cmdRoute(args []string, stdout, stderr io.Writer) error {
 	ctx, cancel := runContext(*timeout)
 	defer cancel()
 
-	e, ok := topo.ByName(*name)
-	if !ok {
-		return fmt.Errorf("unknown network %q", *name)
+	g, err := loadGraph(fs, *name, "")
+	if err != nil {
+		return err
 	}
-	g := e.Build()
-
-	scheme, err := parseScheme(*schemeName, *headroom)
+	scheme, err := routing.ByName(*schemeName, *headroom)
 	if err != nil {
 		return err
 	}
@@ -372,13 +620,7 @@ func cmdDynamics(args []string, stdout, stderr io.Writer) error {
 	// The diurnal default only suits the time-series failure models; an
 	// enumerating sweep runs at fixed demand unless churn was explicitly
 	// chosen (in which case dynamics.Config rejects the combination).
-	churnSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "churn" {
-			churnSet = true
-		}
-	})
-	if !churnSet {
+	if !isSet(fs, "churn") {
 		switch *failures {
 		case "single", "double", "node":
 			*churn = string(dynamics.ChurnNone)
@@ -387,12 +629,11 @@ func cmdDynamics(args []string, stdout, stderr io.Writer) error {
 	ctx, cancel := runContext(*timeout)
 	defer cancel()
 
-	e, ok := topo.ByName(*name)
-	if !ok {
-		return fmt.Errorf("unknown network %q", *name)
+	g, err := loadGraph(fs, *name, "")
+	if err != nil {
+		return err
 	}
-	g := e.Build()
-	scheme, err := parseScheme(*schemeName, *headroom)
+	scheme, err := routing.ByName(*schemeName, *headroom)
 	if err != nil {
 		return err
 	}
@@ -468,7 +709,7 @@ func runContext(timeout time.Duration) (context.Context, context.CancelFunc) {
 func cmdExp(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("exp", stderr)
 	name := fs.String("name", "", "experiment name (fig1..fig20, fig_dynamics) or 'all'")
-	tms := fs.Int("tms", 3, "traffic matrices per topology")
+	tms := countFlag(fs, "tms", 3, "traffic matrices per topology")
 	seed := fs.Int64("seed", 1, "random seed")
 	maxNetworks := fs.Int("max-networks", 0, "cap on zoo networks (0 = all)")
 	maxNodes := fs.Int("max-nodes", 0, "skip networks above this size (0 = none)")

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,6 +39,153 @@ func TestRunUsageExitCodes(t *testing.T) {
 	}
 	if code := run([]string{"dynamics", "-h"}, &out, &errOut); code != 0 {
 		t.Fatalf("-h: exit %d, want 0", code)
+	}
+}
+
+// TestLegacyGoldens pins the topo, llpd, tm and sim subcommands to the
+// stdout of the standalone topo-convert, llpd, tm-gen and ldr-sim binaries
+// they replace: each golden under testdata/legacy was captured from the
+// retired binary with the same flags, and must be reproduced byte for byte.
+func TestLegacyGoldens(t *testing.T) {
+	const dir = "testdata/legacy"
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		// native is topo's default format: `topo -net X` keeps printing
+		// the bytes it printed before -to existed.
+		{"topo_native", []string{"topo", "-net", "gts-like"}},
+		{"topo_graphml", []string{"topo", "-net", "gts-like", "-to", "graphml"}},
+		{"topo_repetita", []string{"topo", "-net", "gts-like", "-to", "repetita"}},
+		{"llpd_cdf", []string{"llpd", "-net", "gts-like", "-cdf"}},
+		// The graph name comes from the file's base name, so this reads the
+		// GraphML golden in place, as the legacy capture did.
+		{"llpd_file", []string{"llpd", "-file", dir + "/topo_graphml.golden"}},
+		{"tm_star6", []string{"tm", "-net", "star-6", "-count", "2"}},
+		{"sim_star6_ldr", []string{"sim", "-net", "star-6", "-minutes", "2", "-controller", "ldr"}},
+		{"sim_star6_sp", []string{"sim", "-net", "star-6", "-minutes", "2", "-controller", "sp"}},
+		{"sim_grid4x4_sp", []string{"sim", "-net", "grid-4x4", "-controller", "sp", "-minutes", "2"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join(dir, tc.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out, errOut bytes.Buffer
+			if code := run(tc.args, &out, &errOut); code != 0 {
+				t.Fatalf("%v: exit %d (stderr %q)", tc.args, code, errOut.String())
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("%v: stdout differs from %s.golden\ngot:\n%s\nwant:\n%s", tc.args, tc.golden, out.Bytes(), want)
+			}
+		})
+	}
+}
+
+// TestTopoOutputFile pins -o: the converted topology lands in the file,
+// and stdout carries only the confirmation line.
+func TestTopoOutputFile(t *testing.T) {
+	dest := filepath.Join(t.TempDir(), "gts.graph")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"topo", "-net", "gts-like", "-to", "repetita", "-o", dest}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d (stderr %q)", code, errOut.String())
+	}
+	if want := "wrote " + dest + " (repetita, 30 nodes, 104 links)\n"; out.String() != want {
+		t.Fatalf("stdout %q, want %q", out.String(), want)
+	}
+	got, err := os.ReadFile(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/legacy/topo_repetita.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("-o file differs from the repetita golden")
+	}
+}
+
+// TestMovedCommandExitCodes pins the exit contract the retired binaries
+// had, now on their subcommands: bad flag 2, -h 0, and 1 for an unknown
+// network, controller or format, a -net set beside -file, or no topology.
+// One subtest per retired binary, named after it.
+func TestMovedCommandExitCodes(t *testing.T) {
+	type exitCase struct {
+		args []string
+		code int
+	}
+	for _, tc := range []struct {
+		binary string
+		cases  []exitCase
+	}{
+		{"topo-convert", []exitCase{
+			{[]string{"topo", "-no-such-flag"}, 2},
+			{[]string{"topo", "-h"}, 0},
+			{[]string{"topo", "-net", "star-6", "-to", "yaml"}, 1},
+			{[]string{"topo", "-net", "x", "-file", "y"}, 1},
+			{[]string{"topo", "-file", "no-such-file.graphml"}, 1},
+		}},
+		{"llpd", []exitCase{
+			{[]string{"llpd", "-no-such-flag"}, 2},
+			{[]string{"llpd", "-h"}, 0},
+			{[]string{"llpd", "-net", "no-such-net"}, 1},
+			{[]string{"llpd", "-net", "x", "-file", "y"}, 1},
+			{[]string{"llpd"}, 1},
+		}},
+		{"tm-gen", []exitCase{
+			{[]string{"tm", "-no-such-flag"}, 2},
+			{[]string{"tm", "-h"}, 0},
+			{[]string{"tm", "-net", "no-such-net"}, 1},
+			{[]string{"tm", "-net", "x", "-file", "y"}, 1},
+			{[]string{"tm"}, 1},
+		}},
+		{"ldr-sim", []exitCase{
+			{[]string{"sim", "-no-such-flag"}, 2},
+			{[]string{"sim", "-h"}, 0},
+			{[]string{"sim", "-net", "no-such-net"}, 1},
+			{[]string{"sim", "-net", "star-6", "-controller", "warp"}, 1},
+			{[]string{"sim", "-net", "x", "-file", "y"}, 1},
+		}},
+	} {
+		t.Run(tc.binary, func(t *testing.T) {
+			for _, c := range tc.cases {
+				var out, errOut bytes.Buffer
+				if code := run(c.args, &out, &errOut); code != c.code {
+					t.Errorf("%v: exit %d, want %d (stderr %q)", c.args, code, c.code, errOut.String())
+				}
+				if c.code == 1 && !strings.Contains(errOut.String(), "lowlat:") {
+					t.Errorf("%v: error must be reported on stderr, got %q", c.args, errOut.String())
+				}
+			}
+		})
+	}
+}
+
+// TestNonPositiveCountsAreUsageErrors: a count flag below 1 is rejected
+// at parse time (exit 2, reason on stderr). Before, route -tms -1
+// panicked, tm -count 0 printed nothing and exited 0, and sim -minutes 0
+// ran the 10-minute default.
+func TestNonPositiveCountsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"route", "-tms", "-1"},
+		{"route", "-tms", "0"},
+		{"exp", "-name", "fig3", "-tms", "0"},
+		{"tm", "-net", "star-6", "-count", "0"},
+		{"tm", "-net", "star-6", "-count", "-3"},
+		{"sim", "-net", "star-6", "-minutes", "0"},
+		{"sim", "-net", "star-6", "-minutes", "-2"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "must be at least 1") {
+			t.Errorf("%v: stderr %q lacks the reason", args, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q on stdout", args, out.String())
+		}
 	}
 }
 

@@ -7,9 +7,8 @@
 // gravity-model traffic generation (§3), the routing schemes of the
 // landscape study (SP, B4, MPLS-TE, MinMax, MinMax-K, latency-optimal LP
 // with the §4 headroom dial), the LDR controller (§5, Figures 11-14), a
-// fluid placement simulator with a closed-loop control-cycle driver, a
-// TCP control plane connecting ingress-router agents to the controller,
-// the parallel scenario engine that fans experiment sweeps out across
+// fluid placement simulator with a closed-loop control-cycle driver, the
+// parallel scenario engine that fans experiment sweeps out across
 // the CPUs (RunScenarios), the dynamic-workload layer that replays
 // failure and demand-churn timelines with per-epoch re-optimization
 // (RunDynamics), and the persistence layer: a content-addressed,
@@ -69,8 +68,6 @@
 //     trace generator behind §4
 //   - internal/sim — fluid simulation of placements under live traffic,
 //     plus the minute-by-minute closed-loop driver
-//   - internal/ctrlplane — the §5 architecture over TCP: measurement
-//     reports in, path installations out
 //   - internal/engine — the bounded-parallel scenario runner every
 //     experiment sweep fans out through, with deterministic collection
 //   - internal/dynamics — failure models (single/double link, node,

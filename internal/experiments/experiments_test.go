@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -367,6 +371,11 @@ func TestFig20GrowthHelpsLDR(t *testing.T) {
 	}
 }
 
+// digestsFile pins every registered figure's output on the registry
+// slice by SHA-256. A change that moves a digest moved a figure: say
+// which one and why, and rewrite the file with UPDATE_GOLDEN=1.
+const digestsFile = "testdata/digests.json"
+
 func TestRegistryRunsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -376,30 +385,86 @@ func TestRegistryRunsEverything(t *testing.T) {
 		t.Fatalf("experiments = %v", names)
 	}
 	var buf bytes.Buffer
-	// This test's claim is registry dispatch — every name runs and renders
-	// a table — not the figures' numbers, which the per-figure tests above
-	// pin on the full testSubset. Running all 14 drivers again on that
-	// subset was the package's single biggest time sink and pushed the
-	// suite against go test's 10-minute default timeout on the 1-CPU CI
-	// box, so this test runs a minimal class-spanning slice instead.
+	// The per-figure tests above assert each figure's claims on the full
+	// testSubset; running all 14 drivers again on that subset was the
+	// package's single biggest time sink and pushed the suite against go
+	// test's 10-minute default timeout on the 1-CPU CI box, so this test
+	// runs a minimal class-spanning slice and pins its output by digest.
 	registrySubset := map[string]bool{
 		"star-12": true, "grid-4x4": true, "gts-like": true, "intercont-2x10-3": true,
 	}
 	cfg := testConfig()
 	cfg.TMsPerTopology = 1
 	cfg.NetworkFilter = func(n Network) bool { return registrySubset[n.Name] }
+	got := make(map[string]string, len(names))
 	for _, name := range names {
 		buf.Reset()
 		if err := Run(name, cfg, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !strings.Contains(buf.String(), "Figure") {
-			t.Fatalf("%s output missing table header: %q", name, buf.String()[:80])
+		out := buf.String()
+		if name == "fig15" {
+			out = fig15Stable(out)
 		}
+		sum := sha256.Sum256([]byte(out))
+		got[name] = hex.EncodeToString(sum[:])
 	}
 	if err := Run("nope", cfg, &buf); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
+
+	if os.Getenv("UPDATE_GOLDEN") == "1" {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestsFile, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(digestsFile)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", digestsFile, err)
+	}
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s moved: digest %s, %s records %q", name, got[name], digestsFile, want[name])
+		}
+	}
+	if len(want) != len(names) {
+		t.Errorf("%s records %d figures, the registry has %d", digestsFile, len(want), len(names))
+	}
+}
+
+// fig15Stable projects fig15's rendered table onto the part that is not
+// wall-clock time: the title, the header and the network column. Every
+// data cell and the notes are timings, and the column padding follows
+// their widths, so whitespace runs collapse and the rule line is dropped.
+func fig15Stable(out string) string {
+	var sb strings.Builder
+	rows := false
+	for i, line := range strings.Split(out, "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case i < 2:
+			sb.WriteString(strings.Join(fields, " "))
+		case strings.HasPrefix(line, "---"):
+			rows = true
+			continue
+		case !rows || len(fields) == 0 || fields[0] == "note:":
+			rows = false
+			continue
+		default:
+			sb.WriteString(fields[0])
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 func TestTableWriter(t *testing.T) {
