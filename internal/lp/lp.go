@@ -131,7 +131,8 @@ type Solution struct {
 
 // Solve runs the two-phase simplex and returns the solution. An error is
 // returned only for malformed problems (invalid bounds, bad variable
-// indices) or if the iteration safety limit is hit; infeasibility and
+// indices, a NaN or infinite objective or constraint coefficient or rhs)
+// or if the iteration safety limit is hit; infeasibility and
 // unboundedness are reported via Solution.Status.
 func (p *Problem) Solve() (*Solution, error) { return p.SolveIn(new(Workspace)) }
 
@@ -152,7 +153,10 @@ func (p *Problem) SolveIn(ws *Workspace) (*Solution, error) {
 var testHookSolve func(*Problem)
 
 func (p *Problem) validate() error {
-	for j := range p.obj {
+	for j, c := range p.obj {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("lp: variable %d has non-finite objective coefficient %v", j, c)
+		}
 		if math.IsInf(p.lo[j], 0) || math.IsNaN(p.lo[j]) {
 			return fmt.Errorf("lp: variable %d has non-finite lower bound %v", j, p.lo[j])
 		}

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -187,6 +188,16 @@ func TestValidation(t *testing.T) {
 	p4.AddConstraint(LE, math.NaN(), Term{v, 1})
 	if _, err := p4.Solve(); err == nil {
 		t.Fatal("expected error for NaN rhs")
+	}
+
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p5 := NewProblem()
+		v := p5.AddVar(0, 1, 1)
+		p5.AddVar(0, 1, c)
+		p5.AddConstraint(LE, 1, Term{v, 1})
+		if _, err := p5.Solve(); err == nil || !strings.Contains(err.Error(), "objective") {
+			t.Fatalf("objective coefficient %v: err = %v, want a non-finite objective error", c, err)
+		}
 	}
 }
 

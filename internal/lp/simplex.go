@@ -312,18 +312,21 @@ func (s *simplex) iterate(maxIter int) (Status, error) {
 	return Optimal, ErrIterationLimit
 }
 
+// chooseEntering returns the nonbasic column with the most negative
+// reduced cost below -epsCost (Dantzig's rule), or with bland the first
+// such column; -1 when none is. The reduced-cost test comes first: it
+// rejects almost every column, so the eligibility lookups run only for
+// improving ones. Written negated, it also rejects a NaN reduced cost.
 func (s *simplex) chooseEntering(bland bool) int {
 	best, bestVal := -1, -epsCost
-	for j := 0; j < s.n; j++ {
-		if s.rowOf[j] >= 0 || s.banned[j] || s.u[j] == 0 {
+	for j, rc := range s.zrow[:s.n] {
+		if !(rc < bestVal) || s.rowOf[j] >= 0 || s.banned[j] || s.u[j] == 0 {
 			continue
 		}
-		if rc := s.zrow[j]; rc < bestVal {
-			if bland {
-				return j
-			}
-			best, bestVal = j, rc
+		if bland {
+			return j
 		}
+		best, bestVal = j, rc
 	}
 	return best
 }

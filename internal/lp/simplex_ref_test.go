@@ -268,3 +268,134 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// refChooseEntering is the pricing scan chooseEntering replaced, kept as
+// the reference: eligibility first, then the reduced cost. The two must
+// pick the same column at every iteration, so every pivot is unchanged.
+func refChooseEntering(s *simplex, bland bool) int {
+	best, bestVal := -1, -epsCost
+	for j := 0; j < s.n; j++ {
+		if s.rowOf[j] >= 0 || s.banned[j] || s.u[j] == 0 {
+			continue
+		}
+		if rc := s.zrow[j]; rc < bestVal {
+			if bland {
+				return j
+			}
+			best, bestVal = j, rc
+		}
+	}
+	return best
+}
+
+// sameEntering compares both scans, Dantzig's and Bland's, on s.
+func sameEntering(s *simplex) error {
+	for _, bland := range []bool{false, true} {
+		if got, want := s.chooseEntering(bland), refChooseEntering(s, bland); got != want {
+			return fmt.Errorf("bland=%v: chooseEntering picked column %d, the reference %d", bland, got, want)
+		}
+	}
+	return nil
+}
+
+// solveComparingScans is solve with iterate's loop spelled out so that
+// sameEntering runs before every pricing decision of both phases. It
+// returns the first disagreement, or the solve's outcome.
+func solveComparingScans(s *simplex, p *Problem) (*Solution, error) {
+	maxIter := 2000 + 200*(s.m+s.n)
+	blandAfter := 500 + 20*(s.m+s.n)
+	iterate := func() (Status, error) {
+		for iter := 0; iter < maxIter; iter++ {
+			if err := sameEntering(s); err != nil {
+				return Optimal, fmt.Errorf("iteration %d: %w", iter, err)
+			}
+			e := s.chooseEntering(iter > blandAfter)
+			if e < 0 {
+				return Optimal, nil
+			}
+			limitRow, limitKind := s.ratioTest(e)
+			switch limitKind {
+			case limitNone:
+				return Unbounded, nil
+			case limitSelf:
+				s.flipColumn(e)
+			case limitLower:
+				s.pivot(limitRow, e)
+			case limitUpper:
+				s.flipBasic(limitRow)
+				s.pivot(limitRow, e)
+			}
+		}
+		return Optimal, ErrIterationLimit
+	}
+	if s.artStart < s.n {
+		for j := s.artStart; j < s.n; j++ {
+			s.cost[j] = 1
+		}
+		s.resetZrow()
+		if _, err := iterate(); err != nil {
+			return nil, err
+		}
+		if s.phase1Objective() > epsFeas {
+			return &Solution{Status: Infeasible, Iterations: s.pivots}, nil
+		}
+		s.retireArtificials()
+	}
+	clear(s.cost[copy(s.cost, p.obj):])
+	s.resetZrow()
+	status, err := iterate()
+	if err != nil {
+		return nil, err
+	}
+	if status == Unbounded {
+		return &Solution{Status: Unbounded, Iterations: s.pivots}, nil
+	}
+	return &Solution{Status: Optimal, Iterations: s.pivots}, nil
+}
+
+// TestPricingMatchesReference runs the seeded LPs of
+// TestTableauMatchesReference and, before every pivot of both phases,
+// asks both pricing scans for their column with and without Bland's rule.
+// The stepwise solve must also end where Solve does, pivot for pivot, so
+// the fence covers the iterations the real solver runs.
+func TestPricingMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var ws Workspace
+	for trial := 0; trial < 800; trial++ {
+		p := randomLP(rng)
+		got, err := solveComparingScans(newSimplex(p, &ws), p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := p.Solve()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got.Status != want.Status || got.Iterations != want.Iterations {
+			t.Fatalf("trial %d: stepwise solve %v after %d pivots, Solve %v after %d",
+				trial, got.Status, got.Iterations, want.Status, want.Iterations)
+		}
+	}
+
+	// A NaN reduced cost is never chosen, by either scan, ahead of or
+	// behind an improving column.
+	p := NewProblem()
+	for j := 0; j < 4; j++ {
+		p.AddVar(0, 1, 0)
+	}
+	p.AddConstraint(LE, 1, Term{0, 1}, Term{1, 1}, Term{2, 1}, Term{3, 1})
+	s := newSimplex(p, &ws)
+	for _, zrow := range [][]float64{
+		{math.NaN(), -1, math.NaN(), -2, 0},
+		{-3, math.NaN(), -1, math.NaN(), 0},
+		{math.NaN(), math.NaN(), math.NaN(), math.NaN(), 0},
+	} {
+		copy(s.zrow, zrow)
+		if err := sameEntering(s); err != nil {
+			t.Fatalf("zrow %v: %v", zrow, err)
+		}
+		if e := s.chooseEntering(false); e >= 0 && math.IsNaN(s.zrow[e]) {
+			t.Fatalf("zrow %v: chose NaN column %d", zrow, e)
+		}
+	}
+}

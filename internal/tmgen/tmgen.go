@@ -5,9 +5,12 @@
 // transportation LP), and scaled so that the MinMax-optimal peak link
 // utilization hits a target (the paper's "min-cut load").
 //
-// Calibration is a handful of MinMax solves of the same matrix at
-// different scales, so every path it needs depends on the topology alone.
-// Generate therefore runs all of them on one routing.PathCache — the
+// Calibration starts at the scale that puts the shortest-path peak
+// utilization on the target, then runs MinMax solves of the same matrix
+// at corrected scales until the MinMax peak lands within 1 % of it: one
+// solve where MinMax cannot beat shortest paths, two on nearly every
+// other matrix, never more than five. Every path it needs depends on the
+// topology alone, so Generate runs all of it on one routing.PathCache — the
 // caller's (Config.Cache: the same cache the placement solves of that
 // network use, so a matrix and the schemes placed on it enumerate each
 // pair's shortest paths once between them) or a private one made for the
@@ -81,6 +84,9 @@ type Result struct {
 	// MinMaxUtil is the MinMax-optimal peak utilization of the final
 	// matrix (should equal TargetMaxUtil up to solver tolerance).
 	MinMaxUtil float64
+	// Solves is the number of MinMax solves the calibration ran,
+	// the final measuring one included (at most 5).
+	Solves int
 }
 
 // Generate produces one traffic matrix for g.
@@ -146,17 +152,34 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	unit := tm.New(aggs)
 
 	// Scale so the MinMax-optimal peak utilization equals the target.
-	// The optimum is exactly linear in scale, but the iterative MinMax
-	// solver's termination point is not perfectly scale-invariant, so we
-	// calibrate to a fixed point of the solver actually used everywhere
-	// else in the reproduction.
-	scale := 1.0
+	// The optimum is linear in scale, so one correction from a measured
+	// peak lands on the target, provided the solve can see the matrix.
+	// The unit-total matrix cannot be seen: its capacity-row coefficients
+	// (volume/capacity, about 1e-11) sit below the simplex's pivot
+	// tolerance, so MinMax moves no traffic and returns the shortest-path
+	// peak, a solve spent on the number SP placement gives directly. So
+	// the first scale puts the shortest-path peak on the target. The loop
+	// still accepts only a MinMax peak within 1 % of the target, measured
+	// at the final scale: MinMax's stopping point is not exactly linear
+	// in scale, and the shipped matrix is calibrated to the solver used
+	// everywhere else in the reproduction.
+	sp, err := (routing.SP{Cache: cache}).Place(g, unit)
+	if err != nil {
+		return nil, err
+	}
+	spPeak := sp.MaxUtilization()
+	if spPeak <= 0 {
+		return nil, fmt.Errorf("tmgen: degenerate matrix for %q", g.Name())
+	}
+	scale := cfg.TargetMaxUtil / spPeak
 	measured := 0.0
-	for round := 0; round < 5; round++ {
+	solves := 0
+	for solves < 5 {
 		_, mmStats, err := (routing.MinMax{Cache: cache}).PlaceWithStats(g, unit.Scale(scale))
 		if err != nil {
 			return nil, err
 		}
+		solves++
 		if mmStats.MaxOverload <= 0 {
 			return nil, fmt.Errorf("tmgen: degenerate matrix for %q", g.Name())
 		}
@@ -181,6 +204,7 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 		Matrix:      tm.New(final),
 		ScaleFactor: scale,
 		MinMaxUtil:  measured,
+		Solves:      solves,
 	}, nil
 }
 
@@ -211,8 +235,14 @@ func applyLocality(g *graph.Graph, base [][]float64, locality float64) ([][]floa
 	dist := make([][]float64, n)
 	for i := range dist {
 		dist[i] = make([]float64, n)
-		dists, _ := g.ShortestPathTree(graph.NodeID(i), nil, nil)
+		dists, via := g.ShortestPathTree(graph.NodeID(i), nil, nil)
 		for j := range dist[i] {
+			if j != i && via[j] < 0 {
+				// Unreachable: the distance is a sentinel, not a
+				// cost the LP could weigh an aggregate by.
+				return nil, fmt.Errorf("tmgen: %s has no path from %s to %s",
+					g.Name(), g.Node(graph.NodeID(i)).Name, g.Node(graph.NodeID(j)).Name)
+			}
 			dist[i][j] = dists[j]
 		}
 	}

@@ -2,6 +2,7 @@ package tmgen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"lowlat/internal/graph"
@@ -241,4 +242,50 @@ func TestGenerateTooSmall(t *testing.T) {
 	if _, err := Generate(b.MustBuild(), Config{}); err == nil {
 		t.Fatal("expected error for single-node graph")
 	}
+}
+
+// TestGenerateDisconnected: a pair with no path has no distance for the
+// locality LP to weigh it by, so Generate names the pair instead of
+// handing the LP an unreachable-distance sentinel as a cost.
+func TestGenerateDisconnected(t *testing.T) {
+	b := graph.NewBuilder("split")
+	a := b.AddNode("a", struct{ Lat, Lon float64 }{})
+	bb := b.AddNode("b", struct{ Lat, Lon float64 }{})
+	c := b.AddNode("c", struct{ Lat, Lon float64 }{})
+	d := b.AddNode("d", struct{ Lat, Lon float64 }{})
+	b.AddBiLink(a, bb, topo.Cap10G, 0.001)
+	b.AddBiLink(c, d, topo.Cap10G, 0.001)
+	_, err := Generate(b.MustBuild(), Config{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "tmgen: split has no path from a to c") {
+		t.Fatalf("err = %v, want the first unreachable pair named", err)
+	}
+}
+
+// TestCalibrationSolves: starting from the shortest-path peak, the
+// calibration reaches its target within two MinMax solves — one at the
+// shortest-path scale, and one at the corrected scale where MinMax beats
+// shortest paths — on every net, seed and target here.
+func TestCalibrationSolves(t *testing.T) {
+	seen := map[int]int{}
+	for _, name := range []string{"ring-16", "wheel-16", "tree-2x4", "star-12", "grid-4x4"} {
+		e, ok := topo.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing from the zoo", name)
+		}
+		g := e.Build()
+		cache := routing.NewPathCache(g)
+		for seed := int64(0); seed < 20; seed++ {
+			for _, target := range []float64{0.6, 1 / 1.3, 0.9} {
+				res, err := Generate(g, Config{Seed: seed, TargetMaxUtil: target, Cache: cache})
+				if err != nil {
+					t.Fatalf("%s seed %d target %v: %v", name, seed, target, err)
+				}
+				if res.Solves < 1 || res.Solves > 2 {
+					t.Errorf("%s seed %d target %v: %d MinMax solves, want 1 or 2", name, seed, target, res.Solves)
+				}
+				seen[res.Solves]++
+			}
+		}
+	}
+	t.Logf("MinMax solves per matrix: %v", seen)
 }

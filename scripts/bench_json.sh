@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Runs the CI benchmark subset (the landscape sweep and the
+# Runs the CI benchmark subset (the landscape sweep once, the
 # predictive-vs-exact place pair that tracks the fast path's speedup claim
-# once each, the ladder rungs at fixed iteration counts) and converts the
+# and the ladder rungs at fixed iteration counts) and converts the
 # `go test -bench` output into a flat JSON object mapping benchmark name -> ns/op,
 # written to $1 (default BENCH_ci.json). CI archives the file on every
 # push so the repository accumulates a perf trajectory; `make bench`
@@ -14,10 +14,15 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 # No pipe into tee: POSIX sh has no pipefail, and the bench exit status
-# must fail the job. PredictivePlace/ExactPlace are matched by their full
-# suffixes so AblationB4Place (a different, much heavier family) stays
-# out of this subset.
-go test -run NONE -bench 'Landscape|PredictivePlace|ExactPlace' -benchtime 1x ./... > "$tmp"
+# must fail the job. An iteration is a whole landscape sweep, so one.
+go test -run NONE -bench 'Landscape' -benchtime 1x ./... > "$tmp"
+
+# The place pair: ExactPlace is a whole miss (matrix calibration and a
+# solve, under a millisecond), PredictivePlace an interpolation (about a
+# microsecond), so fixed iteration counts that leave one sample's noise
+# behind, never 1x; allocs/op is in the log above the JSON.
+go test -run NONE -bench 'ExactPlace' -benchmem -benchtime 300x ./internal/backend >> "$tmp"
+go test -run NONE -bench 'PredictivePlace' -benchmem -benchtime 20000x ./internal/backend >> "$tmp"
 
 # The histogram/windowed record hot paths are nanoseconds, so
 # -benchtime 1x would measure clock noise; give them real iterations in
