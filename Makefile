@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet staticcheck analyze shellcheck govulncheck build short bench race cli-smoke sweep-smoke serve-smoke cluster-smoke predict-gate clean
+.PHONY: ci vet staticcheck analyze shellcheck govulncheck build short bench race cli-smoke sweep-smoke serve-smoke cluster-smoke predict-gate examples-smoke clean
 
-ci: vet staticcheck analyze shellcheck build short cli-smoke predict-gate bench
+ci: vet staticcheck analyze shellcheck build short cli-smoke serve-smoke cluster-smoke predict-gate examples-smoke bench
 
 vet:
 	$(GO) vet ./...
@@ -106,6 +106,12 @@ predict-gate:
 CLUSTER_STORE ?= .clusterstore
 cluster-smoke:
 	sh ./scripts/cluster_smoke.sh $(CLUSTER_STORE)
+
+# Examples smoke test: build every examples/* program — the root
+# facade's only callers — and run each in a scratch directory, failing
+# on a non-zero exit or empty stdout. Leaves nothing behind.
+examples-smoke:
+	sh ./scripts/examples_smoke.sh
 
 clean:
 	rm -f BENCH_ci.json

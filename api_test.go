@@ -8,12 +8,19 @@ import (
 	"testing"
 
 	"lowlat"
+	"lowlat/internal/engine"
+	"lowlat/internal/experiments"
+	"lowlat/internal/mux"
+	"lowlat/internal/topo"
 )
 
 // These tests exercise the package's public facade the way a downstream
 // importer would: build or pick a topology, score it, generate traffic,
-// route it with each scheme, and run the LDR controller — without touching
-// any internal import path.
+// route it with each scheme, and run the LDR controller. The facade keeps
+// only what the examples and README name; where a test needs more (the
+// experiment registry, the multiplexing checks, topology serialization)
+// it calls the owning internal package, which tests inside the module may
+// import.
 
 func TestFacadeTopologyConstruction(t *testing.T) {
 	b := lowlat.NewBuilder("tiny")
@@ -37,7 +44,7 @@ func TestFacadeZooAndMetrics(t *testing.T) {
 	if n := len(lowlat.Zoo()); n != 116 {
 		t.Fatalf("zoo size = %d, want 116", n)
 	}
-	e, ok := lowlat.NetworkByName("gts-like")
+	e, ok := topo.ByName("gts-like")
 	if !ok {
 		t.Fatal("gts-like must resolve")
 	}
@@ -163,8 +170,8 @@ func TestFacadeGrowAndSerialize(t *testing.T) {
 	if grown.NumLinks() <= g.NumLinks() {
 		t.Fatal("grown topology must have more links")
 	}
-	data := lowlat.MarshalTopology(grown)
-	back, err := lowlat.UnmarshalTopology(data)
+	data := topo.Marshal(grown)
+	back, err := topo.Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,19 +181,19 @@ func TestFacadeGrowAndSerialize(t *testing.T) {
 }
 
 func TestFacadeExperimentRegistry(t *testing.T) {
-	names := lowlat.Experiments()
+	names := experiments.Names()
 	if len(names) == 0 {
 		t.Fatal("no experiments registered")
 	}
 	var buf bytes.Buffer
-	cfg := lowlat.ExperimentConfig{
+	cfg := experiments.Config{
 		TMsPerTopology: 1,
 		Seed:           1,
-		NetworkFilter: func(n lowlat.ExperimentNetwork) bool {
+		NetworkFilter: func(n experiments.Network) bool {
 			return n.Name == "grid-4x4" || n.Name == "ring-16"
 		},
 	}
-	if err := lowlat.RunExperiment("fig1", cfg, &buf); err != nil {
+	if err := experiments.Run("fig1", cfg, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "fig1") && buf.Len() == 0 {
@@ -196,11 +203,11 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 
 func TestFacadeMuxChecks(t *testing.T) {
 	steady := [][]float64{{1e9, 1e9, 1e9, 1e9}, {2e9, 2e9, 2e9, 2e9}}
-	v := lowlat.CheckLinkMultiplexing(steady, 10e9, lowlat.MuxCheckConfig{})
+	v := mux.CheckLink(steady, 10e9, mux.CheckConfig{})
 	if !v.Pass {
 		t.Fatalf("steady light load must pass: %+v", v)
 	}
-	if d := lowlat.MaxQueueDelay(steady, 1e9, 0.1); d <= 0 {
+	if d := mux.MaxQueueDelay(steady, 1e9, 0.1); d <= 0 {
 		t.Fatalf("overloaded link must queue, got %v", d)
 	}
 }
@@ -240,7 +247,7 @@ func TestFacadeScenarioEngine(t *testing.T) {
 	}
 
 	// A runner reused across submissions keeps its solver cache warm.
-	r := lowlat.NewScenarioRunner(4)
+	r := engine.NewRunner(4)
 	if _, err := r.Run(context.Background(), scenarios[:2]); err != nil {
 		t.Fatal(err)
 	}

@@ -42,10 +42,6 @@ type PlacementBackend = backend.Backend
 // lives.
 type CellSpec = store.CellSpec
 
-// BackendStats is a backend's counter/gauge snapshot; cluster backends
-// nest per-replica snapshots under Replicas.
-type BackendStats = backend.Stats
-
 // LocalBackendOptions tunes a LocalBackend (engine width, admission
 // bound, invocation hook).
 type LocalBackendOptions = backend.LocalOptions
@@ -65,10 +61,6 @@ type RemoteBackend = serve.Remote
 // context-less calls).
 type RemoteBackendOptions = serve.RemoteOptions
 
-// RetryBackoff is the bounded exponential backoff policy RemoteBackend
-// retries 429s with (seeded jitter, context-aware).
-type RetryBackoff = serve.Backoff
-
 // ClusterBackend fronts N backends with consistent hashing on the
 // content key: deterministic key→replica routing, per-replica health
 // marks with rerouting to the ring successor, fan-out + merge queries.
@@ -83,11 +75,6 @@ type ClusterBackend = cluster.Backend
 // handoff queue bound HandoffLimit, and the background heal cadence
 // AntiEntropyInterval).
 type ClusterOptions = cluster.Options
-
-// ClusterHealReport summarizes one anti-entropy sweep
-// (ClusterBackend.Heal): replicas answering the key exchange, keys
-// compared, cells copied, hints drained, copies failed.
-type ClusterHealReport = cluster.HealReport
 
 // CachedBackend is the client-side cache tier: a bounded LRU plus
 // request coalescing stacked in front of any backend, so a fleet of
@@ -122,23 +109,13 @@ type SurfaceIndex = predict.Index
 // solver".
 type SurfaceIndexOptions = predict.Options
 
-// SurfaceCoord is one query or sample point in operating-point space:
-// the headroom dial, the calibrated load target, and the traffic
-// locality.
-type SurfaceCoord = predict.Coord
-
-// SurfaceEstimate is one prediction with its support (neighbor count,
-// nearest-sample distance, roughness gauge, exact-hit marker).
-type SurfaceEstimate = predict.Estimate
-
 // NewLocalBackend builds the compute-capable backend over an open result
 // store.
 func NewLocalBackend(st *ResultStore, opts LocalBackendOptions) *LocalBackend {
 	return backend.NewLocal(st, opts)
 }
 
-// NewStoreBackend builds the read-only backend over an open result store
-// (typically one opened with OpenResultStoreReadOnly).
+// NewStoreBackend builds the read-only backend over an open result store.
 func NewStoreBackend(st *ResultStore) *StoreBackend { return backend.NewStore(st) }
 
 // NewRemoteBackend builds a backend talking to the daemon at baseURL
@@ -170,12 +147,6 @@ func NewPredictiveBackend(inner PlacementBackend, opts PredictiveBackendOptions)
 // NewSurfaceIndex builds an empty interpolation index, for sharing one
 // trained model across several PredictiveBackends.
 func NewSurfaceIndex(opts SurfaceIndexOptions) *SurfaceIndex { return predict.NewIndex(opts) }
-
-// NewBackendQueryServer builds an HTTP query server over any placement
-// backend — how a lowlatd fronts a ClusterBackend of other lowlatds.
-func NewBackendQueryServer(b PlacementBackend, opts ServeOptions) *QueryServer {
-	return serve.NewBackendServer(b, opts)
-}
 
 // ServeBackend mounts a backend at addr and serves until ctx is
 // cancelled, then drains in-flight requests and returns. notify, when

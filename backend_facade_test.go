@@ -41,7 +41,7 @@ func TestBackendFacade(t *testing.T) {
 		bound := make(chan net.Addr, 1)
 		served := make(chan error, 1)
 		go func() {
-			served <- ServeBackend(ctx, b, "127.0.0.1:0", ServeOptions{Workers: 1}, func(a net.Addr) { bound <- a })
+			served <- ServeBackend(ctx, b, "127.0.0.1:0", ServeOptions{}, func(a net.Addr) { bound <- a })
 		}()
 		t.Cleanup(func() {
 			select {
@@ -112,7 +112,7 @@ func TestBackendFacade(t *testing.T) {
 
 // TestReplicatedFacade drives the replication facade: a ClusterBackend
 // at Replicas:2 writes a placed cell to both of its key's ring owners,
-// Heal returns a converged ClusterHealReport, and a CachedBackend over
+// Heal returns a converged report, and a CachedBackend over
 // the cluster serves the repeat lookup from its client-side tier.
 func TestReplicatedFacade(t *testing.T) {
 	if testing.Short() {
@@ -150,8 +150,8 @@ func TestReplicatedFacade(t *testing.T) {
 		t.Fatalf("stats = %+v, want replica_factor 2 with 1 replicated copy", stats)
 	}
 
-	var rep ClusterHealReport
-	if rep, err = cb.Heal(context.Background()); err != nil {
+	rep, err := cb.Heal(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Replicas != 2 || rep.Failed != 0 {

@@ -8,6 +8,8 @@ import (
 	"context"
 	"testing"
 
+	"lowlat/internal/dynamics"
+	"lowlat/internal/engine"
 	"lowlat/internal/routing"
 	"lowlat/internal/tmgen"
 	"lowlat/internal/topo"
@@ -22,10 +24,10 @@ func BenchmarkDynamicsSingleFailureSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DynamicsConfig{Seed: 1, Failures: FailSingle}
+	cfg := dynamics.Config{Seed: 1, Failures: dynamics.FailSingle}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunDynamics(context.Background(), 0, g, res.Matrix, routing.SP{}, cfg); err != nil {
+		if _, err := dynamics.Run(context.Background(), engine.NewRunner(0), g, res.Matrix, routing.SP{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,6 +65,10 @@
 // layers, so a front's /v1/events interleaves replica down/up, hint and
 // heal transitions with its own SLO and health changes.
 //
+// A flag that does nothing in the chosen mode exits 2: -workers,
+// -max-inflight or -readonly with -cluster; -replicas or -anti-entropy
+// with -store; -predict-refine without -predict or with -readonly.
+//
 // SIGINT/SIGTERM shut the daemon down gracefully, draining in-flight
 // requests.
 package main
@@ -138,6 +142,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lowlatd: -store is required (or -cluster to front other daemons)")
 		return 1
 	}
+	// A flag that does nothing in the chosen mode is a usage error, not a
+	// silent no-op.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	mode, inert := "-store", []string{"replicas", "anti-entropy"}
+	if *clusterSpec != "" {
+		mode, inert = "-cluster", []string{"workers", "max-inflight", "readonly"}
+	}
+	for _, name := range inert {
+		if set[name] {
+			fmt.Fprintf(stderr, "lowlatd: -%s has no effect with %s\n", name, mode)
+			return 2
+		}
+	}
+	if *predictRefine && !*predictFlag {
+		fmt.Fprintln(stderr, "lowlatd: -predict-refine needs -predict")
+		return 2
+	}
+	if *predictRefine && *readonly {
+		fmt.Fprintln(stderr, "lowlatd: -predict-refine cannot persist into a -readonly store")
+		return 2
+	}
 
 	var logger *slog.Logger
 	switch *logFormat {
@@ -162,20 +188,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// transitions and SLO/health changes interleave in /v1/events.
 	journal := obs.NewJournal(*journalSize)
 
-	opts := serve.Options{
-		Workers:       *workers,
-		MaxInflight:   *maxInflight,
-		CacheSize:     *cacheSize,
-		DrainTimeout:  *drain,
-		Predict:       *predictFlag,
-		PredictRefine: *predictRefine,
-		Logger:        logger,
-		SlowThreshold: *slowThreshold,
-		Objectives:    objectives,
-		SLOPageBurn:   *sloPage,
-		Journal:       journal,
-	}
-	var srv *serve.Server
+	// The backend stack is assembled here, in one place for both modes:
+	// a store or cluster backend, then optionally the predictive tier.
+	var b backend.Backend
 	var serving string
 	if *clusterSpec != "" {
 		// Cluster front: this daemon holds no store of its own — every
@@ -202,25 +217,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 					cs.Healed, cs.HealSweeps)
 			}
 		}()
-		var b backend.Backend = cb
-		predicting := ""
-		if *predictFlag {
-			// A predictive front: train from the whole cluster's cells (one
-			// fan-out query) and answer trained-region placements here,
-			// without a round trip to any replica.
-			pb := backend.NewPredictive(cb, backend.PredictiveOptions{Refine: *predictRefine})
-			results, err := cb.QueryContext(ctx, sweep.Filter{})
-			if err != nil {
-				fmt.Fprintf(stderr, "lowlatd: training fan-out: %v\n", err)
-				return 1
-			}
-			pb.Train(results)
-			defer pb.Close()
-			b = pb
-			surfaces, samples := pb.Index().Len()
-			predicting = fmt.Sprintf(", predicting over %d surfaces / %d samples", surfaces, samples)
-		}
-		srv = serve.NewBackendServer(b, opts)
+		b = cb
 		replication := ""
 		if cb.ReplicaFactor() > 1 {
 			replication = fmt.Sprintf(", R=%d", cb.ReplicaFactor())
@@ -228,7 +225,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				replication += fmt.Sprintf(", anti-entropy every %s", *antiEntropy)
 			}
 		}
-		serving = fmt.Sprintf("cluster of %d replicas (%s)%s%s", len(cb.Labels()), strings.Join(cb.Labels(), ", "), replication, predicting)
+		serving = fmt.Sprintf("cluster of %d replicas (%s)%s", len(cb.Labels()), strings.Join(cb.Labels(), ", "), replication)
 	} else {
 		var st *store.Store
 		var err error
@@ -245,21 +242,48 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if n := st.Skipped(); n > 0 {
 			fmt.Fprintf(stderr, "lowlatd: store %s: skipped %d corrupt line(s) from an interrupted run\n", *storeDir, n)
 		}
-		srv = serve.New(st, opts)
-		mode := "read-write"
+		access := "read-write"
 		if *readonly {
-			mode = "read-only"
+			b = backend.NewStore(st)
+			access = "read-only"
+		} else {
+			b = backend.NewLocal(st, backend.LocalOptions{Workers: *workers, MaxInflight: *maxInflight})
 		}
-		predicting := ""
-		if *predictFlag {
-			if pb, ok := srv.Backend().(*backend.Predictive); ok {
-				surfaces, samples := pb.Index().Len()
-				predicting = fmt.Sprintf(", predicting over %d surfaces / %d samples", surfaces, samples)
-			}
-		}
-		serving = fmt.Sprintf("store %s (%d cells, %d memo entries, %s)%s",
-			*storeDir, st.Len(), st.MemoLen(), mode, predicting)
+		serving = fmt.Sprintf("store %s (%d cells, %d memo entries, %s)",
+			*storeDir, st.Len(), st.MemoLen(), access)
 	}
+	if *predictFlag {
+		// A predictive tier: train from every cell the backend holds (one
+		// query; a cluster front fans it out to its replicas) and answer
+		// trained-region placements here, without a solve or a round trip
+		// to any replica.
+		var results []store.Result
+		if cq, ok := b.(backend.ContextQuerier); ok {
+			if results, err = cq.QueryContext(ctx, sweep.Filter{}); err != nil {
+				fmt.Fprintf(stderr, "lowlatd: training fan-out: %v\n", err)
+				return 1
+			}
+		} else {
+			results = b.Query(sweep.Filter{})
+		}
+		pb := backend.NewPredictive(b, backend.PredictiveOptions{Refine: *predictRefine})
+		pb.Train(results)
+		// Registered after the store and cluster cleanups, so the
+		// refinement worker stops before either closes.
+		defer pb.Close()
+		b = pb
+		surfaces, samples := pb.Index().Len()
+		serving += fmt.Sprintf(", predicting over %d surfaces / %d samples", surfaces, samples)
+	}
+	srv := serve.NewBackendServer(b, serve.Options{
+		CacheSize:     *cacheSize,
+		DrainTimeout:  *drain,
+		Logger:        logger,
+		SlowThreshold: *slowThreshold,
+		Objectives:    objectives,
+		SLOPageBurn:   *sloPage,
+		Journal:       journal,
+	})
 
 	if *debugAddr != "" {
 		// The debug listener is a second, separately-bindable surface so

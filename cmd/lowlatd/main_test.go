@@ -36,38 +36,44 @@ func (b *syncBuffer) String() string {
 }
 
 func TestExitCodes(t *testing.T) {
-	ctx := context.Background()
-	var out, errOut bytes.Buffer
-	if code := run(ctx, []string{"-no-such-flag"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad flag exit = %d, want 2", code)
-	}
-	if code := run(ctx, []string{"-h"}, &out, &errOut); code != 0 {
-		t.Fatalf("-h exit = %d, want 0", code)
-	}
-	errOut.Reset()
-	if code := run(ctx, nil, &out, &errOut); code != 1 {
-		t.Fatalf("missing -store exit = %d, want 1", code)
-	}
-	if !strings.Contains(errOut.String(), "-store is required") {
-		t.Fatalf("stderr = %q", errOut.String())
-	}
-	// A read-only mount of a store that does not exist must fail loudly
-	// instead of serving an empty directory.
-	errOut.Reset()
+	dir := t.TempDir()
 	missing := t.TempDir() + "/no-such-store"
-	if code := run(ctx, []string{"-store", missing, "-readonly"}, &out, &errOut); code != 1 {
-		t.Fatalf("missing read-only store exit = %d, want 1", code)
+	const replica = "http://127.0.0.1:1"
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string // a substring stderr must carry
+	}{
+		{"bad flag", []string{"-no-such-flag"}, 2, ""},
+		{"help", []string{"-h"}, 0, ""},
+		{"missing -store", nil, 1, "-store is required"},
+		// A read-only mount of a store that does not exist must fail
+		// loudly instead of serving an empty directory.
+		{"missing read-only store", []string{"-store", missing, "-readonly"}, 1, missing},
+		// A malformed objective is a usage error, caught before any
+		// listener.
+		{"bad -slo", []string{"-store", dir, "-slo", "p99 not-a-grammar"}, 2, "-slo"},
+		// A flag that does nothing in the chosen mode is a usage error,
+		// caught before any store opens or replica is dialled.
+		{"-workers with -cluster", []string{"-cluster", replica, "-workers", "2"}, 2, "-workers has no effect with -cluster"},
+		{"-max-inflight with -cluster", []string{"-cluster", replica, "-max-inflight", "8"}, 2, "-max-inflight has no effect with -cluster"},
+		{"-readonly with -cluster", []string{"-cluster", replica, "-readonly"}, 2, "-readonly has no effect with -cluster"},
+		{"-replicas with -store", []string{"-store", dir, "-replicas", "2"}, 2, "-replicas has no effect with -store"},
+		{"-anti-entropy with -store", []string{"-store", dir, "-anti-entropy", "1m"}, 2, "-anti-entropy has no effect with -store"},
+		{"-predict-refine without -predict", []string{"-store", dir, "-predict-refine"}, 2, "-predict-refine needs -predict"},
+		{"-predict-refine with -readonly", []string{"-store", dir, "-readonly", "-predict", "-predict-refine"}, 2, "-readonly"},
 	}
-	if !strings.Contains(errOut.String(), missing) {
-		t.Fatalf("stderr does not name the store: %q", errOut.String())
-	}
-	// A malformed objective is a usage error, caught before any listener.
-	errOut.Reset()
-	if code := run(ctx, []string{"-store", t.TempDir(), "-slo", "p99 not-a-grammar"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -slo exit = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-slo") {
-		t.Fatalf("stderr does not blame -slo: %q", errOut.String())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if code := run(context.Background(), tc.args, &out, &errOut); code != tc.code {
+				t.Fatalf("exit = %d, want %d; stderr=%q", code, tc.code, errOut.String())
+			}
+			if !strings.Contains(errOut.String(), tc.stderr) {
+				t.Fatalf("stderr = %q, want it to carry %q", errOut.String(), tc.stderr)
+			}
+		})
 	}
 }
 
@@ -303,59 +309,66 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// daemon is one run invocation serving in the background.
+type daemon struct {
+	base   string
+	out    *syncBuffer
+	cancel context.CancelFunc
+	exited chan int
+}
+
+// bootDaemon starts run with args and waits for addrRE to match its
+// stdout; the last submatch is the daemon's base URL.
+func bootDaemon(t *testing.T, addrRE *regexp.Regexp, args ...string) daemon {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	d := daemon{out: &syncBuffer{}, cancel: cancel, exited: make(chan int, 1)}
+	var errOut syncBuffer
+	go func() { d.exited <- run(ctx, args, d.out, &errOut) }()
+	deadline := time.After(30 * time.Second)
+	for d.base == "" {
+		if m := addrRE.FindStringSubmatch(d.out.String()); m != nil {
+			d.base = m[len(m)-1]
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("daemon never printed its address; stdout=%q stderr=%q", d.out.String(), errOut.String())
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	return d
+}
+
+// stopDaemon cancels d and requires a clean exit.
+func stopDaemon(t *testing.T, d daemon) {
+	t.Helper()
+	d.cancel()
+	select {
+	case code := <-d.exited:
+		if code != 0 {
+			t.Fatalf("daemon exit = %d, want 0; stdout=%q", code, d.out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
+}
+
+// boundRE matches a daemon's bound address in its serving banner; a
+// cluster front's banner names the replica URLs too.
+var boundRE = regexp.MustCompile(`on (http://[0-9.:]+)`)
+
 // TestReplicatedClusterFront boots two store daemons and a cluster front
 // with -replicas 2: a cell computed through the front must land on both
 // backends (their key digests converge), the banner must advertise R=2,
 // /v1/stats must mirror the replication counters, and shutdown must
 // print the replication summary.
 func TestReplicatedClusterFront(t *testing.T) {
-	type daemon struct {
-		base   string
-		out    *syncBuffer
-		cancel context.CancelFunc
-		exited chan int
-	}
-	boot := func(addrRE *regexp.Regexp, args ...string) daemon {
-		t.Helper()
-		ctx, cancel := context.WithCancel(context.Background())
-		d := daemon{out: &syncBuffer{}, cancel: cancel, exited: make(chan int, 1)}
-		var errOut syncBuffer
-		go func() { d.exited <- run(ctx, args, d.out, &errOut) }()
-		deadline := time.After(30 * time.Second)
-		for d.base == "" {
-			if m := addrRE.FindStringSubmatch(d.out.String()); m != nil {
-				d.base = m[len(m)-1]
-				break
-			}
-			select {
-			case <-deadline:
-				t.Fatalf("daemon never printed its address; stdout=%q stderr=%q", d.out.String(), errOut.String())
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-		return d
-	}
-	stop := func(d daemon) {
-		t.Helper()
-		d.cancel()
-		select {
-		case code := <-d.exited:
-			if code != 0 {
-				t.Fatalf("daemon exit = %d, want 0; stdout=%q", code, d.out.String())
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("daemon did not shut down")
-		}
-	}
-
-	a := boot(urlRE, "-store", t.TempDir(), "-addr", "127.0.0.1:0", "-workers", "1")
-	defer stop(a)
-	b := boot(urlRE, "-store", t.TempDir(), "-addr", "127.0.0.1:0", "-workers", "1")
-	defer stop(b)
-	// The front's banner names the replica URLs too, so match the bound
-	// address specifically.
-	boundRE := regexp.MustCompile(`on (http://[0-9.:]+)`)
-	front := boot(boundRE, "-cluster", a.base+","+b.base, "-replicas", "2", "-addr", "127.0.0.1:0")
+	a := bootDaemon(t, urlRE, "-store", t.TempDir(), "-addr", "127.0.0.1:0", "-workers", "1")
+	defer stopDaemon(t, a)
+	b := bootDaemon(t, urlRE, "-store", t.TempDir(), "-addr", "127.0.0.1:0", "-workers", "1")
+	defer stopDaemon(t, b)
+	front := bootDaemon(t, boundRE, "-cluster", a.base+","+b.base, "-replicas", "2", "-addr", "127.0.0.1:0")
 
 	if !strings.Contains(front.out.String(), "R=2") {
 		t.Fatalf("front banner does not advertise R=2: %q", front.out.String())
@@ -412,7 +425,7 @@ func TestReplicatedClusterFront(t *testing.T) {
 		t.Fatalf("front stats = %+v, want cluster R=2 with 1 replicated cell", stats)
 	}
 
-	stop(front)
+	stopDaemon(t, front)
 	if !strings.Contains(front.out.String(), "replication R=2: 1 replicated") {
 		t.Fatalf("front shutdown summary missing replication counters: %q", front.out.String())
 	}
@@ -507,6 +520,74 @@ func TestPredictDaemon(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestPredictClusterFront boots two swept store daemons and a predictive
+// R=2 cluster front over them — the deployment the cluster_mixed
+// benchmark runs. The front trains from one fan-out query across both
+// replicas, and a trained-region request for an unseen operating point
+// answers by interpolation at the front.
+func TestPredictClusterFront(t *testing.T) {
+	swept := func(load float64) string {
+		t.Helper()
+		dir := t.TempDir()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := sweep.Grid{Nets: []string{"star-6"}, Seeds: []int64{1, 2}, Schemes: []string{"sp"}, Load: load}
+		if _, err := sweep.Run(context.Background(), st, grid, sweep.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		return dir
+	}
+	a := bootDaemon(t, urlRE, "-store", swept(0.6), "-addr", "127.0.0.1:0", "-workers", "1")
+	defer stopDaemon(t, a)
+	b := bootDaemon(t, urlRE, "-store", swept(0.7), "-addr", "127.0.0.1:0", "-workers", "1")
+	defer stopDaemon(t, b)
+	front := bootDaemon(t, boundRE, "-cluster", a.base+","+b.base, "-replicas", "2", "-predict", "-addr", "127.0.0.1:0")
+	defer stopDaemon(t, front)
+
+	if !strings.Contains(front.out.String(), "predicting over 1 surfaces / 4 samples") {
+		t.Fatalf("front banner does not report the trained index: %q", front.out.String())
+	}
+
+	sresp, err := http.Get(front.base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Backend string `json:"backend"`
+	}
+	err = json.NewDecoder(sresp.Body).Decode(&stats)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Backend != "predictive+cluster" {
+		t.Fatalf("front stats backend = %q, want predictive+cluster", stats.Backend)
+	}
+
+	resp, err := http.Post(front.base+"/v1/place", "application/json",
+		strings.NewReader(`{"net":"star-6","seed":9,"scheme":"sp","load":0.65}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("place via front = %d: %s", resp.StatusCode, body)
+	}
+	var pr struct {
+		Source string `json:"source"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Source != "predicted" {
+		t.Fatalf("place via front source = %q, want predicted", pr.Source)
 	}
 }
 

@@ -2,53 +2,43 @@
 // impact on the design of intra-domain routing" (Gvozdiev, Vissicchio,
 // Karp, Handley — SIGCOMM 2018) as a self-contained Go library.
 //
-// The root package is the public facade: topology construction and the
-// synthetic zoo, GraphML/REPETITA file I/O, the APA/LLPD metrics (§2),
-// gravity-model traffic generation (§3), the routing schemes of the
-// landscape study (SP, B4, MPLS-TE, MinMax, MinMax-K, latency-optimal LP
-// with the §4 headroom dial), the LDR controller (§5, Figures 11-14), a
-// fluid placement simulator with a closed-loop control-cycle driver, the
-// parallel scenario engine that fans experiment sweeps out across
-// the CPUs (RunScenarios), the dynamic-workload layer that replays
-// failure and demand-churn timelines with per-epoch re-optimization
-// (RunDynamics), and the persistence layer: a content-addressed,
-// crash-tolerant scenario-result store (OpenResultStore) with a
-// resumable sweep orchestrator over it (RunSweep) that recomputes only
-// the cells a previous — possibly killed — run never finished, and
-// slices the accumulated results into CSV/JSON (ExportSweep); the
-// serving layer: an always-on HTTP query daemon over a result store
-// (Serve, cmd/lowlatd) with request coalescing, LRU caching, bounded
-// on-demand computation and a typed client (NewServeClient); and the
-// placement-backend layer: one access API (PlacementBackend — Lookup by
-// content key, Place by request spec, Query, Stats) with four
-// interchangeable implementations — in-process compute over a writable
-// store (NewLocalBackend), a read-only store mount (NewStoreBackend), a
-// remote daemon with client-side 429 backoff (NewRemoteBackend), a
-// consistent-hash sharded cluster of backends with health-marked
-// failover and optional R-owner replication — replicated writes,
-// read-repair, hinted handoff and anti-entropy healing
-// (NewClusterBackend, ClusterBackend.Heal) — and a client-side LRU +
-// request-coalescing cache tier stackable over any of them
-// (NewCachedBackend) — so sweeps, figure drivers, daemons and CLIs all
-// scale from one process to a replicated serving tier without changing
-// call sites (ServeBackend composes daemons over clusters);
-// and the predictive fast path: a landscape-interpolation layer
-// (NewSurfaceIndex) trained from stored results that answers Place
-// queries in microseconds by inverse-distance-weighted interpolation
-// over (headroom, load, locality), wrapped around any backend as
-// NewPredictiveBackend with confidence-bounded fallback to the exact
-// solver and optional background refinement; and the observability
-// plane threaded through all of the above: per-stage latency histograms
-// merged cluster-wide into /v1/stats (StageSnapshot), X-Request-ID
-// tracing from the HTTP edge to the owning replica (RequestIDHeader),
-// structured request logs, a slow-request ring (/v1/slow, SlowRequest),
-// a Prometheus-text /metrics endpoint and an opt-in pprof listener; and
-// the live health plane on top of it: rolling 1m/5m/1h latency windows
-// per stage, a declarative SLO/error-budget engine (ParseObjectives)
-// with multi-window burn-rate alerting on /v1/health (HealthReport), a
-// bounded journal of cluster state transitions served with a cursor on
-// /v1/events (ClusterEvent), and the /v1/watch SSE stream behind
-// `lowlat watch` (WatchSnapshot).
+// The root package is the documented library surface: what the programs
+// under examples/ and the README use, and nothing more.
+//
+//   - Topologies: NewBuilder, the Grid/Ring/Tree generators, the
+//     116-network synthetic zoo (Zoo) with GTS- and Cogent-like stand-ins,
+//     LLPD-guided growth (GrowTopology), and GraphML/REPETITA file I/O
+//     (ReadTopologyFile, WriteGraphML, WriteRepetita).
+//   - The §2 metrics: APADistribution and LLPD.
+//   - Traffic (§3, §4): gravity-model matrices calibrated to a load target
+//     (GenerateTraffic, GenerateTrafficSet, NewMatrix), synthetic backbone
+//     traces and aggregate series, and the Algorithm 1 predictor
+//     (Predictor, EvaluateTrace).
+//   - Routing: the paper's schemes (Schemes, NewShortestPath, NewB4,
+//     NewMinMax, NewMinMaxK, NewMPLSTE, NewLatencyOptimal with the §4
+//     headroom dial) and the LDR controller of §5 (NewController).
+//   - Running them: the parallel scenario engine (RunScenarios), whose
+//     output is byte-identical at every worker count, and the Figure 11
+//     closed loop (RunClosedLoop, RunClosedLoopBatch).
+//   - Persistence: the content-addressed, crash-tolerant result store
+//     (OpenResultStore) and the resumable sweep over it (ParseSweepGrid,
+//     RunSweep, ExportSweep), which recomputes only the cells an earlier,
+//     possibly killed, run never finished.
+//   - Serving: one placement-backend API (PlacementBackend) with its
+//     constructors — compute over a writable store (NewLocalBackend), a
+//     read-only mount (NewStoreBackend), a remote daemon
+//     (NewRemoteBackend), a consistent-hash cluster with optional
+//     replication (NewClusterBackend), a client-side cache tier
+//     (NewCachedBackend) and the predictive fast path over trained
+//     interpolation surfaces (NewPredictiveBackend, NewSurfaceIndex) —
+//     served over HTTP by Serve or ServeBackend and read back with the
+//     typed client (NewServeClient).
+//
+// Everything else — dynamic workloads, the experiment registry, the
+// multiplexing checks, the serving and cluster internals (replication,
+// healing, the health plane, observability) — is reached through the
+// lowlat and lowlatd binaries or, inside this module, the packages that
+// own it.
 //
 // The implementation lives under internal/:
 //
@@ -73,7 +63,7 @@
 //   - internal/dynamics — failure models (single/double link, node,
 //     seeded random walks), demand churn (diurnal, surges, trace-driven
 //     replay) and the per-epoch re-optimization timeline behind
-//     RunDynamics and the fig_dynamics experiment
+//     `lowlat dynamics` and the fig_dynamics experiment
 //   - internal/store — the append-only, sharded JSONL result store keyed
 //     by (graph fingerprint, matrix digest, scheme name, scheme config),
 //     with torn-tail recovery and compaction
@@ -116,8 +106,8 @@
 //     headroom drivers optionally checkpoint through a result backend
 //
 // The benchmarks in bench_test.go regenerate every results figure, and
-// bench_new_test.go covers the simulator, file I/O, wire protocol, and
-// greedy-scheme ablations; see README.md for the quickstart, package map
+// bench_new_test.go covers the simulator, file I/O and the greedy-scheme
+// ablations; see README.md for the quickstart, package map
 // and figure-regeneration instructions, docs/ARCHITECTURE.md for the
 // serving-system layer map and the life of a /v1/place request,
 // docs/OPERATIONS.md for daemon flags, /v1/stats counter semantics,

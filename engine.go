@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"lowlat/internal/engine"
-	"lowlat/internal/routing"
 	"lowlat/internal/sim"
 )
 
@@ -22,37 +21,8 @@ type Scenario = engine.Scenario
 // the submission index the results are sorted by.
 type ScenarioResult = engine.ScenarioResult
 
-// ScenarioRunner owns a worker pool and the solver cache its scenarios
-// share. Reuse one runner across submissions to keep path caches warm.
-type ScenarioRunner = engine.Runner
-
-// PathCache memoizes per-pair k-shortest-path enumerators for one graph,
-// safe for concurrent use. Sharing one across repeated optimizations on
-// the same topology is what makes LDR's warm-cache runtimes (Figure 15)
-// possible.
-type PathCache = routing.PathCache
-
-// SolverCache shares PathCaches across topologies, keyed by graph
-// fingerprint, so concurrent placements on the same network reuse each
-// other's shortest-path and KSP work.
-type SolverCache = routing.SolverCache
-
-// CacheableScheme is implemented by schemes whose path computations can be
-// shared through a PathCache (ShortestPath, LatencyOpt, MinMax).
-type CacheableScheme = routing.CacheableScheme
-
 // ClosedLoopJob is one independent closed-loop drive for RunClosedLoopBatch.
 type ClosedLoopJob = sim.ClosedLoopJob
-
-// NewScenarioRunner returns a runner with the given worker pool width
-// (<= 0 selects one worker per CPU) and a fresh solver cache.
-func NewScenarioRunner(workers int) *ScenarioRunner { return engine.NewRunner(workers) }
-
-// NewPathCache returns a shared k-shortest-paths cache for g.
-func NewPathCache(g *Graph) *PathCache { return routing.NewPathCache(g) }
-
-// NewSolverCache returns an empty multi-topology solver cache.
-func NewSolverCache() *SolverCache { return routing.NewSolverCache() }
 
 // RunScenarios places every scenario across a bounded worker pool (workers
 // <= 0 selects one per CPU) with one shared solver cache, and returns
@@ -66,6 +36,6 @@ func RunScenarios(ctx context.Context, workers int, scenarios []Scenario) ([]Sce
 
 // RunClosedLoopBatch drives independent closed-loop simulations through
 // the same worker pool; results return in job order.
-func RunClosedLoopBatch(ctx context.Context, workers int, jobs []ClosedLoopJob) ([]*sim.ClosedLoopResult, error) {
+func RunClosedLoopBatch(ctx context.Context, workers int, jobs []ClosedLoopJob) ([]*ClosedLoopResult, error) {
 	return sim.RunClosedLoopBatch(ctx, workers, jobs)
 }

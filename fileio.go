@@ -11,34 +11,9 @@ import (
 // GraphML [29] and REPETITA [16], the two datasets the paper's pipeline
 // consumes, plus the library's own text format.
 
-// TopologyFormat identifies an on-disk topology format.
-type TopologyFormat = topoio.Format
-
-// Topology format values recognized by DetectTopologyFormat.
-const (
-	FormatUnknown  = topoio.FormatUnknown
-	FormatGraphML  = topoio.FormatGraphML
-	FormatRepetita = topoio.FormatRepetita
-	FormatNative   = topoio.FormatNative
-)
-
-// GraphMLOptions controls Topology Zoo GraphML interpretation.
-type GraphMLOptions = topoio.GraphMLOptions
-
-// RepetitaOptions controls REPETITA .graph parsing.
-type RepetitaOptions = topoio.RepetitaOptions
-
 // TopologyReadOptions bundles per-format options for the auto-detecting
 // readers.
 type TopologyReadOptions = topoio.ReadOptions
-
-// DetectTopologyFormat sniffs the format of topology file content.
-func DetectTopologyFormat(data []byte) TopologyFormat { return topoio.Detect(data) }
-
-// ReadTopology sniffs the format of r's content and parses it.
-func ReadTopology(r io.Reader, opts TopologyReadOptions) (*Graph, error) {
-	return topoio.Read(r, opts)
-}
 
 // ReadTopologyFile loads a topology file in any supported format, deriving
 // a default name from the file basename.
@@ -46,20 +21,8 @@ func ReadTopologyFile(path string, opts TopologyReadOptions) (*Graph, error) {
 	return topoio.ReadFile(path, opts)
 }
 
-// ReadGraphML parses Internet Topology Zoo GraphML; link delays are
-// derived from great-circle distances when the file carries none, as the
-// paper does via [16].
-func ReadGraphML(r io.Reader, opts GraphMLOptions) (*Graph, error) {
-	return topoio.ReadGraphML(r, opts)
-}
-
 // WriteGraphML renders g as Topology Zoo-compatible GraphML.
 func WriteGraphML(w io.Writer, g *graph.Graph) error { return topoio.WriteGraphML(w, g) }
-
-// ReadRepetita parses a REPETITA .graph file.
-func ReadRepetita(r io.Reader, opts RepetitaOptions) (*Graph, error) {
-	return topoio.ReadRepetita(r, opts)
-}
 
 // WriteRepetita renders g in REPETITA format (bandwidth in Kbps, delay in
 // microseconds).

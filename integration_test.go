@@ -6,11 +6,14 @@ import (
 	"testing"
 
 	"lowlat"
+	"lowlat/internal/mux"
+	"lowlat/internal/sim"
 )
 
 // Cross-module integration tests: the consistency contracts between the
 // controller's multiplexing appraisal, the fluid simulator, and the
-// routing schemes, exercised end to end through the public API.
+// routing schemes, exercised end to end through the public API and, for
+// the simulator and multiplexing checks, their owning packages.
 
 // sortedInputs builds controller inputs ordered the way the controller
 // orders aggregates, so input index i lines up with Placement.Allocs[i].
@@ -62,7 +65,7 @@ func TestAppraisalMatchesSimulator(t *testing.T) {
 	for i := range inputs {
 		traffic[i] = inputs[i].Series
 	}
-	simRes, err := lowlat.Simulate(out.Placement, traffic, lowlat.SimConfig{BinSec: 0.1})
+	simRes, err := sim.Run(out.Placement, traffic, sim.Config{BinSec: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,7 @@ func TestPredictorHedgeCoversDrift(t *testing.T) {
 	}
 }
 
-// TestFacadeSimMatchesMuxMaxQueue pins that Simulate and MaxQueueDelay
+// TestFacadeSimMatchesMuxMaxQueue pins that sim.Run and mux.MaxQueueDelay
 // agree when a single link carries all traffic: they implement the same
 // carry-over computation.
 func TestFacadeSimMatchesMuxMaxQueue(t *testing.T) {
@@ -225,11 +228,11 @@ func TestFacadeSimMatchesMuxMaxQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRes, err := lowlat.Simulate(p, [][]float64{s1, s2}, lowlat.SimConfig{BinSec: 0.1})
+	simRes, err := sim.Run(p, [][]float64{s1, s2}, sim.Config{BinSec: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := lowlat.MaxQueueDelay([][]float64{s1, s2}, lowlat.Cap10G, 0.1)
+	want := mux.MaxQueueDelay([][]float64{s1, s2}, lowlat.Cap10G, 0.1)
 	if math.Abs(simRes.MaxQueueSec-want) > 1e-9 {
 		t.Fatalf("sim max queue %v != mux computation %v", simRes.MaxQueueSec, want)
 	}

@@ -47,10 +47,10 @@ func newReplica(t *testing.T, nets []string) *replica {
 		}
 	}
 	r := &replica{st: st}
-	r.srv = serve.New(st, serve.Options{
+	r.srv = serve.NewBackendServer(backend.NewLocal(st, backend.LocalOptions{
 		Workers: 1,
 		OnPlace: func(store.CellKey) { r.placed.Add(1) },
-	})
+	}), serve.Options{})
 	r.ts = httptest.NewServer(r.srv.Handler())
 	t.Cleanup(r.ts.Close)
 	return r

@@ -51,9 +51,8 @@ func TestRequestIDPropagatesToOwningReplica(t *testing.T) {
 		r := newReplica(t, []string{"star-6"})
 		// Re-serve the same store with a logger attached; newReplica's
 		// server stays unused.
-		srv := serve.New(r.st, serve.Options{
-			Workers: 1,
-			Logger:  slog.New(slog.NewJSONHandler(&replicaLogs[i], nil)),
+		srv := serve.NewBackendServer(backend.NewLocal(r.st, backend.LocalOptions{Workers: 1}), serve.Options{
+			Logger: slog.New(slog.NewJSONHandler(&replicaLogs[i], nil)),
 		})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)

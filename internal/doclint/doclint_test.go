@@ -1,9 +1,11 @@
-// Package doclint is a test-only gate: the packages named in
-// lintedPackages (the operator-facing surface plus the engine, store,
-// sweep and predict cores) must document every exported identifier. It
-// runs as a plain test, so `go test ./...` — and with it CI's short and
-// race jobs — fails on an undocumented export instead of leaving godoc
-// holes for the next reader.
+// Package doclint is a test-only gate over exported surfaces. The
+// packages named in lintedPackages (the operator-facing surface plus the
+// engine, store, sweep and predict cores) must document every exported
+// identifier, and the root package may export only what the examples
+// and README name (facade_test.go). It runs as a plain test, so
+// `go test ./...` — and with it CI's short and race jobs — fails on an
+// undocumented export or a facade that grows back instead of leaving
+// the next reader to find either.
 package doclint
 
 import (

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"lowlat/internal/backend"
 	"lowlat/internal/store"
 )
 
@@ -32,7 +33,7 @@ func BenchmarkServePlace(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer st.Close()
-			h := New(st, Options{Workers: 1, CacheSize: bc.cacheSize}).Handler()
+			h := NewBackendServer(backend.NewLocal(st, backend.LocalOptions{Workers: 1}), Options{CacheSize: bc.cacheSize}).Handler()
 			bodies := make([][]byte, bc.specs)
 			for i := range bodies {
 				body, err := json.Marshal(PlaceRequest{Net: "star-6", Seed: int64(i + 1), Scheme: "sp"})

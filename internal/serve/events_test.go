@@ -28,7 +28,7 @@ func TestEventsThroughPredictiveFront(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 		rj := obs.NewJournal(16)
 		rj.Record(obs.EventHealthState, "", "replica-side transition")
-		ts := httptest.NewServer(serve.New(st, serve.Options{Workers: 1, Journal: rj}).Handler())
+		ts := httptest.NewServer(serve.NewBackendServer(backend.NewLocal(st, backend.LocalOptions{Workers: 1}), serve.Options{Journal: rj}).Handler())
 		t.Cleanup(ts.Close)
 		rc := serve.NewClient(ts.URL)
 		rc.HTTPClient = ts.Client()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lowlat/internal/backend"
 	"lowlat/internal/store"
 )
 
@@ -15,8 +16,8 @@ import (
 // /v1/digest converges to A's, and B serves the cell by key without ever
 // having computed it.
 func TestReplicateAndDigest(t *testing.T) {
-	sa, ca := newTestServer(t, openStore(t), Options{Workers: 1})
-	sb, cb := newTestServer(t, openStore(t), Options{Workers: 1})
+	sa, ca := newTestServer(t, backend.NewLocal(openStore(t), backend.LocalOptions{Workers: 1}), Options{})
+	sb, cb := newTestServer(t, backend.NewLocal(openStore(t), backend.LocalOptions{Workers: 1}), Options{})
 
 	resp, err := ca.Place(context.Background(), PlaceRequest{Net: "star-6", Seed: 1, Scheme: "sp"})
 	if err != nil {
@@ -72,7 +73,7 @@ func TestReplicateAndDigest(t *testing.T) {
 // body that is not a canonical result answers 400, a keyless record
 // answers 400, and a read-only backend answers 403.
 func TestReplicateRejectsBadRecords(t *testing.T) {
-	_, c := newTestServer(t, openStore(t), Options{Workers: 1})
+	_, c := newTestServer(t, backend.NewLocal(openStore(t), backend.LocalOptions{Workers: 1}), Options{})
 
 	post := func(body string) *StatusError {
 		t.Helper()
@@ -107,7 +108,7 @@ func TestReplicateRejectsBadRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ro.Close() })
-	_, rc := newTestServer(t, ro, Options{})
+	_, rc := newTestServer(t, backend.NewStore(ro), Options{})
 	res := store.Result{Key: store.CellKey{Graph: 1, Matrix: 2, Scheme: "sp", Config: 3}}
 	err = rc.Replicate(context.Background(), res)
 	se, ok := err.(*StatusError)

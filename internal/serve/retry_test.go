@@ -119,7 +119,7 @@ func TestBackoffHonorsContext(t *testing.T) {
 // backpressure invisibly: one successful Place, two recorded retries.
 func TestRemoteBackoffOn429(t *testing.T) {
 	st := openStore(t)
-	inner, _ := newTestServer(t, st, Options{Workers: 1})
+	inner, _ := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{Workers: 1}), Options{})
 	var rejected atomic.Int64
 	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/place" && rejected.Add(1) <= 2 {
@@ -162,7 +162,7 @@ func TestRemoteBackoffOn429(t *testing.T) {
 // StatusError, a dead daemon wraps backend.ErrUnavailable.
 func TestRemoteClassifiesErrors(t *testing.T) {
 	st := openStore(t)
-	_, c := newTestServer(t, st, Options{Workers: 1})
+	_, c := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{Workers: 1}), Options{})
 	remote := NewRemote(c, RemoteOptions{})
 
 	// Application error: bad spec → 400 StatusError, not unavailable.

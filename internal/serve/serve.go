@@ -52,26 +52,15 @@ import (
 
 	"lowlat/internal/backend"
 	"lowlat/internal/obs"
-	"lowlat/internal/predict"
 	"lowlat/internal/store"
 	"lowlat/internal/sweep"
 )
 
-// Options tunes a Server. The zero value serves with defaults. Workers,
-// MaxInflight and OnPlace configure the Local backend New builds; a
-// server built over an existing backend (NewBackendServer) ignores them.
+// Options tunes a Server's HTTP side: the mounted cache tier, shutdown,
+// request logging, the slow ring and the health plane. The zero value
+// serves with defaults. The backend the server fronts is configured by
+// whoever builds it.
 type Options struct {
-	// Workers bounds concurrent engine work — matrix generation and
-	// placement solves (0 = one per CPU). Workers:1 makes the compute
-	// side fully sequential, which is what the coalescing acceptance
-	// test runs under.
-	Workers int
-	// MaxInflight bounds how many place computations may be admitted at
-	// once (computing or waiting for a worker); beyond it /v1/place
-	// answers 429 Too Many Requests. Default 4x the resolved worker
-	// count. Requests served from cache or store never consume a slot,
-	// and neither do requests coalescing onto an admitted flight.
-	MaxInflight int
 	// CacheSize bounds the LRU response cache in entries (default 512).
 	CacheSize int
 	// DrainTimeout bounds graceful shutdown: how long Serve waits for
@@ -83,24 +72,6 @@ type Options struct {
 	// downstream would pin the flight leader, its coalesced followers,
 	// and the request key forever.
 	PlaceTimeout time.Duration
-	// OnPlace, when non-nil, runs just before each engine invocation —
-	// the precise computation count, mirroring sweep.Options.OnPlace.
-	// Tests hang invocation counting and deterministic barriers off it.
-	OnPlace func(key store.CellKey)
-	// Predict wraps the backend New builds in the landscape-interpolation
-	// fast path (backend.Predictive), trained from the store's current
-	// contents: trained-region /v1/place requests answer in microseconds
-	// with "source": "predicted" and no solver work, everything else
-	// falls back to the exact path. NewBackendServer ignores it — callers
-	// fronting their own backend wrap it themselves.
-	Predict bool
-	// PredictRefine queues a background exact solve for each predicted
-	// answer, persisting ground truth that replaces the interpolated
-	// sample. The refinement worker stops when Serve returns.
-	PredictRefine bool
-	// PredictOptions tunes the interpolation index built when Predict is
-	// set (confidence radius, minimum support, roughness bound).
-	PredictOptions predict.Options
 	// Logger, when non-nil, receives one structured record per request:
 	// request ID, endpoint, status, duration, handler annotations (cell
 	// key, answer source) and per-stage timings. Nil disables request
@@ -335,7 +306,6 @@ type Server struct {
 	b       backend.Backend // the backend the server fronts
 	tier    *backend.Cached // LRU + coalescing over detached{b}; every handler goes through it
 	opts    Options
-	owned   *backend.Predictive // set when New wrapped the backend itself
 	c       counters
 	mux     *http.ServeMux
 	h       http.Handler // mux wrapped in the tracing middleware
@@ -350,33 +320,17 @@ type Server struct {
 	healthState string
 }
 
-// New builds a Server over an open store: a Local backend when the store
-// is writable (a computed cell persists), a read-only Store backend when
-// it was opened with OpenReadOnly (/v1/place then serves hits and answers
-// 403 for cells that would need computing).
+// New builds a Server over an open store with the default backend for
+// it: a Local backend when the store is writable (a computed cell
+// persists), a read-only Store backend when it was opened with
+// OpenReadOnly (/v1/place then serves hits and answers 403 for cells
+// that would need computing). A caller that tunes the backend builds it
+// and calls NewBackendServer.
 func New(st *store.Store, opts Options) *Server {
-	var b backend.Backend
 	if st.ReadOnly() {
-		b = backend.NewStore(st)
-	} else {
-		b = backend.NewLocal(st, backend.LocalOptions{
-			Workers:     opts.Workers,
-			MaxInflight: opts.MaxInflight,
-			OnPlace:     opts.OnPlace,
-		})
+		return NewBackendServer(backend.NewStore(st), opts)
 	}
-	var owned *backend.Predictive
-	if opts.Predict {
-		pb := backend.NewPredictive(b, backend.PredictiveOptions{
-			Predict: opts.PredictOptions,
-			Refine:  opts.PredictRefine,
-		})
-		pb.Train(b.Query(sweep.Filter{}))
-		b, owned = pb, pb
-	}
-	s := NewBackendServer(b, opts)
-	s.owned = owned
-	return s
+	return NewBackendServer(backend.NewLocal(st, backend.LocalOptions{}), opts)
 }
 
 // detached is the daemon's flight policy, mounted under the cache tier:
@@ -406,11 +360,11 @@ func (d detached) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.
 	return d.Forward.PlaceSourced(ctx, spec)
 }
 
-// NewBackendServer builds a Server over any placement backend — a remote
-// daemon, a consistent-hash cluster — adding the HTTP skin: the mounted
-// cache tier (LRU response cache, request coalescing) and the JSON
-// endpoints. Options.Workers, MaxInflight and OnPlace are ignored (they
-// configure a backend New would build).
+// NewBackendServer builds a Server over any placement backend — a local
+// or read-only store, a remote daemon, a consistent-hash cluster, a
+// predictive wrapper around any of them — adding the HTTP skin: the
+// mounted cache tier (LRU response cache, request coalescing) and the
+// JSON endpoints. The caller owns b and closes it after Serve returns.
 func NewBackendServer(b backend.Backend, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
@@ -639,9 +593,6 @@ func (s *Server) Stats() Stats {
 // in-flight computations, which run inside their leader's handler) drain
 // within DrainTimeout. A clean drain returns nil.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	if s.owned != nil {
-		defer s.owned.Close() // stop the refinement worker with the server
-	}
 	srv := &http.Server{Handler: s.h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"lowlat/internal/backend"
 	"lowlat/internal/store"
 	"lowlat/internal/sweep"
 )
@@ -26,16 +27,39 @@ import (
 // and nothing here assumes a second core — concurrency is exercised with
 // goroutines against Workers:1 servers.
 
-// newTestServer wires a Server over st into an httptest server and a
+// newTestServer wires a Server over b into an httptest server and a
 // Client talking to it.
-func newTestServer(t *testing.T, st *store.Store, opts Options) (*Server, *Client) {
+func newTestServer(t *testing.T, b backend.Backend, opts Options) (*Server, *Client) {
 	t.Helper()
-	s := New(st, opts)
+	s := NewBackendServer(b, opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
 	c.HTTPClient = ts.Client()
 	return s, c
+}
+
+// TestNewMountsDefaultBackend pins what New builds for a bare store: a
+// default Local backend over a writable store, a Store backend over a
+// read-only one.
+func TestNewMountsDefaultBackend(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.OpenSharded(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := New(st, Options{}).Backend().(*backend.Local); !ok {
+		t.Fatal("New over a writable store does not mount a *backend.Local")
+	}
+	st.Close()
+	ro, err := store.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if _, ok := New(ro, Options{}).Backend().(*backend.Store); !ok {
+		t.Fatal("New over a read-only store does not mount a *backend.Store")
+	}
 }
 
 func openStore(t *testing.T) *store.Store {
@@ -59,7 +83,7 @@ func TestKillAndCoalesce(t *testing.T) {
 	entered := make(chan store.CellKey, 1)
 	release := make(chan struct{})
 	var invocations atomic.Int64
-	s, c := newTestServer(t, st, Options{
+	s, c := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{
 		Workers:     1,
 		MaxInflight: 1,
 		OnPlace: func(k store.CellKey) {
@@ -70,7 +94,7 @@ func TestKillAndCoalesce(t *testing.T) {
 			default:
 			}
 		},
-	})
+	}), Options{})
 
 	req := PlaceRequest{Net: "star-6", Seed: 1, Scheme: "sp"}
 	var wg sync.WaitGroup
@@ -150,7 +174,7 @@ func TestPlaceBackpressure(t *testing.T) {
 	st := openStore(t)
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s, c := newTestServer(t, st, Options{
+	s, c := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{
 		Workers:     1,
 		MaxInflight: 1,
 		OnPlace: func(store.CellKey) {
@@ -160,7 +184,7 @@ func TestPlaceBackpressure(t *testing.T) {
 			default:
 			}
 		},
-	})
+	}), Options{})
 
 	done := make(chan error, 1)
 	go func() {
@@ -209,7 +233,7 @@ func TestParallelClientsRaceClean(t *testing.T) {
 	var invocations atomic.Int64
 	perKey := make(map[store.CellKey]*atomic.Int64)
 	var mu sync.Mutex
-	_, c := newTestServer(t, st, Options{
+	_, c := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{
 		Workers:     1,
 		MaxInflight: 64,
 		OnPlace: func(k store.CellKey) {
@@ -221,7 +245,7 @@ func TestParallelClientsRaceClean(t *testing.T) {
 			perKey[k].Add(1)
 			mu.Unlock()
 		},
-	})
+	}), Options{})
 
 	reqs := []PlaceRequest{
 		{Net: "star-6", Seed: 1, Scheme: "sp"},
@@ -286,10 +310,10 @@ func TestPlaceServesSweptStoreViaMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	var invocations atomic.Int64
-	s, c := newTestServer(t, st, Options{
+	s, c := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{
 		Workers: 1,
 		OnPlace: func(store.CellKey) { invocations.Add(1) },
-	})
+	}), Options{})
 
 	resp, err := c.Place(context.Background(), PlaceRequest{Net: "star-6", Seed: 1, Scheme: "sp"})
 	if err != nil {
@@ -316,12 +340,12 @@ func TestPlaceServesSweptStoreViaMemo(t *testing.T) {
 	}
 }
 
-// TestPredictServeOption pins Options.Predict end to end through New: a
-// daemon over a swept store trains at construction and answers an
-// interior operating point by interpolation — no engine work, the
-// predicted marker set, the counters visible in stats — while predicted
-// estimates stay out of the LRU (they have no content key to cache
-// under).
+// TestPredictServeOption pins a predictive tier served end to end, built
+// the way lowlatd -predict builds it: a daemon over a swept store, trained
+// from one query before serving, answers an interior operating point by
+// interpolation — no engine work, the predicted marker set, the counters
+// visible in stats — while predicted estimates stay out of the LRU (they
+// have no content key to cache under).
 func TestPredictServeOption(t *testing.T) {
 	st := openStore(t)
 	for _, load := range []float64{0.6, 0.7} {
@@ -331,11 +355,14 @@ func TestPredictServeOption(t *testing.T) {
 		}
 	}
 	var invocations atomic.Int64
-	s, c := newTestServer(t, st, Options{
+	local := backend.NewLocal(st, backend.LocalOptions{
 		Workers: 1,
-		Predict: true,
 		OnPlace: func(store.CellKey) { invocations.Add(1) },
 	})
+	pb := backend.NewPredictive(local, backend.PredictiveOptions{})
+	pb.Train(local.Query(sweep.Filter{}))
+	t.Cleanup(func() { pb.Close() })
+	s, c := newTestServer(t, pb, Options{})
 
 	req := PlaceRequest{Net: "star-6", Seed: 5, Scheme: "sp", Load: 0.65}
 	resp, err := c.Place(context.Background(), req)
@@ -409,7 +436,7 @@ func TestReadOnlyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	_, c := newTestServer(t, ro, Options{Workers: 1})
+	_, c := newTestServer(t, backend.NewStore(ro), Options{})
 
 	resp, err := c.Place(context.Background(), PlaceRequest{Net: "star-6", Seed: 1, Scheme: "sp"})
 	if err != nil {
@@ -428,7 +455,7 @@ func TestReadOnlyStore(t *testing.T) {
 
 func TestPlaceValidation(t *testing.T) {
 	st := openStore(t)
-	_, c := newTestServer(t, st, Options{Workers: 1})
+	_, c := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{Workers: 1}), Options{})
 	neg := -1.0
 	for name, req := range map[string]PlaceRequest{
 		"missing net":    {Scheme: "sp"},
@@ -463,9 +490,8 @@ func TestGracefulDrain(t *testing.T) {
 	st := openStore(t)
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s := New(st, Options{
-		Workers:      1,
-		DrainTimeout: 30 * time.Second,
+	s := NewBackendServer(backend.NewLocal(st, backend.LocalOptions{
+		Workers: 1,
 		OnPlace: func(store.CellKey) {
 			select {
 			case entered <- struct{}{}:
@@ -473,7 +499,7 @@ func TestGracefulDrain(t *testing.T) {
 			default:
 			}
 		},
-	})
+	}), Options{DrainTimeout: 30 * time.Second})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -641,7 +667,7 @@ func get(t *testing.T, c *Client, path string) []byte {
 // JSON bodies.
 func TestGoldenResponses(t *testing.T) {
 	st := goldenStore(t)
-	_, c := newTestServer(t, st, Options{Workers: 1, MaxInflight: 2, CacheSize: 16})
+	_, c := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{Workers: 1, MaxInflight: 2}), Options{CacheSize: 16})
 
 	checkGolden(t, "query.golden.json", get(t, c, "/v1/query?scheme=sp"))
 

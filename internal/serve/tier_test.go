@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"lowlat/internal/backend"
 	"lowlat/internal/store"
 )
 
@@ -13,7 +14,7 @@ import (
 // cached. The numbers are the ones the daemon reported before the tier
 // moved into backend.Cached.
 func TestTierAccounting(t *testing.T) {
-	s, c := newTestServer(t, openStore(t), Options{Workers: 1})
+	s, c := newTestServer(t, backend.NewLocal(openStore(t), backend.LocalOptions{Workers: 1}), Options{})
 	ctx := context.Background()
 	req := PlaceRequest{Net: "star-6", Seed: 1, Scheme: "sp"}
 

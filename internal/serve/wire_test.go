@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"lowlat/internal/backend"
 	"lowlat/internal/store"
 )
 
@@ -15,7 +16,7 @@ import (
 // encoding that could drift.
 func TestDaemonWireMatchesStoreWire(t *testing.T) {
 	st := goldenStore(t)
-	_, c := newTestServer(t, st, Options{Workers: 1})
+	_, c := newTestServer(t, backend.NewLocal(st, backend.LocalOptions{Workers: 1}), Options{})
 	body := get(t, c, "/v1/query")
 
 	var resp struct {

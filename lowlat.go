@@ -6,41 +6,18 @@ import (
 	"lowlat/internal/topo"
 )
 
-// This file is the topology half of the public facade. Everything under
-// internal/ is reachable from here, so downstream importers never need (and
-// cannot use) internal import paths.
-
-// NodeID identifies a node (PoP) within a Graph.
-type NodeID = graph.NodeID
-
-// LinkID identifies a directed link within a Graph.
-type LinkID = graph.LinkID
-
-// Node is a PoP: a named point of presence with a geographic location.
-type Node = graph.Node
-
-// Link is a directed edge with capacity (bits/sec) and propagation delay
-// (seconds).
-type Link = graph.Link
+// This file is the topology half of the public facade: building a
+// topology by hand or from a generator, the synthetic zoo, and LLPD-guided
+// growth.
 
 // Graph is an immutable directed network topology.
 type Graph = graph.Graph
 
-// Path is a loop-free sequence of directed links with cached total delay.
-type Path = graph.Path
-
 // Builder accumulates nodes and links and produces an immutable Graph.
 type Builder = graph.Builder
 
-// Mask hides a subset of links or nodes from path computations without
-// copying the graph.
-type Mask = graph.Mask
-
 // Point is a geographic coordinate (latitude, longitude in degrees).
 type Point = geo.Point
-
-// TopologyClass labels the structural family of a synthetic zoo network.
-type TopologyClass = topo.Class
 
 // ZooEntry is one synthetic stand-in network from the 116-network zoo,
 // tagged with its structural class.
@@ -56,28 +33,10 @@ type GrowConfig = topo.GrowConfig
 // NewBuilder returns a Builder for a topology with the given name.
 func NewBuilder(name string) *Builder { return graph.NewBuilder(name) }
 
-// NewPath builds a Path over g from a link sequence, computing its delay.
-func NewPath(g *Graph, links []LinkID) Path { return graph.NewPath(g, links) }
-
-// CloneTopology returns a Builder pre-populated with g's nodes and links,
-// for deriving modified topologies.
-func CloneTopology(g *Graph) *Builder { return graph.Clone(g) }
-
-// WithScaledCapacities returns a copy of g with every link capacity
-// multiplied by factor. Scaling capacities down by (1-h) is how the
-// headroom dial of §4 is implemented.
-func WithScaledCapacities(g *Graph, factor float64) *Graph {
-	return graph.WithScaledCapacities(g, factor)
-}
-
 // Zoo returns the 116-network synthetic topology zoo that stands in for
 // the paper's Internet Topology Zoo selection. Entries are ordered by
 // name; construction is deterministic.
 func Zoo() []ZooEntry { return topo.Zoo() }
-
-// NetworkByName resolves a zoo entry (or one of the named networks below)
-// by name.
-func NetworkByName(name string) (ZooEntry, bool) { return topo.ByName(name) }
 
 // GTSLike returns the synthetic stand-in for GTS's Central Europe network
 // (Figure 2): a dense national grid with high LLPD.
@@ -87,10 +46,6 @@ func GTSLike() *Graph { return topo.GTSLike() }
 // network with diverse intercontinental paths.
 func CogentLike() *Graph { return topo.CogentLike() }
 
-// GoogleLike returns the synthetic stand-in for Google's global WAN [24],
-// tuned to the highest LLPD in the study (Figure 19).
-func GoogleLike() *Graph { return topo.GoogleLike() }
-
 // GrowTopology adds links to g one at a time, each time choosing the
 // candidate that most increases LLPD, until the link count has grown by
 // cfg.GrowFraction (the §8 "does routing influence topology?" experiment,
@@ -98,12 +53,6 @@ func GoogleLike() *Graph { return topo.GoogleLike() }
 func GrowTopology(g *Graph, cfg GrowConfig) (*Graph, []AddedLink) {
 	return topo.Grow(g, cfg)
 }
-
-// MarshalTopology serializes g to the library's plain-text topology format.
-func MarshalTopology(g *Graph) []byte { return topo.Marshal(g) }
-
-// UnmarshalTopology parses the plain-text topology format.
-func UnmarshalTopology(data []byte) (*Graph, error) { return topo.Unmarshal(data) }
 
 // Synthetic generators, exported so users can build controlled topologies
 // like the ones the zoo is made of.
@@ -122,23 +71,4 @@ func Ring(name string, n int, radiusKm, capacity float64) *Graph {
 // Tree returns a balanced tree, the paper's canonical low-LLPD structure.
 func Tree(name string, branching, depth int, spacingKm, capacity float64) *Graph {
 	return topo.Tree(name, branching, depth, spacingKm, capacity)
-}
-
-// Clique returns a full mesh, the overlay-network shape whose APA curves
-// are the horizontal lines of Figure 1.
-func Clique(name string, n int, radiusKm, capacity float64) *Graph {
-	return topo.Clique(name, n, radiusKm, capacity)
-}
-
-// RandomGeo returns a Waxman-style random geographic graph.
-func RandomGeo(name string, n int, widthKm, heightKm, alpha, beta, capacity float64, seed int64) *Graph {
-	return topo.RandomGeo(name, n, widthKm, heightKm, alpha, beta, capacity, seed)
-}
-
-// MultiRegion returns a multi-continent topology: dense regional meshes
-// joined by long-haul links (Cogent-like).
-func MultiRegion(name string, regions, perRegion int, regionSpanKm, interDistKm float64,
-	interLinks int, regionalCap, longHaulCap float64, seed int64) *Graph {
-	return topo.MultiRegion(name, regions, perRegion, regionSpanKm, interDistKm,
-		interLinks, regionalCap, longHaulCap, seed)
 }

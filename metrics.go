@@ -1,26 +1,15 @@
 package lowlat
 
 import (
-	"io"
-
-	"lowlat/internal/experiments"
 	"lowlat/internal/graph"
 	"lowlat/internal/metrics"
 )
 
-// This file exposes the §2 topology metrics and the per-figure experiment
-// drivers.
+// This file exposes the §2 topology metrics.
 
 // APAConfig parameterizes alternate-path availability: the path-stretch
 // limit (default 1.4) and capacity-viability rules.
 type APAConfig = metrics.APAConfig
-
-// PairAPA returns the alternate path availability for one PoP pair: the
-// fraction of links on its shortest path that can be routed around within
-// the stretch limit by capacity-viable alternates (§2).
-func PairAPA(g *graph.Graph, src, dst graph.NodeID, cfg APAConfig) (float64, bool) {
-	return metrics.PairAPA(g, src, dst, cfg)
-}
 
 // APADistribution returns APA for every ordered PoP pair; its CDF is one
 // curve of Figure 1.
@@ -32,26 +21,4 @@ func APADistribution(g *graph.Graph, cfg APAConfig) []float64 {
 // PoP pairs with APA >= 0.7 (§2).
 func LLPD(g *graph.Graph, cfg APAConfig) float64 {
 	return metrics.LLPD(g, cfg)
-}
-
-// ExperimentConfig scopes an experiment run: matrices per topology, seed,
-// and an optional network filter.
-type ExperimentConfig = experiments.Config
-
-// ExperimentNetwork is one zoo network as the experiment drivers see it.
-type ExperimentNetwork = experiments.Network
-
-// Experiments lists the available per-figure experiment drivers (fig1,
-// fig3, fig4, ... fig20).
-func Experiments() []string { return experiments.Names() }
-
-// RunExperiment regenerates one of the paper's results figures, writing
-// the same rows/series the paper plots to w.
-func RunExperiment(name string, cfg ExperimentConfig, w io.Writer) error {
-	return experiments.Run(name, cfg, w)
-}
-
-// RunAllExperiments regenerates every results figure in order.
-func RunAllExperiments(cfg ExperimentConfig, w io.Writer) error {
-	return experiments.RunAll(cfg, w)
 }

@@ -1,54 +1,19 @@
 package lowlat
 
 import (
-	"lowlat/internal/graph"
 	"lowlat/internal/routing"
-	"lowlat/internal/tm"
 )
 
-// This file is the routing half of the public facade: the Scheme interface,
-// the Placement type with its congestion and stretch metrics, and the five
-// schemes the paper evaluates (§3) plus the link-based baseline (§5).
+// This file is the routing half of the public facade: the Scheme interface
+// and constructors for the schemes the paper evaluates (§3).
 
 // Scheme places a traffic matrix onto a topology. All of the paper's
 // routing systems satisfy it.
 type Scheme = routing.Scheme
 
-// Placement is the output of a Scheme: per-aggregate path fractions plus
-// derived link loads, congestion and latency-stretch metrics.
-type Placement = routing.Placement
-
-// PathAlloc is one aggregate's traffic split over one path.
-type PathAlloc = routing.PathAlloc
-
-// SolveStats reports LP-solver effort for the optimization-based schemes.
-type SolveStats = routing.SolveStats
-
-// ShortestPath is delay-proportional shortest-path routing (OSPF/IS-IS
-// with costs proportional to delay), the scheme of Figure 3.
-type ShortestPath = routing.SP
-
-// B4 is the greedy waterfill allocator of Jain et al. as described in §3.
-// Set Headroom to reserve link capacity on the first pass (§6).
-type B4 = routing.B4
-
-// MinMax is TeXCP/MATE-style traffic engineering: minimize peak link
-// utilization with total latency as tie-break. K = 10 reproduces the
-// paper's MinMaxK10; StretchBound enables the §8 delay-bounded variant.
-type MinMax = routing.MinMax
-
-// MPLSTE is MPLS-TE auto-bandwidth: aggregates are placed one at a time,
-// each on its shortest path with room left, in descending-volume order.
-// §3 notes its pathologies match B4's.
-type MPLSTE = routing.MPLSTE
-
 // LatencyOpt is the latency-optimal placement: the Figure 12 LP over
 // iteratively grown path sets (Figure 13) with the §4 headroom dial.
 type LatencyOpt = routing.LatencyOpt
-
-// LinkBasedResult carries the link-based multi-commodity-flow baseline's
-// optimum, used to cross-check the path-based solver (Figure 15).
-type LinkBasedResult = routing.LinkBasedResult
 
 // NewShortestPath returns the shortest-path scheme.
 func NewShortestPath() Scheme { return routing.SP{} }
@@ -83,11 +48,4 @@ func Schemes() []Scheme {
 		routing.MinMax{K: 10},
 		routing.SP{},
 	}
-}
-
-// LinkBasedLatencyOpt solves the link-based multi-commodity-flow
-// formulation of the latency optimization (the §5 baseline that is ~100x
-// slower than the path-based approach).
-func LinkBasedLatencyOpt(g *graph.Graph, m *tm.Matrix, headroom float64) (*LinkBasedResult, error) {
-	return routing.LinkBasedLatencyOpt(g, m, headroom)
 }

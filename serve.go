@@ -4,9 +4,7 @@ import (
 	"context"
 	"net"
 
-	"lowlat/internal/obs"
 	"lowlat/internal/serve"
-	"lowlat/internal/store"
 )
 
 // This file is the serving half of the public facade: the query daemon
@@ -15,92 +13,16 @@ import (
 // the figure drivers); Serve answers questions about it online and
 // computes missing cells on demand.
 
-// ServeOptions tunes a query server: engine width, the in-flight
-// computation bound behind 429 backpressure, the LRU size, the shutdown
-// drain timeout.
+// ServeOptions tunes a query server's HTTP side: the LRU size, the
+// shutdown drain timeout, logging and the SLO objectives. The backend it
+// serves is configured where it is built.
 type ServeOptions = serve.Options
-
-// ServeStats is the /v1/stats counter block.
-type ServeStats = serve.Stats
-
-// QueryServer is the HTTP query-serving daemon over one result store.
-type QueryServer = serve.Server
 
 // ServeClient is the typed client for a running daemon.
 type ServeClient = serve.Client
 
 // PlaceRequest asks a daemon for one scenario cell by coordinates.
 type PlaceRequest = serve.PlaceRequest
-
-// PlaceResponse is the daemon's answer: the cell plus its source
-// ("cache", "store" or "computed").
-type PlaceResponse = serve.PlaceResponse
-
-// LandscapeSummary is the per-class CDF aggregate /v1/summary returns.
-type LandscapeSummary = serve.Summary
-
-// StageSnapshot is one stage's latency-histogram snapshot as it appears
-// under "stages" in /v1/stats: count, sum, max and the p50/p90/p99
-// quantiles in nanoseconds, plus the sparse buckets that make snapshots
-// mergeable across daemons without losing counts.
-type StageSnapshot = obs.Snapshot
-
-// SlowRequest is one entry in a daemon's /v1/slow ring: a request that
-// crossed the server's slow threshold, with its ID, endpoint, source,
-// duration and per-stage timings.
-type SlowRequest = obs.SlowEntry
-
-// RequestIDHeader is the HTTP header carrying a request's trace ID
-// ("X-Request-ID"): send one to a daemon and the same ID comes back in
-// the response, appears in the daemon's request log, and propagates to
-// every downstream replica the request touches.
-const RequestIDHeader = obs.RequestIDHeader
-
-// StageWindow is one stage's rolling-window view as it appears under
-// "windows" in /v1/stats: the window name ("1m", "5m", "1h"), the span
-// actually covered, the observation rate, and the merged distribution
-// of the window's sub-slots.
-type StageWindow = obs.WindowSnapshot
-
-// SLOObjective is one parsed service-level objective — a latency
-// quantile or error-rate bound over a rolling window, declared with the
-// daemon's -slo flag or parsed with ParseObjectives and passed in
-// ServeOptions.Objectives.
-type SLOObjective = obs.Objective
-
-// SLOStatus is one objective's evaluated state on /v1/health: ok, warn
-// or page, with the observed value, the two burn rates the state was
-// decided on, and the budget remaining.
-type SLOStatus = obs.SLOStatus
-
-// HealthReport is the /v1/health roll-up: an ok/degraded/critical
-// status, one reason line per problem, the down replicas on cluster
-// fronts, and one SLOStatus per declared objective. The endpoint
-// answers 503 only when critical.
-type HealthReport = serve.HealthReport
-
-// ClusterEvent is one entry in a daemon's bounded state-transition
-// journal — replica down/up, hint queued/drained, heal sweep, SLO and
-// health changes — served oldest-first with a cursor by /v1/events.
-type ClusterEvent = obs.Event
-
-// WatchSnapshot is one /v1/watch server-sent event: the moment's
-// HealthReport, the rolling endpoint windows, and the journal entries
-// recorded since the previous snapshot. `lowlat watch` renders the
-// stream as a live terminal view.
-type WatchSnapshot = serve.WatchEvent
-
-// ParseObjectives parses a comma- or semicolon-separated objective list
-// in the -slo flag grammar ("http_place p99 < 50ms over 5m, error_rate
-// < 1% over 1h") into the objectives ServeOptions.Objectives accepts.
-func ParseObjectives(s string) ([]SLOObjective, error) { return obs.ParseObjectives(s) }
-
-// NewQueryServer builds a query server over an open result store (opened
-// with OpenResultStore, or read-only with OpenResultStoreReadOnly — a
-// read-only daemon serves stored cells but refuses to compute).
-func NewQueryServer(st *ResultStore, opts ServeOptions) *QueryServer {
-	return serve.New(st, opts)
-}
 
 // Serve mounts the store at addr and serves until ctx is cancelled, then
 // drains in-flight requests and returns. notify, when non-nil, receives
@@ -113,14 +35,3 @@ func Serve(ctx context.Context, st *ResultStore, addr string, opts ServeOptions,
 // NewServeClient returns a client for the daemon at baseURL (e.g.
 // "http://127.0.0.1:8080").
 func NewServeClient(baseURL string) *ServeClient { return serve.NewClient(baseURL) }
-
-// OpenResultStoreReadOnly opens an existing result store without ever
-// writing to it, so any number of readers (query CLIs, read-only
-// daemons) can run beside one writing process.
-func OpenResultStoreReadOnly(dir string) (*ResultStore, error) { return store.OpenReadOnly(dir) }
-
-// SummarizeResults aggregates a result slice into per-class metric CDFs
-// — the same computation the daemon's /v1/summary endpoint serves.
-func SummarizeResults(results []CellResult, points int) *LandscapeSummary {
-	return serve.Summarize(results, points)
-}

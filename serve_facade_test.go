@@ -5,6 +5,9 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"lowlat/internal/serve"
+	"lowlat/internal/sweep"
 )
 
 // TestServeFacade drives the serving facade end to end: sweep a cell into
@@ -33,7 +36,7 @@ func TestServeFacade(t *testing.T) {
 	bound := make(chan net.Addr, 1)
 	served := make(chan error, 1)
 	go func() {
-		served <- Serve(ctx, st, "127.0.0.1:0", ServeOptions{Workers: 1}, func(a net.Addr) { bound <- a })
+		served <- Serve(ctx, st, "127.0.0.1:0", ServeOptions{}, func(a net.Addr) { bound <- a })
 	}()
 	var addr net.Addr
 	select {
@@ -73,7 +76,7 @@ func TestServeFacade(t *testing.T) {
 	if sum.Cells != 2 || len(sum.Classes) != 1 {
 		t.Fatalf("summary = %+v, want 2 cells in 1 class", sum)
 	}
-	if local := SummarizeResults(QuerySweep(st, SweepFilter{}), 3); local.Cells != sum.Cells {
+	if local := serve.Summarize(sweep.Query(st, sweep.Filter{}), 3); local.Cells != sum.Cells {
 		t.Fatalf("local summary (%d cells) != served summary (%d cells)", local.Cells, sum.Cells)
 	}
 

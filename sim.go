@@ -6,19 +6,8 @@ import (
 	"lowlat/internal/tm"
 )
 
-// This file exposes the fluid placement simulator and the closed-loop
-// control-cycle driver: the validation layer for the paper's headroom and
-// queueing claims.
-
-// SimConfig parameterizes a fluid simulation run.
-type SimConfig = sim.Config
-
-// SimResult is the outcome of a simulation run: per-link queue/utilization
-// statistics and per-aggregate worst-case queueing delay.
-type SimResult = sim.Result
-
-// SimLinkStats summarizes one link's simulated behavior.
-type SimLinkStats = sim.LinkStats
+// This file exposes the closed-loop control-cycle driver: the validation
+// layer for the paper's headroom and queueing claims.
 
 // AggregateSpec describes one aggregate's traffic process for closed-loop
 // runs: a drifting mean with correlated sub-second bursts.
@@ -30,17 +19,6 @@ type ClosedLoopConfig = sim.ClosedLoopConfig
 
 // ClosedLoopResult aggregates a closed-loop run.
 type ClosedLoopResult = sim.ClosedLoopResult
-
-// MinuteStats records one simulated control-cycle minute.
-type MinuteStats = sim.MinuteStats
-
-// Simulate plays per-bin aggregate bitrates over a placement's paths and
-// reports per-link transient queues — the end-to-end check that a
-// placement's headroom suffices. traffic[i] holds aggregate i's bits/sec
-// per bin.
-func Simulate(p *Placement, traffic [][]float64, cfg SimConfig) (*SimResult, error) {
-	return sim.Run(p, traffic, cfg)
-}
 
 // RunClosedLoop simulates multiple minutes of the centralized control
 // cycle on g: each minute the controller (LDR, or cfg.Scheme when set)

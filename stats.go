@@ -8,9 +8,6 @@ import "lowlat/internal/stats"
 // CDF is an empirical cumulative distribution over float64 samples.
 type CDF = stats.CDF
 
-// CDFPoint is one (value, cumulative fraction) point of a sampled CDF.
-type CDFPoint = stats.Point
-
 // NewCDF builds an empirical CDF from samples.
 func NewCDF(samples []float64) *CDF { return stats.NewCDF(samples) }
 
@@ -22,9 +19,6 @@ func Correlation(xs, ys []float64) float64 { return stats.Correlation(xs, ys) }
 const (
 	// Gbps is one gigabit per second in the library's bits/sec units.
 	Gbps = 1e9
-	// Cap10G, Cap40G and Cap100G are the backbone capacity tiers the
-	// synthetic zoo provisions links with.
-	Cap10G  = 10 * Gbps
-	Cap40G  = 40 * Gbps
-	Cap100G = 100 * Gbps
+	// Cap10G is the 10 Gb/s backbone capacity tier of the synthetic zoo.
+	Cap10G = 10 * Gbps
 )

@@ -23,12 +23,6 @@ type ResultStore = store.Store
 // CellKey is the content-derived address of one scenario cell.
 type CellKey = store.CellKey
 
-// CellMetrics is the stored scalar summary of one placement.
-type CellMetrics = store.Metrics
-
-// CellResult is one stored cell: key, human labels, metrics.
-type CellResult = store.Result
-
 // SweepGrid declares a sweep's cross-product: topologies x matrix seeds x
 // schemes x headroom points.
 type SweepGrid = sweep.Grid
@@ -49,13 +43,6 @@ type SweepFilter = sweep.Filter
 // counted on the returned store's Skipped method.
 func OpenResultStore(dir string) (*ResultStore, error) { return store.Open(dir) }
 
-// ScenarioKey computes the store key of one scenario cell, for callers
-// that want to look their own placements up or store them alongside sweep
-// results.
-func ScenarioKey(g *Graph, m *Matrix, scheme Scheme) CellKey {
-	return store.KeyFor(g, m, scheme)
-}
-
 // ParseSweepGrid parses the compact grid syntax
 // ("nets=gts-like,ring-12;seeds=1,2;schemes=sp,ldr;headrooms=0,0.11").
 func ParseSweepGrid(spec string) (SweepGrid, error) { return sweep.ParseGrid(spec) }
@@ -68,10 +55,6 @@ func ParseSweepGrid(spec string) (SweepGrid, error) { return sweep.ParseGrid(spe
 func RunSweep(ctx context.Context, st *ResultStore, grid SweepGrid, opts SweepOptions) (*SweepReport, error) {
 	return sweep.Run(ctx, st, grid, opts)
 }
-
-// QuerySweep returns the store's cells matching the filter, in the
-// store's deterministic order.
-func QuerySweep(st *ResultStore, f SweepFilter) []CellResult { return sweep.Query(st, f) }
 
 // ExportSweep writes the filtered slice of the store as "csv" or "json".
 // Equal store contents export byte-identical bytes, however (and in

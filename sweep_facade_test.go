@@ -5,6 +5,10 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"lowlat/internal/store"
+	"lowlat/internal/sweep"
+	"lowlat/internal/topo"
 )
 
 // TestRunSweepFacade drives the persistence facade end to end: run a tiny
@@ -38,7 +42,7 @@ func TestRunSweepFacade(t *testing.T) {
 		t.Fatalf("resumed sweep report = %+v, want 2 reused", rep)
 	}
 
-	if got := QuerySweep(st, SweepFilter{Scheme: "sp"}); len(got) != 1 {
+	if got := sweep.Query(st, SweepFilter{Scheme: "sp"}); len(got) != 1 {
 		t.Fatalf("query returned %d cells, want 1", len(got))
 	}
 	var buf bytes.Buffer
@@ -49,8 +53,8 @@ func TestRunSweepFacade(t *testing.T) {
 		t.Fatalf("export:\n%s", buf.String())
 	}
 
-	// ScenarioKey matches what the sweep stored.
-	e, ok := NetworkByName("star-6")
+	// The content key of the same scenario matches what the sweep stored.
+	e, ok := topo.ByName("star-6")
 	if !ok {
 		t.Fatal("star-6 missing")
 	}
@@ -59,7 +63,7 @@ func TestRunSweepFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ScenarioKey(g, res.Matrix, NewShortestPath())
+	key := store.KeyFor(g, res.Matrix, NewShortestPath())
 	if _, ok := st.Get(key); !ok {
 		t.Fatalf("ScenarioKey %v not found in sweep store", key)
 	}

@@ -45,9 +45,7 @@ func NewMatrix(aggs []Aggregate) *Matrix { return tm.New(aggs) }
 // GenerateTraffic synthesizes one gravity-model traffic matrix for g,
 // scaled so the MinMax-optimal peak utilization hits cfg.TargetMaxUtil
 // (default 0.77: traffic fits until it grows 30%, the paper's standard
-// load). Setting cfg.Cache to the PathCache of g (NewPathCache, or a
-// SolverCache's ForGraph) shares the calibration's path work with the
-// placements that follow; it never changes the matrix.
+// load).
 func GenerateTraffic(g *graph.Graph, cfg TrafficConfig) (*TrafficResult, error) {
 	return tmgen.Generate(g, cfg)
 }
@@ -85,13 +83,4 @@ func MinuteStds(series []float64, binsPerMinute int) []float64 {
 // measured/predicted ratios (the CDF of Figure 9).
 func EvaluateTrace(minuteMeans []float64) []float64 {
 	return predict.EvaluateTrace(minuteMeans)
-}
-
-// MarshalTraffic renders a traffic matrix in the library's plain-text
-// format, naming nodes via g.
-func MarshalTraffic(g *graph.Graph, m *Matrix) []byte { return tm.Marshal(g, m) }
-
-// UnmarshalTraffic parses the text format produced by MarshalTraffic.
-func UnmarshalTraffic(g *graph.Graph, data []byte) (*Matrix, error) {
-	return tm.Unmarshal(g, data)
 }
