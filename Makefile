@@ -14,13 +14,11 @@ vet:
 	$(GO) vet ./...
 
 # Invariant analyzer suite (internal/analysis: detrange, atomicguard,
-# locked, sentinelerr, ctxflow, goexit) driven through go vet's
-# unitchecker protocol — see docs/DEVELOPING.md. The vettool binary is
-# built into bin/ (gitignored) so CI can cache it.
-VETTOOL := bin/lowlat-vet
+# locked, sentinelerr, ctxflow, goexit): TestSuiteSelfGate loads every
+# package of the module (bench/ included) and fails on any finding, and
+# the `// want` goldens pin each analyzer — see docs/DEVELOPING.md.
 analyze:
-	$(GO) build -o $(VETTOOL) ./cmd/lowlat-vet
-	$(GO) vet -vettool=$(abspath $(VETTOOL)) ./...
+	$(GO) test -count=1 ./internal/analysis
 
 # shellcheck is optional locally, like staticcheck: skip with a pointer
 # when the binary is missing (CI always has it).

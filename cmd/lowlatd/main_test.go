@@ -182,6 +182,54 @@ func TestHealthPlaneEndToEnd(t *testing.T) {
 
 var urlRE = regexp.MustCompile(`http://[0-9.:]+`)
 
+// TestBackendStageSLOPages declares an objective on a backend stage —
+// one no HTTP endpoint records — and requires a single computed place
+// to breach it: the solve stage's windows must reach the SLO engine
+// through the backend's Stats, not only its cumulative histogram.
+func TestBackendStageSLOPages(t *testing.T) {
+	d := bootDaemon(t, urlRE, "-store", t.TempDir(), "-addr", "127.0.0.1:0", "-workers", "1",
+		"-slo", "solve p99 < 1us over 1m")
+	defer stopDaemon(t, d)
+
+	resp, err := http.Post(d.base+"/v1/place", "application/json",
+		strings.NewReader(`{"net":"star-6","seed":1,"scheme":"sp"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var placed struct {
+		Source string `json:"source"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&placed)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || placed.Source != "computed" {
+		t.Fatalf("place = %d source %q (%v), want 200 computed", resp.StatusCode, placed.Source, err)
+	}
+
+	resp, err = http.Get(d.base + "/v1/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		Status string `json:"status"`
+		SLOs   []struct {
+			Stage string `json:"stage"`
+			State string `json:"state"`
+			Count int64  `json:"count"`
+		} `json:"slos"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if health.Status != "critical" || len(health.SLOs) != 1 {
+		t.Fatalf("/v1/health = %+v, want critical with one objective", health)
+	}
+	if o := health.SLOs[0]; o.Stage != "solve" || o.State != "page" || o.Count != 1 {
+		t.Fatalf("solve objective = %+v, want state page with count 1", o)
+	}
+}
+
 // TestServeEndToEnd boots the daemon on an ephemeral port, seeds the
 // store through a sweep first, then exercises query, place (a stored and
 // a computed cell), stats, and clean SIGTERM-equivalent shutdown via

@@ -97,7 +97,8 @@
 //     rebuild even a replica restored from an empty store
 //   - internal/obs — the dependency-free observability kernel the
 //     serving tiers share: lock-cheap log-bucketed latency histograms
-//     with mergeable snapshots and lock-free rolling windows, request
+//     with lock-free rolling windows, merged up the serving chain as one
+//     Telemetry value (cumulative stages plus windows), request
 //     traces carried by context, the bounded slow-request ring, the
 //     Prometheus text renderer, the SLO/error-budget engine, and the
 //     bounded event journal
@@ -115,6 +116,6 @@
 // SLO-alerting runbooks, and docs/DEVELOPING.md for the repo's
 // mechanically-enforced invariants: the internal/analysis suite
 // (detrange, atomicguard, locked, sentinelerr, ctxflow, goexit) run by
-// `make analyze` and the go test self-gate, the `// guarded by mu`
+// its go test self-gate (`make analyze`), the `// guarded by mu`
 // annotation grammar, and the nolint suppression grammar.
 package lowlat

@@ -4,10 +4,11 @@
 // rules the serving stack documents in docs/DEVELOPING.md.
 //
 // The framework mirrors the core of golang.org/x/tools/go/analysis —
-// Analyzer, Pass, Diagnostic, a `// want` golden-test runner, and a
-// `go vet -vettool` driver (cmd/lowlat-vet) speaking the unitchecker
-// protocol — but is implemented on the standard library alone, because
-// this module builds offline with no external dependencies. Analyzers
+// Analyzer, Pass, Diagnostic and a `// want` golden-test runner — but is
+// implemented on the standard library alone, because this module builds
+// offline with no external dependencies. The suite runs one way: the
+// TestSuiteSelfGate test loads the whole module from source, which is
+// what `make analyze` and plain `go test ./...` execute. Analyzers
 // written against it keep the upstream shape, so a future migration to
 // x/tools is a mechanical import swap.
 package analysis
@@ -80,7 +81,7 @@ type Finding struct {
 }
 
 // String renders the conventional "file:line:col: analyzer: message"
-// form every driver prints.
+// form the self-gate prints.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }

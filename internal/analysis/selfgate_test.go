@@ -5,10 +5,11 @@ import (
 )
 
 // TestSuiteSelfGate runs the full analyzer suite over every package of
-// this module from plain `go test`, so CI's short and race jobs inherit
-// the invariant checks without needing the cmd/lowlat-vet binary. Any
-// finding is a failure: fix the code or suppress the line with
-// `//nolint:<analyzer> // reason` (see docs/DEVELOPING.md).
+// this module, bench/ included. It is the one way the suite runs: `make
+// analyze` (CI's lint step), plain `go test ./...` and the short and
+// race jobs all reach it. Any finding is a failure, printed as
+// "file:line:col: analyzer: message": fix the code or suppress the line
+// with `//nolint:<analyzer> // reason` (see docs/DEVELOPING.md).
 func TestSuiteSelfGate(t *testing.T) {
 	pkgs, err := LoadModule("../..")
 	if err != nil {

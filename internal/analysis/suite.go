@@ -1,8 +1,7 @@
 package analysis
 
 // Suite returns the repo's six invariant analyzers in stable name
-// order — the set cmd/lowlat-vet, `make analyze` and the self-gate test
-// all run.
+// order — the set TestSuiteSelfGate (`make analyze`) runs.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Atomicguard,

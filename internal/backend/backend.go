@@ -173,10 +173,6 @@ type Stats struct {
 	Cells       int  `json:"cells"`
 	MemoEntries int  `json:"memo_entries"`
 	ReadOnly    bool `json:"read_only"`
-	// Lookups, Places and Queries count interface calls.
-	Lookups int64 `json:"lookups"`
-	Places  int64 `json:"places"`
-	Queries int64 `json:"queries"`
 	// StoreHits answered from persisted cells; MemoHits derived a content
 	// key from the calibration memo without regenerating a matrix.
 	StoreHits int64 `json:"store_hits"`
@@ -236,19 +232,13 @@ type Stats struct {
 	// only).
 	Surfaces       int `json:"surfaces,omitempty"`
 	SurfaceSamples int `json:"surface_samples,omitempty"`
-	// Stages carries per-stage latency histogram snapshots (solve,
-	// store_read, store_write, predict, replicate, heal, remote_hop, ...)
-	// keyed by stage name. Wrapping backends merge their own stages into
-	// the wrapped backend's; the cluster merges every replica's, so the
-	// top-level map is always the full-tree distribution (exact bucket
-	// sums — quantiles are recomputed after merging, never averaged).
-	Stages map[string]obs.Snapshot `json:"stages,omitempty"`
-	// Windows carries per-stage rolling-window snapshots keyed by stage
-	// name, each a list of windows smallest span first. Wrapping backends
-	// merge like Stages (bucket sums per window name, rates recomputed),
-	// so the top level is the cluster-wide windowed view the SLO engine
-	// evaluates.
-	Windows map[string][]obs.WindowSnapshot `json:"windows,omitempty"`
+	// Telemetry carries the per-stage histograms and rolling windows
+	// (solve, store_read, store_write, predict, replicate, heal,
+	// remote_hop, ...) on the wire as "stages" and "windows". Wrapping
+	// backends merge their own registry into the wrapped backend's; the
+	// cluster merges every replica's, so the top level is always the
+	// full-tree view the SLO engine evaluates.
+	obs.Telemetry
 	// Replicas carries per-replica snapshots (cluster only).
 	Replicas []Stats `json:"replicas,omitempty"`
 }

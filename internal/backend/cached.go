@@ -171,6 +171,6 @@ func (c *Cached) Stats() Stats {
 	s.CacheHits = cs.Hits
 	s.CacheMisses = cs.Misses
 	s.Coalesced = cs.Coalesced
-	s.Stages = obs.MergeStages(s.Stages, c.obs.Snapshot())
+	s.Telemetry.Merge(c.obs.Snapshot())
 	return s
 }

@@ -40,9 +40,6 @@ func (o LocalOptions) withDefaults() LocalOptions {
 
 // counters is the atomic counter block Local and Store share.
 type counters struct {
-	lookups   atomic.Int64
-	places    atomic.Int64
-	queries   atomic.Int64
 	storeHits atomic.Int64
 	memoHits  atomic.Int64
 	computed  atomic.Int64
@@ -95,7 +92,6 @@ func (l *Local) Put(r store.Result) error { return l.st.Put(r) }
 
 // Lookup returns the stored result for a content key.
 func (l *Local) Lookup(k store.CellKey) (store.Result, bool) {
-	l.c.lookups.Add(1)
 	r, ok := l.storeGet(context.Background(), k)
 	if ok {
 		l.c.storeHits.Add(1)
@@ -113,7 +109,6 @@ func (l *Local) storeGet(ctx context.Context, k store.CellKey) (store.Result, bo
 
 // Query lists stored cells matching the filter.
 func (l *Local) Query(f sweep.Filter) []store.Result {
-	l.c.queries.Add(1)
 	return sweep.Query(l.st, f)
 }
 
@@ -139,7 +134,6 @@ func (l *Local) Place(ctx context.Context, spec store.CellSpec) (store.Result, e
 // PlaceSourced is Place with provenance: SourceStore for a persisted
 // cell, SourceComputed for a fresh engine run.
 func (l *Local) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, Source, error) {
-	l.c.places.Add(1)
 	r, src, err := l.place(ctx, spec)
 	if err != nil {
 		l.c.errors.Add(1)
@@ -274,15 +268,12 @@ func (l *Local) Stats() Stats {
 		Cells:       l.st.Len(),
 		MemoEntries: l.st.MemoLen(),
 		ReadOnly:    l.st.ReadOnly(),
-		Lookups:     l.c.lookups.Load(),
-		Places:      l.c.places.Load(),
-		Queries:     l.c.queries.Load(),
 		StoreHits:   l.c.storeHits.Load(),
 		MemoHits:    l.c.memoHits.Load(),
 		Computed:    l.c.computed.Load(),
 		Rejected:    l.c.rejected.Load(),
 		InFlight:    l.c.inflight.Load(),
 		Errors:      l.c.errors.Load(),
-		Stages:      l.obs.Snapshot(),
+		Telemetry:   l.obs.Snapshot(),
 	}
 }

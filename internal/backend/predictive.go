@@ -296,6 +296,6 @@ func (p *Predictive) Stats() Stats {
 	s.Refined = p.refined.Load()
 	s.RefineDropped = p.dropped.Load()
 	s.Surfaces, s.SurfaceSamples = p.idx.Len()
-	s.Stages = obs.MergeStages(s.Stages, p.obs.Snapshot())
+	s.Telemetry.Merge(p.obs.Snapshot())
 	return s
 }

@@ -35,7 +35,6 @@ func (b *Store) Store() *store.Store { return b.st }
 
 // Lookup returns the stored result for a content key.
 func (b *Store) Lookup(k store.CellKey) (store.Result, bool) {
-	b.c.lookups.Add(1)
 	r, ok := b.storeGet(context.Background(), k)
 	if ok {
 		b.c.storeHits.Add(1)
@@ -53,7 +52,6 @@ func (b *Store) storeGet(ctx context.Context, k store.CellKey) (store.Result, bo
 
 // Query lists stored cells matching the filter.
 func (b *Store) Query(f sweep.Filter) []store.Result {
-	b.c.queries.Add(1)
 	return sweep.Query(b.st, f)
 }
 
@@ -83,7 +81,6 @@ func (b *Store) Place(ctx context.Context, spec store.CellSpec) (store.Result, e
 
 // PlaceSourced is Place with provenance (always SourceStore on success).
 func (b *Store) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, Source, error) {
-	b.c.places.Add(1)
 	spec = spec.Normalized()
 	scheme, err := CheckSpec(spec)
 	if err != nil {
@@ -120,12 +117,9 @@ func (b *Store) Stats() Stats {
 		Cells:       b.st.Len(),
 		MemoEntries: b.st.MemoLen(),
 		ReadOnly:    true,
-		Lookups:     b.c.lookups.Load(),
-		Places:      b.c.places.Load(),
-		Queries:     b.c.queries.Load(),
 		StoreHits:   b.c.storeHits.Load(),
 		MemoHits:    b.c.memoHits.Load(),
 		Errors:      b.c.errors.Load(),
-		Stages:      b.obs.Snapshot(),
+		Telemetry:   b.obs.Snapshot(),
 	}
 }

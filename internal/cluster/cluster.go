@@ -151,9 +151,6 @@ type Backend struct {
 	stopped sync.Once
 	wg      sync.WaitGroup
 
-	lookups      atomic.Int64
-	places       atomic.Int64
-	queries      atomic.Int64
 	rerouted     atomic.Int64
 	errs         atomic.Int64
 	replicated   atomic.Int64
@@ -352,7 +349,6 @@ func (c *Backend) Probe(ctx context.Context) int {
 // round trip. A replica that is down (marked, or simply unreachable —
 // its lookup reads as a miss) contributes nothing and costs no failure.
 func (c *Backend) Lookup(k store.CellKey) (store.Result, bool) {
-	c.lookups.Add(1)
 	seq := c.ring.seq(k.String())
 	if c.r <= 1 {
 		for _, i := range seq {
@@ -447,7 +443,6 @@ func (c *Backend) Place(ctx context.Context, spec store.CellSpec) (store.Result,
 
 // PlaceSourced is Place with the serving replica's provenance.
 func (c *Backend) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, backend.Source, error) {
-	c.places.Add(1)
 	spec = spec.Normalized()
 	seq := c.ring.seq(spec.String())
 	owner := seq[0]
@@ -587,7 +582,6 @@ func (c *Backend) Query(f sweep.Filter) []store.Result {
 // replica down, the rest merged) succeed, which is the availability the
 // ring is for; the Stats Down gauge says when that is happening.
 func (c *Backend) QueryContext(ctx context.Context, f sweep.Filter) ([]store.Result, error) {
-	c.queries.Add(1)
 	type part struct {
 		asked   bool
 		results []store.Result
@@ -667,12 +661,10 @@ func (c *Backend) QueryContext(ctx context.Context, f sweep.Filter) ([]store.Res
 // costs one slow replica, not the sum of them.
 func (c *Backend) Stats() backend.Stats {
 	out := backend.Stats{
-		Backend:  "cluster",
-		Lookups:  c.lookups.Load(),
-		Places:   c.places.Load(),
-		Queries:  c.queries.Load(),
-		Rerouted: c.rerouted.Load(),
-		Errors:   c.errs.Load(),
+		Backend:   "cluster",
+		Rerouted:  c.rerouted.Load(),
+		Errors:    c.errs.Load(),
+		Telemetry: c.obs.Snapshot(),
 	}
 	if c.r > 1 {
 		out.ReplicaFactor = c.r
@@ -695,12 +687,10 @@ func (c *Backend) Stats() backend.Stats {
 		}(i, r)
 	}
 	wg.Wait()
-	// Stage histograms roll up the same way counters do: the cluster's own
+	// Telemetry rolls up the same way counters do: the cluster's own
 	// stages (replicate, heal) merge with every replica's — exact bucket
 	// sums, so the top-level p50/p90/p99 are true cluster-wide quantiles.
 	// Each replica's unmerged snapshot stays visible under Replicas.
-	out.Stages = obs.MergeStages(nil, c.obs.Snapshot())
-	out.Windows = obs.MergeWindows(nil, c.obs.Windows())
 	for i, rs := range snaps {
 		out.Cells += rs.Cells
 		out.MemoEntries += rs.MemoEntries
@@ -713,8 +703,7 @@ func (c *Backend) Stats() backend.Stats {
 		if c.down[i].Load() {
 			out.Down++
 		}
-		out.Stages = obs.MergeStages(out.Stages, rs.Stages)
-		out.Windows = obs.MergeWindows(out.Windows, rs.Windows)
+		out.Telemetry.Merge(rs.Telemetry)
 		out.Replicas = append(out.Replicas, rs)
 	}
 	return out

@@ -27,6 +27,7 @@ package obs
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,21 +268,69 @@ func mergeBuckets(a, b [][2]int64) [][2]int64 {
 	return out
 }
 
-// MergeStages folds src's per-stage snapshots into dst, allocating dst
-// when needed — the cluster-wide roll-up helper. dst is returned.
-func MergeStages(dst, src map[string]Snapshot) map[string]Snapshot {
-	if len(src) == 0 {
-		return dst
+// Telemetry is a registry's stage telemetry: the cumulative per-stage
+// histograms and their rolling windows, keyed by stage name. It is the
+// one value every layer's Stats carries, so a wrapping backend, a remote
+// hop or a cluster front folds the layer below with a single Merge and
+// neither view can be dropped on the way up.
+type Telemetry struct {
+	// Stages carries the cumulative per-stage latency histograms (solve,
+	// store_read, http_place, ...). Merged stages are exact bucket sums;
+	// quantiles are recomputed after merging, never averaged.
+	Stages map[string]Snapshot `json:"stages,omitempty"`
+	// Windows carries each stage's rolling windows, smallest span first
+	// — the view the SLO engine evaluates.
+	Windows map[string][]WindowSnapshot `json:"windows,omitempty"`
+}
+
+// Merge folds o into t — the roll-up every wrapping layer applies to the
+// layer below. Stages merge bucket sums; windows merge by name (bucket
+// sums add, spans take the larger, since replica windows cover the same
+// nominal span and partial boot-time spans take the longest observed,
+// and rates are recomputed over the merged counts so a three-replica
+// cluster reports the cluster-wide request rate). t never aliases o's
+// maps, slices or buckets.
+func (t *Telemetry) Merge(o Telemetry) {
+	if len(o.Stages) > 0 && t.Stages == nil {
+		t.Stages = make(map[string]Snapshot, len(o.Stages))
 	}
-	if dst == nil {
-		dst = make(map[string]Snapshot, len(src))
-	}
-	for name, snap := range src {
-		cur := dst[name]
+	for name, snap := range o.Stages {
+		cur := t.Stages[name]
 		cur.Merge(snap)
-		dst[name] = cur
+		t.Stages[name] = cur
 	}
-	return dst
+	if len(o.Windows) > 0 && t.Windows == nil {
+		t.Windows = make(map[string][]WindowSnapshot, len(o.Windows))
+	}
+	for stage, wins := range o.Windows {
+		cur := t.Windows[stage]
+		for _, ws := range wins {
+			i := slices.IndexFunc(cur, func(c WindowSnapshot) bool { return c.Window == ws.Window })
+			if i < 0 {
+				cur = append(cur, WindowSnapshot{Window: ws.Window})
+				i = len(cur) - 1
+			}
+			c := &cur[i]
+			c.Snapshot.Merge(ws.Snapshot)
+			c.SpanNS = max(c.SpanNS, ws.SpanNS)
+			if c.SpanNS > 0 {
+				c.Rate = float64(c.Count) / (float64(c.SpanNS) / 1e9)
+			}
+		}
+		t.Windows[stage] = cur
+	}
+}
+
+// Window resolves one stage's snapshot over one named window — the
+// WindowLookup the SLO engine evaluates merged state through. ok is
+// false when the stage or the window is absent.
+func (t Telemetry) Window(stage, window string) (WindowSnapshot, bool) {
+	for _, ws := range t.Windows[stage] {
+		if ws.Window == window {
+			return ws, true
+		}
+	}
+	return WindowSnapshot{}, false
 }
 
 // Registry is a named-histogram table: one windowed histogram per
@@ -340,39 +389,26 @@ func (r *Registry) Observe(ctx context.Context, stage string, d time.Duration) {
 }
 
 // Snapshot captures every histogram in the registry, keyed by stage
-// name. Returns nil on a nil or empty registry.
-func (r *Registry) Snapshot() map[string]Snapshot {
+// name: the cumulative view and the rolling windows. Both maps are nil
+// on a nil or empty registry.
+func (r *Registry) Snapshot() Telemetry {
 	if r == nil {
-		return nil
+		return Telemetry{}
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.hists) == 0 {
-		return nil
+		return Telemetry{}
 	}
-	out := make(map[string]Snapshot, len(r.hists))
+	t := Telemetry{
+		Stages:  make(map[string]Snapshot, len(r.hists)),
+		Windows: make(map[string][]WindowSnapshot, len(r.hists)),
+	}
 	for name, h := range r.hists {
-		out[name] = h.Snapshot()
+		t.Stages[name] = h.Snapshot()
+		t.Windows[name] = h.Windows()
 	}
-	return out
-}
-
-// Windows captures every histogram's rolling windows, keyed by stage
-// name. Returns nil on a nil or empty registry.
-func (r *Registry) Windows() map[string][]WindowSnapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.hists) == 0 {
-		return nil
-	}
-	out := make(map[string][]WindowSnapshot, len(r.hists))
-	for name, h := range r.hists {
-		out[name] = h.Windows()
-	}
-	return out
+	return t
 }
 
 // Window resolves one stage's snapshot over one named window — the

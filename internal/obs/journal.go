@@ -60,11 +60,8 @@ type Event struct {
 // `since` cursors tolerate: a reader that fell behind resumes from the
 // oldest retained event). A nil *Journal is valid and records nothing.
 type Journal struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
-	seq  int64
+	mu     sync.Mutex
+	events ring[Event] // an event's Seq is its 1-based push number
 
 	// now overrides the clock for tests; nil means time.Now.
 	now func() time.Time
@@ -76,7 +73,7 @@ func NewJournal(n int) *Journal {
 	if n <= 0 {
 		n = 1024
 	}
-	return &Journal{buf: make([]Event, n)}
+	return &Journal{events: newRing[Event](n)}
 }
 
 // Record appends one event, stamping its sequence number and time.
@@ -90,12 +87,7 @@ func (j *Journal) Record(typ, subject, detail string) {
 		now = j.now
 	}
 	j.mu.Lock()
-	j.seq++
-	j.buf[j.next] = Event{Seq: j.seq, Time: now(), Type: typ, Subject: subject, Detail: detail}
-	j.next++
-	if j.next == len(j.buf) {
-		j.next, j.full = 0, true
-	}
+	j.events.push(Event{Seq: j.events.pushed + 1, Time: now(), Type: typ, Subject: subject, Detail: detail})
 	j.mu.Unlock()
 }
 
@@ -108,7 +100,7 @@ func (j *Journal) LastSeq() int64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.seq
+	return j.events.pushed
 }
 
 // Since returns retained events with Seq > since, oldest first, at most
@@ -120,26 +112,5 @@ func (j *Journal) Since(since int64, limit int) []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := j.next
-	if j.full {
-		n = len(j.buf)
-	}
-	out := make([]Event, 0, n)
-	for i := 0; i < n; i++ {
-		// Oldest first: when full, the oldest retained event sits at next.
-		idx := i
-		if j.full {
-			idx = (j.next + i) % len(j.buf)
-		}
-		if e := j.buf[idx]; e.Seq > since {
-			out = append(out, e)
-			if limit > 0 && len(out) == limit {
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return j.events.from(since, limit) // Seq > since: pushes since onwards
 }

@@ -131,7 +131,7 @@ func TestConcurrentRecordMergeSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				for _, s := range reg.Snapshot() {
+				for _, s := range reg.Snapshot().Stages {
 					acc.Merge(s)
 				}
 			}
@@ -155,7 +155,7 @@ func TestConcurrentRecordMergeSnapshot(t *testing.T) {
 
 	var total int64
 	var bucketTotal int64
-	for _, s := range reg.Snapshot() {
+	for _, s := range reg.Snapshot().Stages {
 		total += s.Count
 		for _, b := range s.Buckets {
 			bucketTotal += b[1]
@@ -171,8 +171,8 @@ func TestConcurrentRecordMergeSnapshot(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.Observe(context.Background(), StageSolve, time.Millisecond)
-	if s := reg.Snapshot(); s != nil {
-		t.Fatalf("nil registry snapshot = %v", s)
+	if s := reg.Snapshot(); s.Stages != nil || s.Windows != nil {
+		t.Fatalf("nil registry snapshot = %+v", s)
 	}
 	var tr *Trace
 	tr.Stage(StageSolve, time.Millisecond)

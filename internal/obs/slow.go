@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -32,11 +33,8 @@ type SlowEntry struct {
 // short mutex; the oldest entry is overwritten when the ring is full.
 // A nil *SlowRing is valid and records nothing.
 type SlowRing struct {
-	mu    sync.Mutex
-	buf   []SlowEntry
-	next  int
-	full  bool
-	total int64
+	mu      sync.Mutex
+	entries ring[SlowEntry]
 }
 
 // NewSlowRing returns a ring holding the last n entries (n <= 0 takes
@@ -45,7 +43,7 @@ func NewSlowRing(n int) *SlowRing {
 	if n <= 0 {
 		n = 64
 	}
-	return &SlowRing{buf: make([]SlowEntry, n)}
+	return &SlowRing{entries: newRing[SlowEntry](n)}
 }
 
 // Add records one slow request, overwriting the oldest entry when full.
@@ -55,12 +53,7 @@ func (r *SlowRing) Add(e SlowEntry) {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-	r.total++
+	r.entries.push(e)
 	r.mu.Unlock()
 }
 
@@ -72,7 +65,7 @@ func (r *SlowRing) Total() int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.entries.pushed
 }
 
 // Snapshot returns the retained entries, most recent first. Nil on a
@@ -83,17 +76,7 @@ func (r *SlowRing) Snapshot() []SlowEntry {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]SlowEntry, 0, n)
-	for i := 0; i < n; i++ {
-		idx := r.next - 1 - i
-		if idx < 0 {
-			idx += len(r.buf)
-		}
-		out = append(out, r.buf[idx])
-	}
+	out := r.entries.from(0, 0)
+	slices.Reverse(out)
 	return out
 }

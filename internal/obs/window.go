@@ -309,62 +309,7 @@ func (w *Windowed) Window(name string) (WindowSnapshot, bool) {
 	return WindowSnapshot{}, false
 }
 
-// MergeWindows folds src's per-stage window snapshots into dst (allocated
-// when nil) — the cluster-wide roll-up, symmetric with MergeStages.
-// Windows merge by name: bucket sums add, spans take the larger (replica
-// windows cover the same nominal span; partial boot-time spans take the
-// longest observed), and rates are recomputed over the merged counts so a
-// three-replica cluster reports the cluster-wide request rate.
-func MergeWindows(dst, src map[string][]WindowSnapshot) map[string][]WindowSnapshot {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string][]WindowSnapshot, len(src))
-	}
-	for stage, wins := range src {
-		cur := dst[stage]
-		for _, ws := range wins {
-			i := -1
-			for j := range cur {
-				if cur[j].Window == ws.Window {
-					i = j
-					break
-				}
-			}
-			if i < 0 {
-				cp := ws
-				cp.Snapshot.Buckets = append([][2]int64(nil), ws.Snapshot.Buckets...)
-				cur = append(cur, cp)
-				continue
-			}
-			cur[i].Snapshot.Merge(ws.Snapshot)
-			if ws.SpanNS > cur[i].SpanNS {
-				cur[i].SpanNS = ws.SpanNS
-			}
-			if cur[i].SpanNS > 0 {
-				cur[i].Rate = float64(cur[i].Count) / (float64(cur[i].SpanNS) / 1e9)
-			}
-		}
-		dst[stage] = cur
-	}
-	return dst
-}
-
 // WindowLookup resolves one stage's snapshot over one named window — the
-// view the SLO engine evaluates against. Implemented by Registry (live)
-// and by snapshot maps via LookupWindows (merged cluster-wide state).
+// view the SLO engine evaluates against. Implemented by Registry.Window
+// (live) and Telemetry.Window (merged cluster-wide state).
 type WindowLookup func(stage, window string) (WindowSnapshot, bool)
-
-// LookupWindows adapts a per-stage window-snapshot map (serve.Stats
-// Windows, a cluster roll-up) to a WindowLookup.
-func LookupWindows(m map[string][]WindowSnapshot) WindowLookup {
-	return func(stage, window string) (WindowSnapshot, bool) {
-		for _, ws := range m[stage] {
-			if ws.Window == window {
-				return ws, true
-			}
-		}
-		return WindowSnapshot{}, false
-	}
-}

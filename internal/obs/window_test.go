@@ -256,8 +256,9 @@ func TestFractionAbove(t *testing.T) {
 	}
 }
 
-// TestMergeWindows pins the cluster roll-up: counts add per window name,
-// rates recompute over the merged span.
+// TestMergeWindows pins the cluster roll-up through Telemetry.Merge:
+// counts add per stage and per window name, rates recompute over the
+// merged span, and the merged value never aliases its sources.
 func TestMergeWindows(t *testing.T) {
 	clk := newFakeClock()
 	cfg := WindowConfig{Slot: time.Second, Windows: []time.Duration{10 * time.Second}, now: clk.now}
@@ -267,20 +268,37 @@ func TestMergeWindows(t *testing.T) {
 		b.Record(2 * time.Millisecond)
 	}
 	clk.advance(10 * time.Second)
-	merged := MergeWindows(nil, map[string][]WindowSnapshot{"s": a.Windows()})
-	merged = MergeWindows(merged, map[string][]WindowSnapshot{"s": b.Windows()})
-	ws := merged["s"]
+	src := Telemetry{
+		Stages:  map[string]Snapshot{"s": b.Snapshot()},
+		Windows: map[string][]WindowSnapshot{"s": b.Windows()},
+	}
+	var merged Telemetry
+	merged.Merge(Telemetry{
+		Stages:  map[string]Snapshot{"s": a.Snapshot()},
+		Windows: map[string][]WindowSnapshot{"s": a.Windows()},
+	})
+	merged.Merge(src)
+	if got := merged.Stages["s"].Count; got != 20 {
+		t.Fatalf("merged stage count = %d, want 20", got)
+	}
+	ws := merged.Windows["s"]
 	if len(ws) != 1 || ws[0].Window != "10s" || ws[0].Count != 20 {
 		t.Fatalf("merged windows = %+v, want one 10s window with count 20", ws)
 	}
 	if ws[0].Rate < 1.9 || ws[0].Rate > 2.1 {
 		t.Fatalf("merged rate = %v, want ~2/s (20 obs over 10s)", ws[0].Rate)
 	}
-	if got, ok := LookupWindows(merged)("s", "10s"); !ok || got.Count != 20 {
-		t.Fatalf("LookupWindows = %+v ok=%v", got, ok)
+	if got, ok := merged.Window("s", "10s"); !ok || got.Count != 20 {
+		t.Fatalf("Telemetry.Window = %+v ok=%v", got, ok)
 	}
-	if _, ok := LookupWindows(merged)("s", "1m"); ok {
-		t.Fatal("LookupWindows found an unconfigured window")
+	if _, ok := merged.Window("s", "1m"); ok {
+		t.Fatal("Telemetry.Window found an unconfigured window")
+	}
+	var fresh Telemetry
+	fresh.Merge(src)
+	fresh.Merge(src)
+	if src.Stages["s"].Count != 10 || src.Windows["s"][0].Count != 10 || src.Windows["s"][0].Buckets[0][1] != 10 {
+		t.Fatalf("Merge wrote through to its source: %+v", src)
 	}
 }
 
@@ -289,7 +307,7 @@ func TestRegistryWindows(t *testing.T) {
 	r := NewRegistryWindows(WindowConfig{Slot: time.Second, Windows: []time.Duration{time.Minute}})
 	r.Hist("x").Record(time.Millisecond)
 	r.Hist("x").Inc()
-	wins := r.Windows()
+	wins := r.Snapshot().Windows
 	if len(wins["x"]) != 1 || wins["x"][0].Count != 2 {
 		t.Fatalf("registry windows = %+v, want x with count 2", wins)
 	}
@@ -300,7 +318,7 @@ func TestRegistryWindows(t *testing.T) {
 		t.Fatal("registry Window found a missing stage")
 	}
 	var nilReg *Registry
-	if nilReg.Windows() != nil {
+	if nilReg.Snapshot().Windows != nil {
 		t.Fatal("nil registry windows")
 	}
 	if _, ok := nilReg.Window("x", "1m"); ok {

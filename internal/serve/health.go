@@ -45,21 +45,20 @@ type HealthReport struct {
 }
 
 // sloLookup builds the window lookup SLO evaluation reads: the server's
-// own endpoint windows first (free), the backend's merged windows on a
+// own endpoint windows first (free), the backend's merged telemetry on a
 // miss — fetched lazily at most once per evaluation, since a cluster
 // front's Stats call fans out to its replicas.
 func (s *Server) sloLookup() obs.WindowLookup {
-	var bw map[string][]obs.WindowSnapshot
-	fetched := false
+	var bt *obs.Telemetry
 	return func(stage, window string) (obs.WindowSnapshot, bool) {
 		if ws, ok := s.obs.Window(stage, window); ok {
 			return ws, true
 		}
-		if !fetched {
-			fetched = true
-			bw = s.b.Stats().Windows
+		if bt == nil {
+			t := s.b.Stats().Telemetry
+			bt = &t
 		}
-		return obs.LookupWindows(bw)(stage, window)
+		return bt.Window(stage, window)
 	}
 }
 

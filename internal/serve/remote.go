@@ -39,9 +39,6 @@ type Remote struct {
 	c    *Client
 	opts RemoteOptions
 
-	lookups atomic.Int64
-	places  atomic.Int64
-	queries atomic.Int64
 	errs    atomic.Int64
 	retried atomic.Int64
 	obs     *obs.Registry
@@ -87,7 +84,6 @@ func (r *Remote) ctx() (context.Context, context.CancelFunc) {
 // daemon — reads as a miss; callers that need to distinguish probe
 // health separately (Prober).
 func (r *Remote) Lookup(k store.CellKey) (store.Result, bool) {
-	r.lookups.Add(1)
 	ctx, cancel := r.ctx()
 	defer cancel()
 	t0 := time.Now()
@@ -112,7 +108,6 @@ func (r *Remote) Place(ctx context.Context, spec store.CellSpec) (store.Result, 
 
 // PlaceSourced is Place with the daemon-reported provenance.
 func (r *Remote) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, backend.Source, error) {
-	r.places.Add(1)
 	spec = spec.Normalized()
 	loc := spec.Locality
 	req := PlaceRequest{
@@ -157,7 +152,6 @@ func (r *Remote) Query(f sweep.Filter) []store.Result {
 
 // QueryContext is the error-aware Query the cluster's fan-out uses.
 func (r *Remote) QueryContext(ctx context.Context, f sweep.Filter) ([]store.Result, error) {
-	r.queries.Add(1)
 	t0 := time.Now()
 	res, err := r.c.Query(ctx, f)
 	r.hop(ctx, t0)
@@ -238,15 +232,11 @@ func (r *Remote) Probe(ctx context.Context) error {
 // snapshot, not a health check.
 func (r *Remote) Stats() backend.Stats {
 	out := backend.Stats{
-		Backend: "remote",
-		Lookups: r.lookups.Load(),
-		Places:  r.places.Load(),
-		Queries: r.queries.Load(),
-		Errors:  r.errs.Load(),
-		Retried: r.retried.Load(),
+		Backend:   "remote",
+		Errors:    r.errs.Load(),
+		Retried:   r.retried.Load(),
+		Telemetry: r.obs.Snapshot(),
 	}
-	out.Stages = obs.MergeStages(nil, r.obs.Snapshot())
-	out.Windows = obs.MergeWindows(nil, r.obs.Windows())
 	ctx, cancel := r.ctx()
 	defer cancel()
 	st, err := r.c.Stats(ctx)
@@ -262,11 +252,10 @@ func (r *Remote) Stats() backend.Stats {
 	out.Computed = st.Computed
 	out.Rejected = st.Rejected
 	out.InFlight = st.InFlight
-	// The daemon's own stage histograms (solve, store reads/writes, its
-	// HTTP endpoints) merge under this client's remote_hop, so a front's
-	// stats see through the wire — windows the same way.
-	out.Stages = obs.MergeStages(out.Stages, st.Stages)
-	out.Windows = obs.MergeWindows(out.Windows, st.Windows)
+	// The daemon's own telemetry (solve, store reads/writes, its HTTP
+	// endpoints) merges under this client's remote_hop, so a front's
+	// stats see through the wire.
+	out.Telemetry.Merge(st.Telemetry)
 	return out
 }
 

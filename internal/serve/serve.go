@@ -200,19 +200,15 @@ type Stats struct {
 	// SlowRequests counts requests that crossed the slow threshold since
 	// the server started (including entries the ring has since evicted).
 	SlowRequests int64 `json:"slow_requests,omitempty"`
-	// Stages carries per-stage latency histogram snapshots — the
-	// backend's (solve, store_read/store_write, predict, replicate, heal,
-	// remote_hop; cluster-merged across replicas when fronting a cluster)
-	// plus this server's per-endpoint http_* timings. Each snapshot
-	// reports count/sum/max, p50/p90/p99 and the exact sparse buckets the
-	// quantiles were computed from.
-	Stages map[string]obs.Snapshot `json:"stages,omitempty"`
-	// Windows carries the rolling-window view of the same stages, keyed
-	// by stage name, smallest span first — the backend's merged with this
-	// server's http_* endpoint windows. Each entry reports the window
-	// name, covered span, observation rate and a full quantile snapshot
-	// over just that window.
-	Windows map[string][]obs.WindowSnapshot `json:"windows,omitempty"`
+	// Telemetry carries the per-stage histograms ("stages") and their
+	// rolling windows ("windows"): the backend's (solve,
+	// store_read/store_write, predict, replicate, heal, remote_hop;
+	// cluster-merged across replicas when fronting a cluster) plus this
+	// server's per-endpoint http_* timings. Each snapshot reports
+	// count/sum/max, p50/p90/p99 and the exact sparse buckets the
+	// quantiles were computed from; each window entry adds its name,
+	// covered span and observation rate.
+	obs.Telemetry
 }
 
 // counters is the server's HTTP-layer atomic counter block; cache
@@ -543,6 +539,8 @@ func (s *Server) Handler() http.Handler { return s.h }
 func (s *Server) Stats() Stats {
 	bs := s.b.Stats()
 	cs := s.tier.CacheStats()
+	t := s.obs.Snapshot()
+	t.Merge(bs.Telemetry)
 	return Stats{
 		Backend:       bs.Backend,
 		StoreCells:    bs.Cells,
@@ -582,9 +580,7 @@ func (s *Server) Stats() Stats {
 		Replicas: bs.Replicas,
 
 		SlowRequests: s.slow.Total(),
-		// Copy before merging: bs.Stages is the backend's own snapshot map.
-		Stages:  obs.MergeStages(obs.MergeStages(nil, bs.Stages), s.obs.Snapshot()),
-		Windows: obs.MergeWindows(obs.MergeWindows(nil, bs.Windows), s.obs.Windows()),
+		Telemetry:    t,
 	}
 }
 

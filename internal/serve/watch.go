@@ -80,7 +80,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		ev := WatchEvent{
 			Time:    time.Now(),
 			Health:  s.Health(),
-			Windows: s.obs.Windows(),
+			Windows: s.obs.Snapshot().Windows,
 			Events:  s.journal.Since(cursor, 0),
 		}
 		for _, e := range ev.Events {
