@@ -15,24 +15,23 @@ import (
 // API every consumer of the scenario landscape goes through — "give me
 // the result for this cell, computing it if needed" — with
 // interchangeable implementations. A LocalBackend computes through the
-// in-process engine over a writable store; a StoreBackend serves a store
-// read-only; a RemoteBackend talks to a running lowlatd daemon (with
-// client-side 429 backoff); a ClusterBackend fronts N backends with a
-// consistent-hash ring, rerouting around down replicas — and, with
-// Replicas > 1, replicating every cell to its key's R ring owners with
-// read-repair, hinted handoff and anti-entropy healing. They compose: a
-// sweep can farm compute out to a cluster, a daemon can serve a cluster
-// of daemons, and all of them answer the same Lookup/Place/Query/Stats
-// calls. A PredictiveBackend wraps any of them with the landscape
-// interpolation fast path (microsecond Place answers from trained
-// metric surfaces, exact fallback outside the trained region), and a
-// CachedBackend wraps any of them with a client-side LRU + coalescing
-// tier for hot-key traffic.
+// in-process engine over a writable store (over a read-only one it
+// serves stored cells and never computes); a RemoteBackend talks to a
+// running lowlatd daemon (with client-side 429 backoff); a
+// ClusterBackend fronts N backends with a consistent-hash ring,
+// rerouting around down replicas — and, with Replicas > 1, replicating
+// every cell to its key's R ring owners with read-repair, hinted handoff
+// and anti-entropy healing. They compose: a sweep can farm compute out
+// to a cluster, a daemon can serve a cluster of daemons, and all of them
+// answer the same Lookup/Place/Query/Stats calls. A PredictiveBackend
+// wraps any of them with the landscape interpolation fast path
+// (microsecond Place answers from trained metric surfaces, exact
+// fallback outside the trained region), and a CachedBackend wraps any
+// of them with a client-side LRU + coalescing tier for hot-key traffic.
 
 // PlacementBackend is the placement-access interface: Lookup by content
 // key, Place by request coordinates (computing if needed), Query by
-// metadata filter, Stats for counters. All four backend types implement
-// it.
+// metadata filter, Stats for counters. Every backend type implements it.
 type PlacementBackend = backend.Backend
 
 // CellSpec addresses one scenario cell by request coordinates — the
@@ -46,12 +45,9 @@ type CellSpec = store.CellSpec
 // bound, invocation hook).
 type LocalBackendOptions = backend.LocalOptions
 
-// LocalBackend is the compute-capable backend over a writable store.
+// LocalBackend is the store-backed backend: it computes over a writable
+// store and never computes over a read-only one.
 type LocalBackend = backend.Local
-
-// StoreBackend is the read-only backend: lookups and queries, never
-// computation.
-type StoreBackend = backend.Store
 
 // RemoteBackend adapts the typed daemon client to the backend interface,
 // with bounded, seeded, jittered retry on 429 backpressure.
@@ -114,9 +110,6 @@ type SurfaceIndexOptions = predict.Options
 func NewLocalBackend(st *ResultStore, opts LocalBackendOptions) *LocalBackend {
 	return backend.NewLocal(st, opts)
 }
-
-// NewStoreBackend builds the read-only backend over an open result store.
-func NewStoreBackend(st *ResultStore) *StoreBackend { return backend.NewStore(st) }
 
 // NewRemoteBackend builds a backend talking to the daemon at baseURL
 // (e.g. "http://127.0.0.1:8080").

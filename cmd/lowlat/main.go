@@ -1340,7 +1340,7 @@ func resolveReadBackend(storeDir string, mkRemote func() (backend.Backend, error
 	if err != nil {
 		return nil, nil, err
 	}
-	return backend.NewStore(st), st.Close, nil
+	return backend.NewLocal(st, backend.LocalOptions{}), st.Close, nil
 }
 
 func cmdQuery(args []string, stdout, stderr io.Writer) error {

@@ -252,12 +252,12 @@ func TestStatsCommand(t *testing.T) {
 		t.Fatalf("stats against dead daemon: exit %d, want 1", code)
 	}
 
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenReadOnly(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv := serve.NewBackendServer(backend.NewStore(st), serve.Options{})
+	srv := serve.NewBackendServer(backend.NewLocal(st, backend.LocalOptions{}), serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	// Prime one request so at least one http_* histogram has recorded by
@@ -284,12 +284,12 @@ func TestStatsCommand(t *testing.T) {
 // decoded struct reproduces the daemon's JSON exactly — no field of the
 // wire format is silently dropped by the Go type.
 func TestStatsJSONRoundTrip(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenReadOnly(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv := serve.NewBackendServer(backend.NewStore(st), serve.Options{})
+	srv := serve.NewBackendServer(backend.NewLocal(st, backend.LocalOptions{}), serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	// Prime requests so histograms, windows and counters are non-trivial.
@@ -349,7 +349,7 @@ func TestWatchCommand(t *testing.T) {
 		t.Fatalf("watch against dead daemon: exit %d, want 1", code)
 	}
 
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenReadOnly(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestWatchCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewBackendServer(backend.NewStore(st), serve.Options{Objectives: objs})
+	srv := serve.NewBackendServer(backend.NewLocal(st, backend.LocalOptions{}), serve.Options{Objectives: objs})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/query")

@@ -67,7 +67,8 @@
 //
 // A flag that does nothing in the chosen mode exits 2: -workers,
 // -max-inflight or -readonly with -cluster; -replicas or -anti-entropy
-// with -store; -predict-refine without -predict or with -readonly.
+// with -store; -workers or -max-inflight with -readonly; -predict-refine
+// without -predict or with -readonly.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully, draining in-flight
 // requests.
@@ -149,6 +150,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	mode, inert := "-store", []string{"replicas", "anti-entropy"}
 	if *clusterSpec != "" {
 		mode, inert = "-cluster", []string{"workers", "max-inflight", "readonly"}
+	} else if *readonly {
+		// A read-only mount never computes: no engine to size, nothing
+		// to admit.
+		mode, inert = "-readonly", append(inert, "workers", "max-inflight")
 	}
 	for _, name := range inert {
 		if set[name] {
@@ -244,11 +249,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		access := "read-write"
 		if *readonly {
-			b = backend.NewStore(st)
 			access = "read-only"
-		} else {
-			b = backend.NewLocal(st, backend.LocalOptions{Workers: *workers, MaxInflight: *maxInflight})
 		}
+		b = backend.NewLocal(st, backend.LocalOptions{Workers: *workers, MaxInflight: *maxInflight})
 		serving = fmt.Sprintf("store %s (%d cells, %d memo entries, %s)",
 			*storeDir, st.Len(), st.MemoLen(), access)
 	}

@@ -61,6 +61,8 @@ func TestExitCodes(t *testing.T) {
 		{"-readonly with -cluster", []string{"-cluster", replica, "-readonly"}, 2, "-readonly has no effect with -cluster"},
 		{"-replicas with -store", []string{"-store", dir, "-replicas", "2"}, 2, "-replicas has no effect with -store"},
 		{"-anti-entropy with -store", []string{"-store", dir, "-anti-entropy", "1m"}, 2, "-anti-entropy has no effect with -store"},
+		{"-workers with -readonly", []string{"-store", dir, "-readonly", "-workers", "2"}, 2, "-workers has no effect with -readonly"},
+		{"-max-inflight with -readonly", []string{"-store", dir, "-readonly", "-max-inflight", "8"}, 2, "-max-inflight has no effect with -readonly"},
 		{"-predict-refine without -predict", []string{"-store", dir, "-predict-refine"}, 2, "-predict-refine needs -predict"},
 		{"-predict-refine with -readonly", []string{"-store", dir, "-readonly", "-predict", "-predict-refine"}, 2, "-readonly"},
 	}

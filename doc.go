@@ -25,10 +25,10 @@
 //     RunSweep, ExportSweep), which recomputes only the cells an earlier,
 //     possibly killed, run never finished.
 //   - Serving: one placement-backend API (PlacementBackend) with its
-//     constructors — compute over a writable store (NewLocalBackend), a
-//     read-only mount (NewStoreBackend), a remote daemon
-//     (NewRemoteBackend), a consistent-hash cluster with optional
-//     replication (NewClusterBackend), a client-side cache tier
+//     constructors — a store, computing when it is writable
+//     (NewLocalBackend), a remote daemon (NewRemoteBackend), a
+//     consistent-hash cluster with optional replication
+//     (NewClusterBackend), a client-side cache tier
 //     (NewCachedBackend) and the predictive fast path over trained
 //     interpolation surfaces (NewPredictiveBackend, NewSurfaceIndex) —
 //     served over HTTP by Serve or ServeBackend and read back with the

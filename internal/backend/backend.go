@@ -3,11 +3,11 @@
 // cell, computing it if needed". The paper's landscape study is,
 // operationally, a huge content-addressed table of placement cells; this
 // interface is the seam that lets that table live anywhere — in-process
-// over a writable store (Local), in a store mounted read-only (Store), on
-// the far side of a daemon's HTTP API (serve.Remote), or sharded across N
-// replicas by consistent hashing on the content key (cluster.Backend) —
-// without the fig drivers, the sweep orchestrator, the CLI or the serving
-// daemon knowing which.
+// over a writable or read-only store (Local), on the far side of a
+// daemon's HTTP API (serve.Remote), or sharded across N replicas by
+// consistent hashing on the content key (cluster.Backend) — without the
+// fig drivers, the sweep orchestrator, the CLI or the serving daemon
+// knowing which.
 //
 // The interface is deliberately small and symmetric with the store's two
 // addressing forms: Lookup takes a content key (the answer's identity),
@@ -165,8 +165,8 @@ func specf(format string, args ...any) *SpecError {
 // cluster) roll their replicas' stats up into the top-level counters and
 // keep the per-replica snapshots in Replicas.
 type Stats struct {
-	// Backend names the implementation: "local", "store", "remote",
-	// "cluster".
+	// Backend names the implementation: "local", "store" (a Local over a
+	// read-only store), "remote", "cluster".
 	Backend string `json:"backend"`
 	// Cells and MemoEntries gauge the visible store; ReadOnly reports a
 	// mount that will never compute.

@@ -20,6 +20,18 @@ func openStore(t *testing.T) *store.Store {
 	return st
 }
 
+// readOnly reopens st's directory with store.OpenReadOnly — the mount a
+// read-only daemon or a query beside a writing sweep serves from.
+func readOnly(t *testing.T, st *store.Store) *store.Store {
+	t.Helper()
+	ro, err := store.OpenReadOnly(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ro.Close() })
+	return ro
+}
+
 func spec(net string, seed int64, scheme string) store.CellSpec {
 	return store.CellSpec{Net: net, Seed: seed, Scheme: scheme, Locality: 1}
 }
@@ -127,16 +139,18 @@ func TestLocalOverload(t *testing.T) {
 	}
 }
 
-// TestStoreBackendNeverComputes pins the read-only backend: swept cells
-// serve through the memo, anything else fails ErrNotStored, and the
-// store is never written.
-func TestStoreBackendNeverComputes(t *testing.T) {
+// TestReadOnlyLocalNeverComputes pins the read-only mount: a Local over
+// a store opened read-only serves swept cells through the memo, fails
+// anything else with ErrNotStored before any engine work, never writes
+// the store, and reports itself as the "store" backend.
+func TestReadOnlyLocalNeverComputes(t *testing.T) {
 	st := openStore(t)
 	grid := sweep.Grid{Nets: []string{"star-6"}, Seeds: []int64{1}, Schemes: []string{"sp"}}
 	if _, err := sweep.Run(context.Background(), st, grid, sweep.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	b := NewStore(st)
+	var invocations atomic.Int64
+	b := NewLocal(readOnly(t, st), LocalOptions{OnPlace: func(store.CellKey) { invocations.Add(1) }})
 
 	res, src, err := b.PlaceSourced(context.Background(), spec("star-6", 1, "sp"))
 	if err != nil || src != SourceStore {
@@ -149,11 +163,51 @@ func TestStoreBackendNeverComputes(t *testing.T) {
 		t.Fatalf("lookup: %+v, %v", got, ok)
 	}
 	s := b.Stats()
-	if !s.ReadOnly || s.Cells != 1 || s.Errors != 1 || s.MemoHits != 1 {
+	if s.Backend != "store" || !s.ReadOnly || s.Cells != 1 || s.Errors != 1 || s.MemoHits != 1 {
 		t.Fatalf("stats %+v", s)
 	}
-	if st.Len() != 1 {
-		t.Fatalf("store grew to %d cells under a read-only backend", st.Len())
+	if n := invocations.Load(); n != 0 || s.Computed != 0 {
+		t.Fatalf("read-only mount invoked the engine %d times (computed %d)", n, s.Computed)
+	}
+	reopened, err := store.OpenReadOnly(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.Len() != 1 {
+		t.Fatalf("store grew to %d cells under a read-only backend", reopened.Len())
+	}
+}
+
+// TestSweepAndLocalAgreeOnCells pins that a sweep's in-process dispatch
+// and Local.Place build the same cell: the same specs, swept into one
+// store and placed one by one into another, yield equal keys, metadata
+// and metrics. Each planned cell's Spec is placed as is — what a sweep
+// farming cells out to a backend sends — so a headroom point must name
+// its scheme the way CheckSpec accepts it.
+func TestSweepAndLocalAgreeOnCells(t *testing.T) {
+	swept := openStore(t)
+	grid := sweep.Grid{Nets: []string{"star-6"}, Seeds: []int64{1}, Schemes: []string{"sp", "minmax", "ldr"}, Headrooms: []float64{0, 0.1}}
+	cells, err := sweep.Plan(context.Background(), grid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := sweep.Run(context.Background(), swept, grid, sweep.Options{Workers: 1}); err != nil || rep.Computed != len(cells) {
+		t.Fatalf("sweep: %+v, %v", rep, err)
+	}
+	l := NewLocal(openStore(t), LocalOptions{Workers: 1})
+	for _, c := range cells {
+		want, ok := swept.Get(c.Key)
+		if !ok {
+			t.Fatalf("%s: swept store misses planned key %s", c.Scenario.Tag, c.Key)
+		}
+		got, src, err := l.PlaceSourced(context.Background(), c.Spec)
+		if err != nil || src != SourceComputed {
+			t.Fatalf("%s: place: %v, source %q", c.Scenario.Tag, err, src)
+		}
+		if got.Key != want.Key || got.Meta != want.Meta || got.Metrics != want.Metrics {
+			t.Fatalf("%s: Local placed\n%+v\nsweep stored\n%+v", c.Scenario.Tag, got, want)
+		}
 	}
 }
 

@@ -141,12 +141,7 @@ func (p *panicOnce) Place(context.Context, store.CellSpec) (store.Result, error)
 // with a nil error — and the spec must be released, so the next Place
 // dispatches fresh instead of joining a flight that will never finish.
 func TestCachedLeaderPanicFailsFollowers(t *testing.T) {
-	st, err := store.OpenSharded(t.TempDir(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	inner := &panicOnce{Backend: NewStore(st)}
+	inner := &panicOnce{Backend: NewLocal(readOnly(t, openStore(t)), LocalOptions{})}
 	c := NewCached(inner, CachedOptions{})
 	inner.c = c
 	spec := store.CellSpec{Net: "star-6", Seed: 1, Scheme: "sp", Locality: 1}

@@ -38,36 +38,28 @@ func (o LocalOptions) withDefaults() LocalOptions {
 	return o
 }
 
-// counters is the atomic counter block Local and Store share.
-type counters struct {
-	storeHits atomic.Int64
-	memoHits  atomic.Int64
-	computed  atomic.Int64
-	rejected  atomic.Int64
-	inflight  atomic.Int64
-	errors    atomic.Int64
-}
-
-// Local is the compute-capable backend: engine placements over a shared
-// solver cache against a writable store. It is the one compute path in
-// the repository — the serving daemon's /v1/place and (by default) the
-// sweep orchestrator's missing-cell dispatch both resolve here, so a
-// cell computed through either lands on the same content key with the
-// same persistence semantics.
+// Local is the store-backed backend: engine placements over a shared
+// solver cache against a store. Over a writable store it computes and
+// persists missing cells; over one opened with store.OpenReadOnly it is
+// the read-only mount, serving stored cells and failing with
+// ErrNotStored for any cell that would need computing. Its cells are
+// built, keyed and solved by the same sweep.NewCell, store.KeyForDigest
+// and sweep.Cell.Solve a sweep's in-process dispatch uses, so a cell
+// computed through either lands on the same content key with the same
+// Meta and Metrics.
 type Local struct {
 	st     *store.Store
 	opts   LocalOptions
 	solver *routing.SolverCache
 	sem    chan struct{} // admission slots (MaxInflight)
 	work   chan struct{} // compute slots (Workers)
-	c      counters
 	obs    *obs.Registry
+
+	storeHits, memoHits, computed, rejected, inflight, errors atomic.Int64
 }
 
-// NewLocal builds a Local backend over an open store. The store may be
-// writable (computed cells persist) or read-only (Place then serves
-// stored cells and fails with ErrNotStored for cells that would need
-// computing — though NewStore is the cheaper fit for that mount).
+// NewLocal builds a Local backend over an open store, writable (computed
+// cells persist) or read-only (Place never computes).
 func NewLocal(st *store.Store, opts LocalOptions) *Local {
 	opts = opts.withDefaults()
 	return &Local{
@@ -94,7 +86,7 @@ func (l *Local) Put(r store.Result) error { return l.st.Put(r) }
 func (l *Local) Lookup(k store.CellKey) (store.Result, bool) {
 	r, ok := l.storeGet(context.Background(), k)
 	if ok {
-		l.c.storeHits.Add(1)
+		l.storeHits.Add(1)
 	}
 	return r, ok
 }
@@ -136,7 +128,7 @@ func (l *Local) Place(ctx context.Context, spec store.CellSpec) (store.Result, e
 func (l *Local) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, Source, error) {
 	r, src, err := l.place(ctx, spec)
 	if err != nil {
-		l.c.errors.Add(1)
+		l.errors.Add(1)
 	}
 	return r, src, err
 }
@@ -159,15 +151,9 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 	// actually spared the generation, i.e. when the cell itself is held;
 	// otherwise the fall-through pays the solves regardless.
 	if md, ok := l.st.Memo(store.MemoKeyFor(g, spec.Seed, spec.Load, spec.Locality)); ok {
-		k := store.CellKey{
-			Graph:  store.Digest(g.Fingerprint()),
-			Matrix: md,
-			Scheme: scheme.Name(),
-			Config: store.ConfigDigest(scheme),
-		}
-		if res, hit := l.storeGet(ctx, k); hit {
-			l.c.memoHits.Add(1)
-			l.c.storeHits.Add(1)
+		if res, hit := l.storeGet(ctx, store.KeyForDigest(g, md, scheme)); hit {
+			l.memoHits.Add(1)
+			l.storeHits.Add(1)
 			return res, SourceStore, nil
 		}
 	}
@@ -180,12 +166,12 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 	select {
 	case l.sem <- struct{}{}:
 	default:
-		l.c.rejected.Add(1)
+		l.rejected.Add(1)
 		return store.Result{}, "", fmt.Errorf("%w (%d in flight)", ErrOverloaded, l.opts.MaxInflight)
 	}
 	defer func() { <-l.sem }()
-	l.c.inflight.Add(1)
-	defer l.c.inflight.Add(-1)
+	l.inflight.Add(1)
+	defer l.inflight.Add(-1)
 
 	// Worker slot: bounds actual engine work to Workers, however many
 	// computations were admitted.
@@ -201,28 +187,11 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 	key := store.KeyFor(g, m, scheme)
 	// A store predating its memo can hold the cell even on a memo miss.
 	if res, hit := l.storeGet(ctx, key); hit {
-		l.c.storeHits.Add(1)
+		l.storeHits.Add(1)
 		return res, SourceStore, nil
 	}
 
-	res, err := l.compute(ctx, sweep.Cell{
-		Key: key,
-		Meta: store.Meta{
-			Net:      net.Name,
-			Class:    net.Class,
-			Seed:     spec.Seed,
-			Scheme:   scheme.Name(),
-			Headroom: routing.Headroom(scheme),
-			Load:     spec.Load,
-			Locality: spec.Locality,
-		},
-		Scenario: engine.Scenario{
-			Tag:    fmt.Sprintf("%s/s%d/%s", net.Name, spec.Seed, scheme.Name()),
-			Graph:  g,
-			Matrix: m,
-			Scheme: scheme,
-		},
-	})
+	res, err := l.compute(ctx, sweep.NewCell(net, spec.Seed, scheme, spec.Load, spec.Locality, key, m))
 	if err != nil {
 		return store.Result{}, "", err
 	}
@@ -249,31 +218,33 @@ func (l *Local) compute(ctx context.Context, c sweep.Cell) (store.Result, error)
 			if l.opts.OnPlace != nil {
 				l.opts.OnPlace(c.Key)
 			}
-			l.c.computed.Add(1)
+			l.computed.Add(1)
 			t0 := time.Now()
-			p, err := l.solver.Place(c.Scenario.Scheme, c.Scenario.Graph, c.Scenario.Matrix)
+			res, err := c.Solve(l.solver)
 			l.obs.Observe(ctx, obs.StageSolve, time.Since(t0))
-			if err != nil {
-				return store.Result{}, fmt.Errorf("%s: %w", c.Scenario.Tag, err)
-			}
-			return store.Result{Key: c.Key, Meta: c.Meta, Metrics: store.MetricsOf(p)}, nil
+			return res, err
 		})
 	return out.Value, out.Err
 }
 
-// Stats snapshots the backend.
+// Stats snapshots the backend. A read-only mount reports itself as the
+// "store" backend.
 func (l *Local) Stats() Stats {
+	name := "local"
+	if l.st.ReadOnly() {
+		name = "store"
+	}
 	return Stats{
-		Backend:     "local",
+		Backend:     name,
 		Cells:       l.st.Len(),
 		MemoEntries: l.st.MemoLen(),
 		ReadOnly:    l.st.ReadOnly(),
-		StoreHits:   l.c.storeHits.Load(),
-		MemoHits:    l.c.memoHits.Load(),
-		Computed:    l.c.computed.Load(),
-		Rejected:    l.c.rejected.Load(),
-		InFlight:    l.c.inflight.Load(),
-		Errors:      l.c.errors.Load(),
+		StoreHits:   l.storeHits.Load(),
+		MemoHits:    l.memoHits.Load(),
+		Computed:    l.computed.Load(),
+		Rejected:    l.rejected.Load(),
+		InFlight:    l.inflight.Load(),
+		Errors:      l.errors.Load(),
 		Telemetry:   l.obs.Snapshot(),
 	}
 }

@@ -22,12 +22,7 @@ func (refusing) Place(context.Context, store.CellSpec) (store.Result, error) {
 // zoo net those requests evicted must still answer, from one fresh
 // ResolveNet, with the netInfo it had before.
 func TestPredictiveNetCacheIsBounded(t *testing.T) {
-	st, err := store.OpenSharded(t.TempDir(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	p := NewPredictive(refusing{NewStore(st)}, PredictiveOptions{})
+	p := NewPredictive(refusing{NewLocal(readOnly(t, openStore(t)), LocalOptions{})}, PredictiveOptions{})
 	t.Cleanup(func() { p.Close() })
 
 	before, err := p.netFor("star-6")

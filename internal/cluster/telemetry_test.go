@@ -36,7 +36,12 @@ func TestStatsWindowsCoverEveryStage(t *testing.T) {
 			return b, func() obs.Telemetry { return b.Stats().Telemetry }
 		}},
 		{"store", func(t *testing.T) (backend.Backend, func() obs.Telemetry) {
-			b := backend.NewStore(newReplica(t, []string{"star-6"}).st)
+			ro, err := store.OpenReadOnly(newReplica(t, []string{"star-6"}).st.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ro.Close() })
+			b := backend.NewLocal(ro, backend.LocalOptions{Workers: 1})
 			return b, func() obs.Telemetry { return b.Stats().Telemetry }
 		}},
 		{"cached", func(t *testing.T) (backend.Backend, func() obs.Telemetry) {

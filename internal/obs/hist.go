@@ -55,8 +55,6 @@ const (
 	StageRemoteHop = "remote_hop"
 	// StageCachedPlace times one Place answered from a client-side cache.
 	StageCachedPlace = "cached_place"
-	// StageSweepPlace times one sweep cell dispatch (solve or farm-out).
-	StageSweepPlace = "sweep_place"
 )
 
 // Bucket layout: values below 1<<subBits nanoseconds get exact unit

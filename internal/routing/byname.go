@@ -1,6 +1,9 @@
 package routing
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // ByName resolves a scheme from its CLI / sweep-grid name. Headroom is
 // applied to the schemes that have a headroom dial (b4, mplste, ldr) and
@@ -41,6 +44,14 @@ func Headroom(s Scheme) float64 {
 		return v.Headroom
 	}
 	return 0
+}
+
+// SpecName is the name ByName accepts for s: its Name without the
+// "+hr..." suffix the headroom-dialed schemes append, so
+// ByName(SpecName(s), Headroom(s)) configures s again.
+func SpecName(s Scheme) string {
+	name, _, _ := strings.Cut(s.Name(), "+")
+	return name
 }
 
 // ConfigString renders every placement-relevant knob of a scheme value as

@@ -352,6 +352,27 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
+// TestSpecNameRoundTrips pins that SpecName and Headroom rebuild every
+// scheme point a sweep grid can name — what lets a planned cell travel
+// to a remote backend by request coordinates.
+func TestSpecNameRoundTrips(t *testing.T) {
+	for _, name := range SchemeNames() {
+		for _, h := range []float64{0, 0.1, 0.25} {
+			s, err := ByName(name, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := ByName(SpecName(s), Headroom(s))
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+			if again.Name() != s.Name() || ConfigString(again) != ConfigString(s) {
+				t.Errorf("%s (config %s) rebuilt as %s (config %s)", s.Name(), ConfigString(s), again.Name(), ConfigString(again))
+			}
+		}
+	}
+}
+
 func TestUnroutableAggregate(t *testing.T) {
 	b := graph.NewBuilder("disc")
 	b.AddNode("a", geo.Point{})

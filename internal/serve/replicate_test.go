@@ -108,7 +108,7 @@ func TestReplicateRejectsBadRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ro.Close() })
-	_, rc := newTestServer(t, backend.NewStore(ro), Options{})
+	_, rc := newTestServer(t, backend.NewLocal(ro, backend.LocalOptions{}), Options{})
 	res := store.Result{Key: store.CellKey{Graph: 1, Matrix: 2, Scheme: "sp", Config: 3}}
 	err = rc.Replicate(context.Background(), res)
 	se, ok := err.(*StatusError)

@@ -316,16 +316,12 @@ type Server struct {
 	healthState string
 }
 
-// New builds a Server over an open store with the default backend for
-// it: a Local backend when the store is writable (a computed cell
-// persists), a read-only Store backend when it was opened with
-// OpenReadOnly (/v1/place then serves hits and answers 403 for cells
-// that would need computing). A caller that tunes the backend builds it
-// and calls NewBackendServer.
+// New builds a Server over an open store with a default Local backend:
+// over a writable store a computed cell persists; over one opened with
+// OpenReadOnly /v1/place serves hits and answers 403 for cells that
+// would need computing. A caller that tunes the backend builds it and
+// calls NewBackendServer.
 func New(st *store.Store, opts Options) *Server {
-	if st.ReadOnly() {
-		return NewBackendServer(backend.NewStore(st), opts)
-	}
 	return NewBackendServer(backend.NewLocal(st, backend.LocalOptions{}), opts)
 }
 

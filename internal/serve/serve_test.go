@@ -40,16 +40,16 @@ func newTestServer(t *testing.T, b backend.Backend, opts Options) (*Server, *Cli
 }
 
 // TestNewMountsDefaultBackend pins what New builds for a bare store: a
-// default Local backend over a writable store, a Store backend over a
-// read-only one.
+// default Local backend over either kind, reporting itself as "local"
+// over a writable store and as "store" over a read-only one.
 func TestNewMountsDefaultBackend(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.OpenSharded(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := New(st, Options{}).Backend().(*backend.Local); !ok {
-		t.Fatal("New over a writable store does not mount a *backend.Local")
+	if l, ok := New(st, Options{}).Backend().(*backend.Local); !ok || l.Stats().Backend != "local" {
+		t.Fatal("New over a writable store does not mount a \"local\" *backend.Local")
 	}
 	st.Close()
 	ro, err := store.OpenReadOnly(dir)
@@ -57,8 +57,8 @@ func TestNewMountsDefaultBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	if _, ok := New(ro, Options{}).Backend().(*backend.Store); !ok {
-		t.Fatal("New over a read-only store does not mount a *backend.Store")
+	if l, ok := New(ro, Options{}).Backend().(*backend.Local); !ok || l.Stats().Backend != "store" {
+		t.Fatal("New over a read-only store does not mount a \"store\" *backend.Local")
 	}
 }
 
@@ -436,7 +436,7 @@ func TestReadOnlyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	_, c := newTestServer(t, backend.NewStore(ro), Options{})
+	_, c := newTestServer(t, backend.NewLocal(ro, backend.LocalOptions{}), Options{})
 
 	resp, err := c.Place(context.Background(), PlaceRequest{Net: "star-6", Seed: 1, Scheme: "sp"})
 	if err != nil {

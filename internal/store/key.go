@@ -119,9 +119,16 @@ func DigestKeys(keys []CellKey) Digest {
 
 // KeyFor computes the store key of one scenario cell.
 func KeyFor(g *graph.Graph, m *tm.Matrix, scheme routing.Scheme) CellKey {
+	return KeyForDigest(g, MatrixDigest(g, m), scheme)
+}
+
+// KeyForDigest is KeyFor from an already known matrix digest — the one
+// a calibration memo holds, or one shared by every scheme of a (graph,
+// matrix) group — so the key needs no matrix in hand.
+func KeyForDigest(g *graph.Graph, matrix Digest, scheme routing.Scheme) CellKey {
 	return CellKey{
 		Graph:  Digest(g.Fingerprint()),
-		Matrix: MatrixDigest(g, m),
+		Matrix: matrix,
 		Scheme: scheme.Name(),
 		Config: ConfigDigest(scheme),
 	}

@@ -13,11 +13,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"lowlat/internal/engine"
 	"lowlat/internal/graph"
-	"lowlat/internal/obs"
 	"lowlat/internal/routing"
 	"lowlat/internal/store"
 	"lowlat/internal/tm"
@@ -36,6 +34,52 @@ type Cell struct {
 	// Scenario holds the built graph, generated matrix and configured
 	// scheme.
 	Scenario engine.Scenario
+}
+
+// NewCell builds the cell for one scheme on net's (seed, load, locality)
+// matrix m under its content key — the one constructor a sweep plan and
+// the serving backend's on-demand placement share, so a cell computed
+// through either carries the same Meta and solver tag. m may be nil for
+// a planned cell the store already holds.
+func NewCell(net NetSpec, seed int64, scheme routing.Scheme, load, locality float64, key store.CellKey, m *tm.Matrix) Cell {
+	return Cell{
+		Key: key,
+		Meta: store.Meta{
+			Net:      net.Name,
+			Class:    net.Class,
+			Seed:     seed,
+			Scheme:   scheme.Name(),
+			Headroom: routing.Headroom(scheme),
+			Load:     load,
+			Locality: locality,
+		},
+		Spec: store.CellSpec{
+			Net:      net.Term,
+			Seed:     seed,
+			Scheme:   routing.SpecName(scheme),
+			Headroom: routing.Headroom(scheme),
+			Load:     load,
+			Locality: locality,
+		},
+		Scenario: engine.Scenario{
+			Tag:    fmt.Sprintf("%s/s%d/%s", net.Name, seed, scheme.Name()),
+			Graph:  net.Graph,
+			Matrix: m,
+			Scheme: scheme,
+		},
+	}
+}
+
+// Solve places the cell on cache and summarises the placement into the
+// result stored under the cell's key; a solver error carries the cell's
+// tag. It is the one solve step behind both Run's in-process dispatch
+// and the serving backend's computed places.
+func (c Cell) Solve(cache *routing.SolverCache) (store.Result, error) {
+	p, err := cache.Place(c.Scenario.Scheme, c.Scenario.Graph, c.Scenario.Matrix)
+	if err != nil {
+		return store.Result{}, fmt.Errorf("%s: %w", c.Scenario.Tag, err)
+	}
+	return store.Result{Key: c.Key, Meta: c.Meta, Metrics: store.MetricsOf(p)}, nil
 }
 
 // Placer dispatches one cell computation by request coordinates. It is
@@ -144,10 +188,8 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 	// Memo pass: groups whose every cell is already stored keep their
 	// memoized matrix digest and skip generation.
 	memoed := make([]store.Digest, len(jobs))
-	needGen := make([]bool, len(jobs))
 	var genJobs []int
 	for ji, j := range jobs {
-		needGen[ji] = true
 		if st == nil || !skipStored {
 			genJobs = append(genJobs, ji)
 			continue
@@ -157,20 +199,13 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 		if ok {
 			allStored := true
 			for _, scheme := range schemes {
-				k := store.CellKey{
-					Graph:  store.Digest(n.Graph.Fingerprint()),
-					Matrix: md,
-					Scheme: scheme.Name(),
-					Config: store.ConfigDigest(scheme),
-				}
-				if _, found := st.Get(k); !found {
+				if _, found := st.Get(store.KeyForDigest(n.Graph, md, scheme)); !found {
 					allStored = false
 					break
 				}
 			}
 			if allStored {
 				memoed[ji] = md
-				needGen[ji] = false
 				stats.memoHits++
 				continue
 			}
@@ -179,7 +214,7 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 	}
 
 	// One calibrated matrix per remaining (net, seed), generated
-	// concurrently.
+	// concurrently; a memo-hit group keeps a nil matrix.
 	mats := make([]*tm.Matrix, len(jobs))
 	gen, err := engine.Map(ctx, workers, genJobs,
 		func(_ context.Context, _ int, ji int) (*tm.Matrix, error) {
@@ -202,43 +237,13 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 	var cells []Cell
 	for ji, j := range jobs {
 		n := nets[j.net]
-		m := mats[ji]
+		md := memoed[ji]
+		if mats[ji] != nil {
+			md = store.MatrixDigest(n.Graph, mats[ji])
+		}
 		for _, scheme := range schemes {
-			key := store.CellKey{
-				Graph:  store.Digest(n.Graph.Fingerprint()),
-				Matrix: memoed[ji],
-				Scheme: scheme.Name(),
-				Config: store.ConfigDigest(scheme),
-			}
-			if needGen[ji] {
-				key = store.KeyFor(n.Graph, m, scheme)
-			}
-			cells = append(cells, Cell{
-				Key: key,
-				Meta: store.Meta{
-					Net:      n.Name,
-					Class:    n.Class,
-					Seed:     j.seed,
-					Scheme:   scheme.Name(),
-					Headroom: routing.Headroom(scheme),
-					Load:     grid.Load,
-					Locality: grid.Locality,
-				},
-				Spec: store.CellSpec{
-					Net:      n.Term,
-					Seed:     j.seed,
-					Scheme:   scheme.Name(),
-					Headroom: routing.Headroom(scheme),
-					Load:     grid.Load,
-					Locality: grid.Locality,
-				},
-				Scenario: engine.Scenario{
-					Tag:    fmt.Sprintf("%s/s%d/%s", n.Name, j.seed, scheme.Name()),
-					Graph:  n.Graph,
-					Matrix: m,
-					Scheme: scheme,
-				},
-			})
+			key := store.KeyForDigest(n.Graph, md, scheme)
+			cells = append(cells, NewCell(n, j.seed, scheme, grid.Load, grid.Locality, key, mats[ji]))
 		}
 	}
 	return cells, stats, nil
@@ -287,10 +292,6 @@ type Options struct {
 	// keys to know which cells are missing); only the placement solves
 	// move.
 	Backend Placer
-	// OnResult, when non-nil, is called after each computed cell has
-	// been checkpointed, with the count of cells computed so far this
-	// run. Calls arrive in completion order, one at a time.
-	OnResult func(computed int, r store.Result)
 	// Observer, when non-nil, receives every result the sweep touches —
 	// reused cells during planning and computed cells right after they
 	// checkpoint. It is the incremental-retrain hook for a predictive
@@ -306,11 +307,6 @@ type Options struct {
 	// cancelling the run context inside OnPlace aborts the cell before
 	// it computes.
 	OnPlace func(c Cell)
-	// Obs, when non-nil, receives one sweep_place observation per cell
-	// dispatch (in-process solve or backend farm-out alike), so a sweep's
-	// per-cell latency distribution is reportable the same way a daemon's
-	// serving stages are. Nil records nothing.
-	Obs *obs.Registry
 }
 
 // Run plans the grid, skips cells the store already holds, places the
@@ -358,46 +354,28 @@ func Run(ctx context.Context, st *store.Store, grid Grid, opts Options) (*Report
 	// Backend set the solve is one Place dispatch instead — same pool,
 	// same ordering guarantees, but the engine work happens wherever the
 	// backend routes it.
-	var place func(ctx context.Context, _ int, c Cell) (store.Result, error)
-	if opts.Backend != nil {
-		place = func(ctx context.Context, _ int, c Cell) (store.Result, error) {
-			if opts.OnPlace != nil {
-				opts.OnPlace(c)
-			}
-			if err := ctx.Err(); err != nil {
-				return store.Result{}, err
-			}
-			t0 := time.Now()
-			res, err := opts.Backend.Place(ctx, c.Spec)
-			opts.Obs.Observe(ctx, obs.StageSweepPlace, time.Since(t0))
-			if err != nil {
-				return store.Result{}, fmt.Errorf("%s: %w", c.Scenario.Tag, err)
-			}
-			if res.Key != c.Key {
-				// A backend disagreeing on content identity means its code
-				// or zoo drifted from ours; checkpointing its answer under
-				// our key would poison the store silently.
-				return store.Result{}, fmt.Errorf("%s: backend returned key %s, planned %s (version drift?)",
-					c.Scenario.Tag, res.Key, c.Key)
-			}
-			return res, nil
+	place := func(ctx context.Context, _ int, c Cell) (store.Result, error) {
+		if opts.OnPlace != nil {
+			opts.OnPlace(c)
 		}
-	} else {
-		place = func(ctx context.Context, _ int, c Cell) (store.Result, error) {
-			if opts.OnPlace != nil {
-				opts.OnPlace(c)
-			}
-			if err := ctx.Err(); err != nil {
-				return store.Result{}, err
-			}
-			t0 := time.Now()
-			p, err := cache.Place(c.Scenario.Scheme, c.Scenario.Graph, c.Scenario.Matrix)
-			opts.Obs.Observe(ctx, obs.StageSweepPlace, time.Since(t0))
-			if err != nil {
-				return store.Result{}, fmt.Errorf("%s: %w", c.Scenario.Tag, err)
-			}
-			return store.Result{Key: c.Key, Meta: c.Meta, Metrics: store.MetricsOf(p)}, nil
+		if err := ctx.Err(); err != nil {
+			return store.Result{}, err
 		}
+		if opts.Backend == nil {
+			return c.Solve(cache)
+		}
+		res, err := opts.Backend.Place(ctx, c.Spec)
+		if err != nil {
+			return store.Result{}, fmt.Errorf("%s: %w", c.Scenario.Tag, err)
+		}
+		if res.Key != c.Key {
+			// A backend disagreeing on content identity means its code
+			// or zoo drifted from ours; checkpointing its answer under
+			// our key would poison the store silently.
+			return store.Result{}, fmt.Errorf("%s: backend returned key %s, planned %s (version drift?)",
+				c.Scenario.Tag, res.Key, c.Key)
+		}
+		return res, nil
 	}
 	var errs []error
 	for res := range engine.Stream(ctx, opts.Workers, missing, place) {
@@ -416,9 +394,6 @@ func Run(ctx context.Context, st *store.Store, grid Grid, opts Options) (*Report
 		rep.Computed++
 		if opts.Observer != nil {
 			opts.Observer.Observe(result)
-		}
-		if opts.OnResult != nil {
-			opts.OnResult(rep.Computed, result)
 		}
 	}
 	if err := ctx.Err(); err != nil {

@@ -3,8 +3,10 @@
 # lowlatd on an ephemeral port, and drive the HTTP surface end to end
 # with curl — query, a stored place, an on-demand computed place, a
 # cached repeat, stats — then shut the daemon down with SIGTERM and
-# require a clean exit. `make serve-smoke` runs this locally; CI's short
-# job runs it after the unit suites.
+# require a clean exit. A second boot mounts the same store -readonly and
+# checks that it serves stored cells but refuses computes and
+# replicated writes with 403. `make serve-smoke` runs this locally; CI's
+# short job runs it after the unit suites.
 set -eu
 
 store="${1:-.servestore}"
@@ -17,19 +19,23 @@ rm -rf "$store"
 go run ./cmd/lowlat sweep -store "$store" -grid "nets=star-6;seeds=1;schemes=sp"
 go build -o "$bin" ./cmd/lowlatd
 
-"$bin" -store "$store" -addr 127.0.0.1:0 -workers 1 > "$log" 2>&1 &
-pid=$!
+# boot starts lowlatd with the given flags and waits for it to print its
+# bound address into $base.
+boot() {
+    "$bin" -store "$store" -addr 127.0.0.1:0 "$@" > "$log" 2>&1 &
+    pid=$!
+    base=""
+    for _ in $(seq 1 100); do
+        base="$(sed -n 's/.*\(http:\/\/[0-9.:]*\).*/\1/p' "$log" | head -n 1)"
+        [ -n "$base" ] && break
+        kill -0 "$pid" 2>/dev/null || { echo "lowlatd died:"; cat "$log"; exit 1; }
+        sleep 0.1
+    done
+    [ -n "$base" ] || { echo "lowlatd never printed its address:"; cat "$log"; exit 1; }
+    echo "serve-smoke: daemon at $base ($*)"
+}
 
-# Wait for the daemon to print its bound address.
-base=""
-for _ in $(seq 1 100); do
-    base="$(sed -n 's/.*\(http:\/\/[0-9.:]*\).*/\1/p' "$log" | head -n 1)"
-    [ -n "$base" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "lowlatd died:"; cat "$log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$base" ] || { echo "lowlatd never printed its address:"; cat "$log"; exit 1; }
-echo "serve-smoke: daemon at $base"
+boot -workers 1
 
 fail() { echo "serve-smoke: FAIL: $1"; cat "$log"; exit 1; }
 
@@ -76,6 +82,25 @@ second="$(counter "$metrics2")"
 kill -TERM "$pid"
 wait "$pid" || fail "daemon exit status"
 grep -q "shut down cleanly" "$log" || fail "clean shutdown message"
+pid=""
+
+# The same store mounted -readonly: the swept cell still serves from the
+# store, a never-placed scheme and a replicated write are refused with
+# 403, and the stats name the read-only mount.
+boot -readonly
+status() { curl -s -o /dev/null -w '%{http_code}' "$@"; }
+curl -fsS "$base/v1/place" -d '{"net":"star-6","seed":1,"scheme":"sp"}' \
+    | grep -q '"source": "store"' || fail "read-only stored place"
+[ "$(status "$base/v1/place" -d '{"net":"star-6","seed":1,"scheme":"b4"}')" = 403 ] \
+    || fail "read-only compute not refused with 403"
+stats="$(curl -fsS "$base/v1/stats")"
+echo "$stats" | grep -q '"backend": "store"' || fail "read-only stats backend"
+echo "$stats" | grep -q '"read_only": true' || fail "read-only stats flag"
+[ "$(status "$base/v1/replicate" -d '{"key":{"graph":"1","matrix":"2","scheme":"sp","config":"3"}}')" = 403 ] \
+    || fail "read-only replicate not refused with 403"
+kill -TERM "$pid"
+wait "$pid" || fail "read-only daemon exit status"
+grep -q "shut down cleanly" "$log" || fail "read-only clean shutdown message"
 pid=""
 
 # The computed cell persisted: the store now has both.
