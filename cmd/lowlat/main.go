@@ -715,7 +715,7 @@ func cmdExp(args []string, stdout, stderr io.Writer) error {
 	maxNodes := fs.Int("max-nodes", 0, "skip networks above this size (0 = none)")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = one per CPU, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	storeDir := fs.String("store", "", "result-store directory: checkpoint and reuse landscape/headroom cells")
+	storeDir := fs.String("store", "", "result-store directory: checkpoint and reuse every figure placement cell")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

@@ -5,10 +5,13 @@
 //
 // All experiments are deterministic for a given Config and run on the
 // synthetic topology zoo (the reproduction's substitute for the Internet
-// Topology Zoo). Every driver fans its (network, matrix, scheme) scenario
-// units out through internal/engine; results are re-collected in
-// submission order, so tables are byte-identical whatever Workers is set
-// to.
+// Topology Zoo). Every (network, matrix, scheme) placement a driver needs
+// is one cell of placeGrid: recalled from the run's backend when an
+// earlier figure (or an earlier run, with a persistent backend) already
+// placed it, otherwise solved through internal/engine's pool on the same
+// sweep.Cell path the sweep orchestrator and the serving backend use.
+// Results land in fixed grid slots, so tables are byte-identical whatever
+// Workers is set to and whether a cell was solved or recalled.
 package experiments
 
 import (
@@ -23,8 +26,8 @@ import (
 	"lowlat/internal/metrics"
 	"lowlat/internal/routing"
 	"lowlat/internal/store"
+	"lowlat/internal/sweep"
 	"lowlat/internal/tm"
-	"lowlat/internal/tmgen"
 	"lowlat/internal/topo"
 )
 
@@ -57,13 +60,13 @@ type Config struct {
 	// Context, when non-nil, cancels long experiment runs (the CLI wires
 	// its -timeout flag here). Nil means context.Background().
 	Context context.Context
-	// Backend, when non-nil, makes the landscape and headroom drivers
-	// (fig3, fig4, fig8, fig19, fig20's before/after sweeps) persistent
-	// and resumable: every (network, matrix, scheme) cell is checkpointed
+	// Backend holds every placement cell the figure drivers use (fig3,
+	// fig4, fig7's ranking, fig8, fig16-fig20): each cell is checkpointed
 	// as it lands, and cells the backend already holds are recalled
-	// instead of re-placed. Output is byte-identical with or without a
-	// backend. A bare *store.Store satisfies the interface, as does any
-	// writable placement backend (backend.Local).
+	// instead of re-placed. Nil means an in-memory backend private to the
+	// run, so figures of one RunAll share their overlapping cells; a
+	// *store.Store makes runs persistent and resumable. Output is
+	// byte-identical whatever the backend holds.
 	Backend ResultBackend
 }
 
@@ -86,7 +89,33 @@ func (c Config) withDefaults() Config {
 	if c.Locality == 0 {
 		c.Locality = 1
 	}
+	if c.Backend == nil {
+		c.Backend = newMemo()
+	}
 	return c
+}
+
+// memo is the in-memory ResultBackend a run gets when Config.Backend is
+// unset.
+type memo struct {
+	mu    sync.Mutex
+	cells map[store.CellKey]store.Result
+}
+
+func newMemo() *memo { return &memo{cells: make(map[store.CellKey]store.Result)} }
+
+func (b *memo) Lookup(k store.CellKey) (store.Result, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r, ok := b.cells[k]
+	return r, ok
+}
+
+func (b *memo) Put(r store.Result) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.cells[r.Key] = r
+	return nil
 }
 
 // ctx resolves the run's cancellation context.
@@ -164,8 +193,9 @@ func (c Config) networks() []Network {
 // matrixCache memoizes generated traffic matrices across figure drivers:
 // calibrating a matrix to a target load costs several MinMax solves, and
 // most figures evaluate several schemes on identical matrices. Entries are
-// once-guarded so concurrent workers asking for the same network's
-// matrices calibrate them exactly once.
+// keyed per matrix, by the generator seed, so a run with fewer matrices
+// per topology reuses a prefix of a larger run's, and once-guarded so
+// concurrent workers asking for the same matrix calibrate it exactly once.
 var (
 	matrixMu    sync.Mutex
 	matrixCache = make(map[matrixKey]*matrixEntry)
@@ -174,25 +204,24 @@ var (
 type matrixKey struct {
 	name     string
 	seed     int64
-	count    int
 	locality float64
 	load     float64
 }
 
 type matrixEntry struct {
 	once sync.Once
-	ms   []*tm.Matrix
+	m    *tm.Matrix
 	err  error
 }
 
-// matrices generates (or recalls) the config's traffic matrices for one
+// matrix generates (or recalls) the config's i-th traffic matrix for one
 // network, calibrating on cache (the run's PathCache for the network, so
-// the placements that follow start warm; nil means a private one).
-func (c Config) matrices(n Network, cache *routing.PathCache) ([]*tm.Matrix, error) {
+// the placements that follow start warm; nil means a private one). It is
+// sweep's generation at the seed Seed + hashName(name) + i.
+func (c Config) matrix(n Network, i int, cache *routing.PathCache) (*tm.Matrix, error) {
 	key := matrixKey{
 		name:     n.Name,
-		seed:     c.Seed,
-		count:    c.TMsPerTopology,
+		seed:     c.Seed + int64(hashName(n.Name)) + int64(i),
 		locality: c.Locality,
 		load:     c.TargetMaxUtil,
 	}
@@ -204,16 +233,22 @@ func (c Config) matrices(n Network, cache *routing.PathCache) ([]*tm.Matrix, err
 	}
 	matrixMu.Unlock()
 	e.once.Do(func() {
-		cfg := tmgen.Config{
-			Seed:          c.Seed + int64(hashName(n.Name)),
-			Locality:      c.Locality,
-			NoLocality:    c.Locality == 0,
-			TargetMaxUtil: c.TargetMaxUtil,
-			Cache:         cache,
-		}
-		e.ms, e.err = tmgen.GenerateSet(n.Graph, cfg, c.TMsPerTopology)
+		e.m, e.err = sweep.GenerateMatrixCached(n.Graph, key.seed, key.load, key.locality, nil, cache)
 	})
-	return e.ms, e.err
+	return e.m, e.err
+}
+
+// matrices returns the config's TMsPerTopology matrices for one network.
+func (c Config) matrices(n Network, cache *routing.PathCache) ([]*tm.Matrix, error) {
+	ms := make([]*tm.Matrix, c.TMsPerTopology)
+	for i := range ms {
+		m, err := c.matrix(n, i, cache)
+		if err != nil {
+			return nil, err
+		}
+		ms[i] = m
+	}
+	return ms, nil
 }
 
 func hashName(s string) uint32 {
@@ -238,57 +273,56 @@ func netMatrices(ctx context.Context, r *engine.Runner, cfg Config, nets []Netwo
 		})
 }
 
-// cellMeta labels one experiment scenario for the result store.
-func (c Config) cellMeta(n Network, tmIndex int, scheme routing.Scheme) store.Meta {
-	return store.Meta{
-		Net:      n.Name,
-		Class:    string(n.Class),
-		Seed:     c.Seed,
-		TM:       tmIndex,
-		Scheme:   scheme.Name(),
-		Headroom: routing.Headroom(scheme),
-		Load:     c.TargetMaxUtil,
-		Locality: c.Locality,
+// placeGrid places every scheme on every network's matrices, mats[i] being
+// nets[i]'s, and returns out[scheme][net][tm]. Every figure cell goes
+// through it as a sweep.Cell under its content key: cells cfg.Backend
+// already holds are recalled, and the rest are solved on r's shared
+// solver cache through the pool and checkpointed the moment they land,
+// so an interrupted figure run rerun against the same backend computes
+// only what is missing. Results are identical either way.
+func placeGrid(ctx context.Context, r *engine.Runner, cfg Config, nets []Network, mats [][]*tm.Matrix, schemes []routing.Scheme) ([][][]store.Metrics, error) {
+	out := make([][][]store.Metrics, len(schemes))
+	var missing []sweep.Cell
+	var slots []*store.Metrics
+	for si, s := range schemes {
+		out[si] = make([][]store.Metrics, len(nets))
+		for ni, n := range nets {
+			out[si][ni] = make([]store.Metrics, len(mats[ni]))
+			for ti, m := range mats[ni] {
+				c := sweep.Cell{
+					Key: store.KeyFor(n.Graph, m, s),
+					Meta: store.Meta{
+						Net:      n.Name,
+						Class:    string(n.Class),
+						Seed:     cfg.Seed,
+						TM:       ti,
+						Scheme:   s.Name(),
+						Headroom: routing.Headroom(s),
+						Load:     cfg.TargetMaxUtil,
+						Locality: cfg.Locality,
+					},
+					Scenario: engine.Scenario{Tag: n.Name + "/" + s.Name(), Graph: n.Graph, Matrix: m, Scheme: s},
+				}
+				if hit, ok := cfg.Backend.Lookup(c.Key); ok {
+					out[si][ni][ti] = hit.Metrics
+					continue
+				}
+				missing = append(missing, c)
+				slots = append(slots, &out[si][ni][ti])
+			}
+		}
 	}
-}
 
-// metricsFor resolves every scenario to its metric summary, out[i] for
-// scs[i]. Without a backend this is r.Run plus a summarization pass.
-// With cfg.Backend set, cells already stored are recalled without
-// touching the engine, and each newly placed cell is checkpointed the
-// moment it lands, so an interrupted figure run rerun against the same
-// backend computes only what is missing. Results are identical either
-// way.
-func metricsFor(ctx context.Context, r *engine.Runner, cfg Config, scs []engine.Scenario, metas []store.Meta) ([]store.Metrics, error) {
-	out := make([]store.Metrics, len(scs))
-	if cfg.Backend == nil {
-		results, err := r.Run(ctx, scs)
-		if err != nil {
-			return nil, err
-		}
-		for _, res := range results {
-			out[res.Index] = store.MetricsOf(res.Placement)
-		}
-		return out, nil
+	// Stream rather than collect, so every solved cell is checkpointed
+	// even when a later one fails or the context dies mid-grid.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	solve := func(_ context.Context, _ int, c sweep.Cell) (store.Result, error) {
+		return c.Solve(r.Cache())
 	}
-
-	keys := make([]store.CellKey, len(scs))
-	var missing []engine.Scenario
-	var missIdx []int
-	for i, sc := range scs {
-		keys[i] = store.KeyFor(sc.Graph, sc.Matrix, sc.Scheme)
-		if hit, ok := cfg.Backend.Lookup(keys[i]); ok {
-			out[i] = hit.Metrics
-			continue
-		}
-		missing = append(missing, sc)
-		missIdx = append(missIdx, i)
-	}
-	// Stream instead of Run so every completed placement is persisted
-	// even when a later one fails or the context dies mid-sweep.
 	var firstErr error
 	firstErrIdx := -1
-	for res := range r.Stream(ctx, missing) {
+	for res := range engine.Stream(ctx, r.Workers(), missing, solve) {
 		if res.Err != nil {
 			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
 				continue
@@ -298,9 +332,8 @@ func metricsFor(ctx context.Context, r *engine.Runner, cfg Config, scs []engine.
 			}
 			continue
 		}
-		i := missIdx[res.Value.Index]
-		out[i] = store.MetricsOf(res.Value.Placement)
-		if err := cfg.Backend.Put(store.Result{Key: keys[i], Meta: metas[i], Metrics: out[i]}); err != nil {
+		*slots[res.Index] = res.Value.Metrics
+		if err := cfg.Backend.Put(res.Value); err != nil {
 			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
 		}
 	}
@@ -313,37 +346,22 @@ func metricsFor(ctx context.Context, r *engine.Runner, cfg Config, scs []engine.
 	return out, nil
 }
 
-// runScheme evaluates a scheme across all matrices of all networks through
-// the engine, returning metric summaries grouped by network index in
-// matrix order — exactly what the old nested sequential loops produced.
-func runScheme(ctx context.Context, r *engine.Runner, nets []Network, cfg Config, scheme routing.Scheme) ([][]store.Metrics, error) {
+// placeNets is placeGrid over each network's config matrices.
+func placeNets(ctx context.Context, r *engine.Runner, cfg Config, nets []Network, schemes []routing.Scheme) ([][][]store.Metrics, error) {
 	mats, err := netMatrices(ctx, r, cfg, nets)
 	if err != nil {
 		return nil, err
 	}
-	var scs []engine.Scenario
-	var metas []store.Meta
-	for i, n := range nets {
-		for mi, m := range mats[i] {
-			scs = append(scs, engine.Scenario{
-				Group:  i,
-				Tag:    n.Name + "/" + scheme.Name(),
-				Graph:  n.Graph,
-				Matrix: m,
-				Scheme: scheme,
-			})
-			metas = append(metas, cfg.cellMeta(n, mi, scheme))
-		}
+	return placeGrid(ctx, r, cfg, nets, mats, schemes)
+}
+
+// stretches projects cells onto their latency stretch.
+func stretches(cells []store.Metrics) []float64 {
+	out := make([]float64, len(cells))
+	for i, c := range cells {
+		out[i] = c.Stretch
 	}
-	ms, err := metricsFor(ctx, r, cfg, scs, metas)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]store.Metrics, len(nets))
-	for i, m := range ms {
-		out[scs[i].Group] = append(out[scs[i].Group], m)
-	}
-	return out, nil
+	return out
 }
 
 // sortByLLPD orders network indices by ascending LLPD (the x-axis of

@@ -21,11 +21,17 @@ var testSubset = map[string]bool{
 	"cogent-like": true, "double-ring-8": true,
 }
 
+// testCells is the package's one placement backend: every test built on
+// testConfig recalls the cells an earlier test placed, as the figures of
+// one RunAll do. A test run alone with -run still solves all of its own.
+var testCells = newMemo()
+
 func testConfig() Config {
 	return Config{
 		TMsPerTopology: 2,
 		Seed:           7,
 		NetworkFilter:  func(n Network) bool { return testSubset[n.Name] },
+		Backend:        testCells,
 	}
 }
 
@@ -390,6 +396,8 @@ func TestRegistryRunsEverything(t *testing.T) {
 	// package's single biggest time sink and pushed the suite against go
 	// test's 10-minute default timeout on the 1-CPU CI box, so this test
 	// runs a minimal class-spanning slice and pins its output by digest.
+	// It shares testCells, and its one matrix per topology is the first
+	// of the per-figure tests' two, so most of its cells are recalled.
 	registrySubset := map[string]bool{
 		"star-12": true, "grid-4x4": true, "gts-like": true, "intercont-2x10-3": true,
 	}

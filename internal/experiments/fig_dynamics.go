@@ -8,6 +8,7 @@ import (
 	"lowlat/internal/dynamics"
 	"lowlat/internal/engine"
 	"lowlat/internal/routing"
+	"lowlat/internal/tm"
 	"lowlat/internal/topo"
 )
 
@@ -68,28 +69,34 @@ func FigDynamics(cfg Config) (*FigDynamicsResult, error) {
 	cfg = cfg.withDefaults()
 	nets := dynamicsNetworks(cfg)
 	ctx, r := cfg.ctx(), cfg.newRunner()
-	if _, err := netMatrices(ctx, r, cfg, nets); err != nil {
+	// Each timeline starts from the network's first matrix.
+	mats, err := engine.Map(ctx, r.Workers(), nets,
+		func(_ context.Context, _ int, n Network) (*tm.Matrix, error) {
+			m, err := cfg.matrix(n, 0, r.Cache().ForGraph(n.Graph))
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", n.Name, err)
+			}
+			return m, nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	schemes := dynamicsSchemes()
 	type pair struct {
 		net    Network
+		matrix *tm.Matrix
 		scheme routing.Scheme
 	}
 	var pairs []pair
-	for _, n := range nets {
+	for i, n := range nets {
 		for _, s := range schemes {
-			pairs = append(pairs, pair{n, s})
+			pairs = append(pairs, pair{n, mats[i], s})
 		}
 	}
 	seq := r.WithWorkers(1)
 	rows, err := engine.Map(ctx, r.Workers(), pairs,
 		func(ctx context.Context, _ int, p pair) (*dynamics.Result, error) {
-			ms, err := cfg.matrices(p.net, seq.Cache().ForGraph(p.net.Graph))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", p.net.Name, err)
-			}
-			return dynamics.Run(ctx, seq, p.net.Graph, ms[0], p.scheme, dynamics.Config{
+			return dynamics.Run(ctx, seq, p.net.Graph, p.matrix, p.scheme, dynamics.Config{
 				Seed:     cfg.Seed + int64(hashName(p.net.Name)),
 				Epochs:   dynamicsEpochs,
 				Failures: dynamics.FailRandom,

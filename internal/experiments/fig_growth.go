@@ -5,11 +5,9 @@ import (
 	"sort"
 
 	"lowlat/internal/engine"
-	"lowlat/internal/graph"
 	"lowlat/internal/metrics"
 	"lowlat/internal/routing"
 	"lowlat/internal/stats"
-	"lowlat/internal/tm"
 	"lowlat/internal/topo"
 )
 
@@ -38,7 +36,8 @@ type Fig20Result struct {
 
 // Fig20 selects the hard networks, grows them, and re-evaluates the four
 // schemes. Candidate ranking, topology growth and the before/after
-// evaluations each fan out through the engine.
+// evaluations each fan out through the engine; the ranking's cells are
+// the before pass's LDR cells, recalled rather than re-placed.
 func Fig20(cfg Config) (*Fig20Result, error) {
 	cfg = cfg.withDefaults()
 	ctx, r := cfg.ctx(), cfg.newRunner()
@@ -53,7 +52,7 @@ func Fig20(cfg Config) (*Fig20Result, error) {
 		}
 		pool = append(pool, n)
 	}
-	medians, err := medianStretches(ctx, r, cfg, pool, routing.LatencyOpt{})
+	ranking, err := placeNets(ctx, r, cfg, pool, []routing.Scheme{routing.LatencyOpt{}})
 	if err != nil {
 		return nil, err
 	}
@@ -63,65 +62,77 @@ func Fig20(cfg Config) (*Fig20Result, error) {
 	}
 	cands := make([]cand, len(pool))
 	for i, n := range pool {
-		cands[i] = cand{n, medians[i]}
+		cands[i] = cand{n, stats.Median(stretches(ranking[0][i]))}
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].stretch > cands[b].stretch })
 	if len(cands) > 4 {
 		cands = cands[:4]
 	}
+	hard := make([]Network, len(cands))
+	for i, c := range cands {
+		hard[i] = c.net
+	}
 
 	// Grow each candidate topology in parallel (LLPD-guided link search
-	// is itself a small sweep per candidate).
+	// is itself a small sweep per candidate). A grown topology is a
+	// network of its own, so its cells are labelled apart from the
+	// original's.
 	type grownNet struct {
-		grown     *graph.Graph
-		added     int
-		llpdAfter float64
+		net   Network
+		added int
 	}
-	grownNets, err := engine.Map(ctx, r.Workers(), cands,
-		func(_ context.Context, _ int, c cand) (grownNet, error) {
-			grown, added := topo.Grow(c.net.Graph, topo.GrowConfig{
+	grown, err := engine.Map(ctx, r.Workers(), hard,
+		func(_ context.Context, _ int, n Network) (grownNet, error) {
+			g, added := topo.Grow(n.Graph, topo.GrowConfig{
 				Fraction: 0.05, Seed: cfg.Seed, CandidateSample: 16,
 			})
 			return grownNet{
-				grown:     grown,
-				added:     len(added),
-				llpdAfter: metrics.LLPD(grown, metrics.APAConfig{}),
+				net: Network{
+					Name:  n.Name + "+grown",
+					Class: n.Class,
+					Graph: g,
+					LLPD:  metrics.LLPD(g, metrics.APAConfig{}),
+				},
+				added: len(added),
 			}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
+	grownNets := make([]Network, len(grown))
+	for i, g := range grown {
+		grownNets[i] = g.net
+	}
 
+	// The same traffic is offered to both topologies: demands do not
+	// change when links are added (node IDs are preserved by Grow).
+	mats, err := netMatrices(ctx, r, cfg, hard)
+	if err != nil {
+		return nil, err
+	}
 	schemes := stretchSchemes(0)
+	before, err := placeGrid(ctx, r, cfg, hard, mats, schemes)
+	if err != nil {
+		return nil, err
+	}
+	after, err := placeGrid(ctx, r, cfg, grownNets, mats, schemes)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig20Result{}
-	for ci, c := range cands {
-		g := grownNets[ci]
-		// The same traffic is offered to both topologies: demands do not
-		// change when links are added (node IDs are preserved by Grow).
-		ms, err := cfg.matrices(c.net, r.Cache().ForGraph(c.net.Graph))
-		if err != nil {
-			return nil, err
-		}
-		for _, scheme := range schemes {
-			name := displayName(scheme)
-			before, err := stretchSamples(ctx, r, c.net.Graph, ms, scheme)
-			if err != nil {
-				return nil, err
-			}
-			after, err := stretchSamples(ctx, r, g.grown, ms, scheme)
-			if err != nil {
-				return nil, err
-			}
+	for ni, n := range hard {
+		for si, scheme := range schemes {
+			b, a := stretches(before[si][ni]), stretches(after[si][ni])
 			row := Fig20Row{
-				Network:      c.net.Name,
-				Scheme:       name,
-				BeforeMedian: stats.Median(before),
-				AfterMedian:  stats.Median(after),
-				BeforeP90:    stats.Percentile(before, 90),
-				AfterP90:     stats.Percentile(after, 90),
-				LLPDBefore:   c.net.LLPD,
-				LLPDAfter:    g.llpdAfter,
-				AddedBiLinks: g.added,
+				Network:      n.Name,
+				Scheme:       displayName(scheme),
+				BeforeMedian: stats.Median(b),
+				AfterMedian:  stats.Median(a),
+				BeforeP90:    stats.Percentile(b, 90),
+				AfterP90:     stats.Percentile(a, 90),
+				LLPDBefore:   n.LLPD,
+				LLPDAfter:    grown[ni].net.LLPD,
+				AddedBiLinks: grown[ni].added,
 			}
 			row.ImprovedMed = row.AfterMedian <= row.BeforeMedian+1e-9
 			row.ImprovedP90 = row.AfterP90 <= row.BeforeP90+1e-9
@@ -130,47 +141,6 @@ func Fig20(cfg Config) (*Fig20Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// medianStretches evaluates one scheme over every network's matrix set and
-// returns each network's median latency stretch, in network order.
-func medianStretches(ctx context.Context, r *engine.Runner, cfg Config, nets []Network, scheme routing.Scheme) ([]float64, error) {
-	runs, err := runScheme(ctx, r, nets, cfg, scheme)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(nets))
-	for i, rs := range runs {
-		var stretches []float64
-		for _, sr := range rs {
-			stretches = append(stretches, sr.Stretch)
-		}
-		out[i] = stats.Median(stretches)
-	}
-	return out, nil
-}
-
-// stretchSamples collects latency stretch for the given matrices on the
-// given topology, one engine scenario per matrix.
-func stretchSamples(ctx context.Context, r *engine.Runner, g *graph.Graph, ms []*tm.Matrix, scheme routing.Scheme) ([]float64, error) {
-	scs := make([]engine.Scenario, len(ms))
-	for i, m := range ms {
-		scs[i] = engine.Scenario{
-			Tag:    g.Name() + "/" + scheme.Name(),
-			Graph:  g,
-			Matrix: m,
-			Scheme: scheme,
-		}
-	}
-	results, err := r.Run(ctx, scs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(results))
-	for i, sr := range results {
-		out[i] = sr.Placement.LatencyStretch()
-	}
-	return out, nil
 }
 
 // Table renders the before/after comparison.

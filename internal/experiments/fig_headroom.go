@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"lowlat/internal/engine"
 	"lowlat/internal/routing"
 	"lowlat/internal/stats"
-	"lowlat/internal/store"
+	"lowlat/internal/tm"
 	"lowlat/internal/topo"
 )
 
@@ -32,36 +31,36 @@ type Fig7Result struct {
 func Fig7(cfg Config) (*Fig7Result, error) {
 	cfg = cfg.withDefaults()
 	ctx, r := cfg.ctx(), cfg.newRunner()
-	g := topo.GTSLike()
-	net := Network{Name: "gts-like", Graph: g}
+	e, _ := topo.ByName("gts-like") // a zoo entry: the lookup cannot miss
+	net := Network{Name: e.Name, Class: e.Class, Graph: e.Build()}
+	g := net.Graph
 	ms, err := cfg.matrices(net, r.Cache().ForGraph(g))
 	if err != nil {
 		return nil, err
 	}
 
-	stretches, err := stretchSamples(ctx, r, g, ms, routing.LatencyOpt{})
+	grid, err := placeGrid(ctx, r, cfg, []Network{net}, [][]*tm.Matrix{ms}, []routing.Scheme{routing.LatencyOpt{}})
 	if err != nil {
 		return nil, err
 	}
-	type cand struct {
-		idx     int
-		stretch float64
+	ranked := stretches(grid[0][0])
+	order := make([]int, len(ms))
+	for i := range order {
+		order[i] = i
 	}
-	cands := make([]cand, len(ms))
-	for i := range ms {
-		cands[i] = cand{i, stretches[i]}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].stretch < cands[b].stretch })
-	median := ms[cands[len(cands)/2].idx]
+	sort.Slice(order, func(a, b int) bool { return ranked[order[a]] < ranked[order[b]] })
+	median := ms[order[len(order)/2]]
 
-	placements, err := r.Run(ctx, []engine.Scenario{
-		{Tag: "gts-like/latopt", Graph: g, Matrix: median, Scheme: routing.LatencyOpt{}},
-		{Tag: "gts-like/minmax", Graph: g, Matrix: median, Scheme: routing.MinMax{}},
-	})
+	// Utilizations are not in store.Metrics, so the two placements the
+	// CDFs are drawn from are solved directly.
+	opt, err := r.Cache().Place(routing.LatencyOpt{}, g, median)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gts-like/latopt: %w", err)
 	}
-	opt, mm := placements[0].Placement, placements[1].Placement
+	mm, err := r.Cache().Place(routing.MinMax{}, g, median)
+	if err != nil {
+		return nil, fmt.Errorf("gts-like/minmax: %w", err)
+	}
 	res := &Fig7Result{
 		LatOptUtil:    opt.Utilizations(),
 		MinMaxUtil:    mm.Utilizations(),
@@ -106,7 +105,7 @@ type Fig8Result struct {
 }
 
 // Fig8 sweeps headroom {0, 11%, 23%, 40%} with latency-optimal routing.
-// The whole (network x headroom x matrix) cube is one engine batch.
+// The whole (headroom x network x matrix) cube is one grid.
 func Fig8(cfg Config) (*Fig8Result, error) {
 	cfg = cfg.withDefaults()
 	cfg.TargetMaxUtil = 1 / 1.65 // the paper's lighter load for this figure
@@ -114,42 +113,19 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	ctx, r := cfg.ctx(), cfg.newRunner()
 	res := &Fig8Result{Headrooms: []float64{0, 0.11, 0.23, 0.40}}
 
-	order := sortByLLPD(nets)
-	mats, err := netMatrices(ctx, r, cfg, nets)
+	schemes := make([]routing.Scheme, len(res.Headrooms))
+	for j, h := range res.Headrooms {
+		schemes[j] = routing.LatencyOpt{Headroom: h}
+	}
+	grid, err := placeNets(ctx, r, cfg, nets, schemes)
 	if err != nil {
 		return nil, err
 	}
-	var scs []engine.Scenario
-	var metas []store.Meta
-	for oi, i := range order {
-		n := nets[i]
-		for j, h := range res.Headrooms {
-			scheme := routing.LatencyOpt{Headroom: h}
-			for mi, m := range mats[i] {
-				scs = append(scs, engine.Scenario{
-					Group:  oi*len(res.Headrooms) + j,
-					Tag:    n.Name + "/" + scheme.Name(),
-					Graph:  n.Graph,
-					Matrix: m,
-					Scheme: scheme,
-				})
-				metas = append(metas, cfg.cellMeta(n, mi, scheme))
-			}
-		}
-	}
-	ms, err := metricsFor(ctx, r, cfg, scs, metas)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([][]float64, len(order)*len(res.Headrooms))
-	for si, m := range ms {
-		cells[scs[si].Group] = append(cells[scs[si].Group], m.Stretch)
-	}
-	for oi, i := range order {
+	for _, i := range sortByLLPD(nets) {
 		n := nets[i]
 		row := make([]float64, len(res.Headrooms))
 		for j := range res.Headrooms {
-			row[j] = stats.Median(cells[oi*len(res.Headrooms)+j])
+			row[j] = stats.Median(stretches(grid[j][i]))
 		}
 		res.Names = append(res.Names, n.Name)
 		res.LLPD = append(res.LLPD, n.LLPD)

@@ -8,6 +8,7 @@ import (
 	"lowlat/internal/metrics"
 	"lowlat/internal/routing"
 	"lowlat/internal/stats"
+	"lowlat/internal/store"
 	"lowlat/internal/topo"
 )
 
@@ -108,36 +109,43 @@ type Fig3Result struct {
 // Fig3 runs delay-proportional shortest-path routing over the zoo.
 func Fig3(cfg Config) (*Fig3Result, error) {
 	cfg = cfg.withDefaults()
-	nets := cfg.networks()
-	rows, err := congestionRows(cfg.ctx(), cfg.newRunner(), nets, cfg, routing.SP{})
+	rows, err := congestionRows(cfg.ctx(), cfg.newRunner(), cfg, cfg.networks(), routing.SP{})
 	if err != nil {
 		return nil, err
 	}
-	return &Fig3Result{Rows: rows}, nil
+	return &Fig3Result{Rows: rows[0]}, nil
 }
 
-func congestionRows(ctx context.Context, r *engine.Runner, nets []Network, cfg Config, scheme routing.Scheme) ([]CongestionRow, error) {
-	runs, err := runScheme(ctx, r, nets, cfg, scheme)
+// congestionRows places each scheme over every network's matrices and
+// summarizes rows[scheme] per network, sorted by LLPD.
+func congestionRows(ctx context.Context, r *engine.Runner, cfg Config, nets []Network, schemes ...routing.Scheme) ([][]CongestionRow, error) {
+	grid, err := placeNets(ctx, r, cfg, nets, schemes)
 	if err != nil {
 		return nil, err
 	}
-	var rows []CongestionRow
-	for _, i := range sortByLLPD(nets) {
-		var cong, stretch []float64
-		for _, r := range runs[i] {
-			cong = append(cong, r.Congested)
-			stretch = append(stretch, r.Stretch)
+	rows := make([][]CongestionRow, len(schemes))
+	for si := range schemes {
+		for _, i := range sortByLLPD(nets) {
+			rows[si] = append(rows[si], congestionRow(nets[i], grid[si][i]))
 		}
-		rows = append(rows, CongestionRow{
-			Name:            nets[i].Name,
-			LLPD:            nets[i].LLPD,
-			MedianCongested: stats.Median(cong),
-			P90Congested:    stats.Percentile(cong, 90),
-			MedianStretch:   stats.Median(stretch),
-			P90Stretch:      stats.Percentile(stretch, 90),
-		})
 	}
 	return rows, nil
+}
+
+func congestionRow(n Network, cells []store.Metrics) CongestionRow {
+	cong := make([]float64, len(cells))
+	for i, c := range cells {
+		cong[i] = c.Congested
+	}
+	stretch := stretches(cells)
+	return CongestionRow{
+		Name:            n.Name,
+		LLPD:            n.LLPD,
+		MedianCongested: stats.Median(cong),
+		P90Congested:    stats.Percentile(cong, 90),
+		MedianStretch:   stats.Median(stretch),
+		P90Stretch:      stats.Percentile(stretch, 90),
+	}
 }
 
 // Table renders the result.
@@ -171,25 +179,23 @@ type Fig4Result struct {
 }
 
 // Fig4 evaluates latency-optimal, B4, MinMax and MinMax-K10 placements.
-// All four schemes run through one engine runner, so their scenarios share
-// one solver cache and fill the pool together.
+// All four schemes are one grid, so their cells share one solver cache
+// and fill the pool together.
 func Fig4(cfg Config) (*Fig4Result, error) {
 	cfg = cfg.withDefaults()
-	nets := cfg.networks()
-	ctx, r := cfg.ctx(), cfg.newRunner()
 	schemes := []routing.Scheme{
 		routing.LatencyOpt{},
 		routing.B4{},
 		routing.MinMax{},
 		routing.MinMax{K: 10},
 	}
+	rows, err := congestionRows(cfg.ctx(), cfg.newRunner(), cfg, cfg.networks(), schemes...)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig4Result{Schemes: make(map[string][]CongestionRow)}
-	for _, s := range schemes {
-		rows, err := congestionRows(ctx, r, nets, cfg, s)
-		if err != nil {
-			return nil, err
-		}
-		res.Schemes[s.Name()] = rows
+	for si, s := range schemes {
+		res.Schemes[s.Name()] = rows[si]
 		res.Order = append(res.Order, s.Name())
 	}
 	return res, nil
@@ -233,11 +239,11 @@ func Fig19(cfg Config) (*Fig19Result, error) {
 		Graph: g,
 		LLPD:  metrics.LLPD(g, metrics.APAConfig{}),
 	}
-	rows, err := congestionRows(cfg.ctx(), cfg.newRunner(), []Network{google}, cfg, routing.SP{})
+	rows, err := congestionRows(cfg.ctx(), cfg.newRunner(), cfg, []Network{google}, routing.SP{})
 	if err != nil {
 		return nil, err
 	}
-	return &Fig19Result{Rows: base.Rows, GoogleRow: rows[0]}, nil
+	return &Fig19Result{Rows: base.Rows, GoogleRow: rows[0][0]}, nil
 }
 
 // Table renders the result.

@@ -53,11 +53,10 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 	}
 	timings, err := engine.Map(cfg.ctx(), cfg.Workers, hard,
 		func(_ context.Context, _ int, n Network) (timing, error) {
-			ms, err := cfg.matrices(n, nil)
+			m, err := cfg.matrix(n, 0, nil)
 			if err != nil {
 				return timing{}, fmt.Errorf("%s: %w", n.Name, err)
 			}
-			m := ms[0]
 
 			cache := routing.NewPathCache(n.Graph)
 			start := time.Now()

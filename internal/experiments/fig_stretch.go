@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lowlat/internal/engine"
 	"lowlat/internal/routing"
 	"lowlat/internal/stats"
 )
@@ -68,29 +67,8 @@ func Fig16(cfg Config) (*Fig16Result, error) {
 		{"16(b) LLPD>0.5, no headroom", high, 0},
 		{"16(c) LLPD>0.5, 10% headroom", high, 0.10},
 	} {
-		mats, err := netMatrices(ctx, r, cfg, v.nets)
-		if err != nil {
-			return nil, err
-		}
-		// Flatten scheme x network x matrix into one batch; Group keys
-		// results back to their scheme so the per-scheme sample order
-		// stays (network, matrix) — the sequential loop's order.
 		schemes := stretchSchemes(v.headroom)
-		var scs []engine.Scenario
-		for si, scheme := range schemes {
-			for ni, n := range v.nets {
-				for _, m := range mats[ni] {
-					scs = append(scs, engine.Scenario{
-						Group:  si,
-						Tag:    n.Name + "/" + scheme.Name(),
-						Graph:  n.Graph,
-						Matrix: m,
-						Scheme: scheme,
-					})
-				}
-			}
-		}
-		results, err := r.Run(ctx, scs)
+		grid, err := placeNets(ctx, r, cfg, v.nets, schemes)
 		if err != nil {
 			return nil, err
 		}
@@ -99,23 +77,23 @@ func Fig16(cfg Config) (*Fig16Result, error) {
 			PerScheme:   make(map[string][]float64),
 			FitFraction: make(map[string]float64),
 		}
-		fit := make([]int, len(schemes))
-		total := make([]int, len(schemes))
-		for _, sr := range results {
-			si := sr.Scenario.Group
-			name := displayName(schemes[si])
-			total[si]++
-			maxS := sr.Placement.MaxStretch()
-			if sr.Placement.Fits() {
-				fit[si]++
-			} else {
-				maxS = math.Inf(1)
-			}
-			variant.PerScheme[name] = append(variant.PerScheme[name], maxS)
-		}
 		for si, scheme := range schemes {
-			if total[si] > 0 {
-				variant.FitFraction[displayName(scheme)] = float64(fit[si]) / float64(total[si])
+			name := displayName(scheme)
+			fit, total := 0, 0
+			for _, cells := range grid[si] {
+				for _, c := range cells {
+					total++
+					maxS := c.MaxStretch
+					if c.Fits {
+						fit++
+					} else {
+						maxS = math.Inf(1)
+					}
+					variant.PerScheme[name] = append(variant.PerScheme[name], maxS)
+				}
+			}
+			if total > 0 {
+				variant.FitFraction[name] = float64(fit) / float64(total)
 			}
 		}
 		res.Variants = append(res.Variants, variant)
@@ -172,7 +150,7 @@ type SweepResult struct {
 // Fig17 sweeps load (min-cut utilization 60-90%) over high-LLPD networks.
 func Fig17(cfg Config) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
-	return sweep(cfg, "load", []float64{0.60, 0.70, 0.80, 0.90},
+	return paramSweep(cfg, "load", []float64{0.60, 0.70, 0.80, 0.90},
 		func(c *Config, v float64) { c.TargetMaxUtil = v })
 }
 
@@ -180,11 +158,11 @@ func Fig17(cfg Config) (*SweepResult, error) {
 func Fig18(cfg Config) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.TargetMaxUtil = 0.7
-	return sweep(cfg, "locality", []float64{0, 0.5, 1, 1.5, 2},
+	return paramSweep(cfg, "locality", []float64{0, 0.5, 1, 1.5, 2},
 		func(c *Config, v float64) { c.Locality = v })
 }
 
-func sweep(cfg Config, param string, points []float64, apply func(*Config, float64)) (*SweepResult, error) {
+func paramSweep(cfg Config, param string, points []float64, apply func(*Config, float64)) (*SweepResult, error) {
 	var high []Network
 	for _, n := range cfg.networks() {
 		if n.LLPD > 0.5 {
@@ -202,47 +180,26 @@ func sweep(cfg Config, param string, points []float64, apply func(*Config, float
 	for _, pt := range points {
 		ptCfg := cfg
 		apply(&ptCfg, pt)
-		mats, err := netMatrices(ctx, r, ptCfg, high)
+		grid, err := placeNets(ctx, r, ptCfg, high, schemes)
 		if err != nil {
 			return nil, err
 		}
-		var scs []engine.Scenario
 		for si, scheme := range schemes {
-			for ni, n := range high {
-				for _, m := range mats[ni] {
-					scs = append(scs, engine.Scenario{
-						Group:  si,
-						Tag:    n.Name + "/" + scheme.Name(),
-						Graph:  n.Graph,
-						Matrix: m,
-						Scheme: scheme,
-					})
+			var maxes []float64
+			unfit := 0
+			for _, cells := range grid[si] {
+				for _, c := range cells {
+					if !c.Fits {
+						unfit++
+					}
+					maxes = append(maxes, c.MaxStretch)
 				}
 			}
-		}
-		results, err := r.Run(ctx, scs)
-		if err != nil {
-			return nil, err
-		}
-		maxes := make([][]float64, len(schemes))
-		unfit := make([]int, len(schemes))
-		total := make([]int, len(schemes))
-		for _, sr := range results {
-			si := sr.Scenario.Group
-			total[si]++
-			if !sr.Placement.Fits() {
-				unfit[si]++
-			}
-			if s := sr.Placement.MaxStretch(); !math.IsInf(s, 1) {
-				maxes[si] = append(maxes[si], s)
-			}
-		}
-		for si, scheme := range schemes {
 			name := displayName(scheme)
-			res.Median[name] = append(res.Median[name], stats.Median(maxes[si]))
+			res.Median[name] = append(res.Median[name], stats.Median(maxes))
 			frac := 0.0
-			if total[si] > 0 {
-				frac = float64(unfit[si]) / float64(total[si])
+			if len(maxes) > 0 {
+				frac = float64(unfit) / float64(len(maxes))
 			}
 			res.UnfitFraction[name] = append(res.UnfitFraction[name], frac)
 		}

@@ -161,8 +161,11 @@ func Run(name string, cfg Config, w io.Writer) error {
 }
 
 // RunAll executes every experiment in order, stopping early when the
-// config's context is cancelled.
+// config's context is cancelled. The defaults are applied once, so every
+// figure of the run shares one backend and recalls the cells an earlier
+// figure placed.
 func RunAll(cfg Config, w io.Writer) error {
+	cfg = cfg.withDefaults()
 	for _, name := range Names() {
 		if err := cfg.ctx().Err(); err != nil {
 			return fmt.Errorf("%s: %w", name, err)

@@ -8,122 +8,108 @@ import (
 	"lowlat/internal/store"
 )
 
-// storeTestConfig keeps the store-backed figure runs tiny: two small
-// networks, two matrices each.
-func storeTestConfig(t *testing.T) Config {
-	t.Helper()
+// storeTestConfig keeps the store-backed figure runs tiny while giving
+// every placement figure a cell: star-6 is low-LLPD and not a clique
+// (fig20's candidate pool), clique-6 has LLPD 0.6 (fig16(b)/(c),
+// fig17, fig18); fig7 always places gts-like.
+func storeTestConfig() Config {
 	return Config{
 		TMsPerTopology: 2,
 		Workers:        1,
 		NetworkFilter: func(n Network) bool {
-			return n.Name == "star-6" || n.Name == "ring-8"
+			return n.Name == "star-6" || n.Name == "clique-6"
 		},
 	}
 }
 
-func fig3Table(t *testing.T, cfg Config) []byte {
+func runTable(t *testing.T, name string, cfg Config) []byte {
 	t.Helper()
-	r, err := Fig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := r.Table().Write(&buf); err != nil {
-		t.Fatal(err)
+	if err := Run(name, cfg, &buf); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 	return buf.Bytes()
 }
 
-// TestFig3StoreBackedParity pins the store-backed mode's contract: output
-// is byte-identical with and without a store, a second run against the
-// same store recalls every cell instead of recomputing it, and the store
-// survives reopening.
-func TestFig3StoreBackedParity(t *testing.T) {
-	plain := fig3Table(t, storeTestConfig(t))
+// TestStoreBackedParity pins the store-backed mode's contract for every
+// placement figure: output is byte-identical with and without a store,
+// the store holds the figure's cells, and a second run against the same
+// store recalls every cell instead of recomputing it.
+func TestStoreBackedParity(t *testing.T) {
+	for _, name := range []string{"fig3", "fig4", "fig7", "fig8", "fig16", "fig17", "fig18", "fig19", "fig20"} {
+		t.Run(name, func(t *testing.T) {
+			if testing.Short() && name != "fig3" {
+				t.Skip("places every cell twice; skipped in -short")
+			}
+			plain := runTable(t, name, storeTestConfig())
 
-	dir := t.TempDir()
+			dir := t.TempDir()
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			cfg := storeTestConfig()
+			cfg.Backend = st
+			if backed := runTable(t, name, cfg); !bytes.Equal(plain, backed) {
+				t.Fatalf("store-backed output differs:\n--- plain\n%s\n--- backed\n%s", plain, backed)
+			}
+			filled := st.Len()
+			if filled == 0 {
+				t.Fatal("store holds no cells")
+			}
+			switch name {
+			case "fig3":
+				if filled != 4 { // 2 networks x 2 matrices x 1 scheme
+					t.Fatalf("store holds %d cells after fig3, want 4", filled)
+				}
+			case "fig8":
+				if filled != 16 { // 2 networks x 4 headrooms x 2 matrices
+					t.Fatalf("store holds %d cells after fig8, want 16", filled)
+				}
+			case "fig16":
+				// 2 networks x 2 matrices x 4 schemes for (a)/(b), plus
+				// clique-6's headroom-dialled B4 and LDR for (c): its
+				// MinMax cells are (b)'s, recalled rather than re-placed.
+				if filled != 20 {
+					t.Fatalf("store holds %d cells after fig16, want 20 distinct", filled)
+				}
+			}
+			if again := runTable(t, name, cfg); !bytes.Equal(plain, again) {
+				t.Fatal("second store-backed run differs")
+			}
+			if st.Len() != filled {
+				t.Fatalf("second run grew the store from %d to %d cells", filled, st.Len())
+			}
+			if name == "fig3" {
+				st.Close()
+				checkRecall(t, dir, plain)
+			}
+		})
+	}
+}
+
+// checkRecall poisons one stored fig3 cell and watches the sentinel
+// surface in the table: the driver read the store, not the solver.
+func checkRecall(t *testing.T, dir string, plain []byte) {
+	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := storeTestConfig(t)
-	cfg.Backend = st
-	backed := fig3Table(t, cfg)
-	if !bytes.Equal(plain, backed) {
-		t.Fatalf("store-backed output differs:\n--- plain\n%s\n--- backed\n%s", plain, backed)
-	}
-	filled := st.Len()
-	if filled != 4 { // 2 networks x 2 matrices x 1 scheme
-		t.Fatalf("store holds %d cells after fig3, want 4", filled)
-	}
-
-	// Second run: same output, no new cells.
-	if again := fig3Table(t, cfg); !bytes.Equal(plain, again) {
-		t.Fatalf("second store-backed run differs")
-	}
-	if st.Len() != filled {
-		t.Fatalf("second run grew the store to %d cells", st.Len())
-	}
-	st.Close()
-
-	// Proof of recall: poison one stored cell and watch the sentinel
-	// surface in the table — the driver read the store, not the solver.
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	victim := st2.Results()[0]
+	defer st.Close()
+	victim := st.Results()[0]
 	victim.Metrics.Stretch = 77.777
-	if err := st2.Put(victim); err != nil {
+	if err := st.Put(victim); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Backend = st2
-	poisoned := fig3Table(t, cfg)
+	cfg := storeTestConfig()
+	cfg.Backend = st
+	poisoned := runTable(t, "fig3", cfg)
 	if bytes.Equal(plain, poisoned) {
 		t.Fatal("poisoned store did not change the output: cells were recomputed, not recalled")
 	}
 	if !strings.Contains(string(poisoned), "77.777") {
 		t.Fatalf("sentinel stretch missing from output:\n%s", poisoned)
-	}
-}
-
-// TestFig8StoreBackedParity runs the headroom sweep through the store.
-func TestFig8StoreBackedParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("headroom sweep solves 16 LPs; skipped in -short")
-	}
-	run := func(cfg Config) []byte {
-		r, err := Fig8(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := r.Table().Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	plain := run(storeTestConfig(t))
-
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	cfg := storeTestConfig(t)
-	cfg.Backend = st
-	if backed := run(cfg); !bytes.Equal(plain, backed) {
-		t.Fatalf("store-backed fig8 differs:\n--- plain\n%s\n--- backed\n%s", plain, backed)
-	}
-	filled := st.Len()
-	if filled != 16 { // 2 networks x 4 headrooms x 2 matrices
-		t.Fatalf("store holds %d cells after fig8, want 16", filled)
-	}
-	if again := run(cfg); !bytes.Equal(plain, again) {
-		t.Fatal("second store-backed fig8 run differs")
-	}
-	if st.Len() != filled {
-		t.Fatalf("second fig8 run grew the store to %d cells", st.Len())
 	}
 }

@@ -48,9 +48,6 @@ func refLatencyStretch(p *routing.Placement) float64 {
 func refMaxStretch(p *routing.Placement) float64 {
 	maxS := 1.0
 	for i, allocs := range p.Allocs {
-		if p.Unplaced[i] > fracEps {
-			return math.Inf(1)
-		}
 		agg := p.TM.Aggregates[i]
 		sp, ok := p.G.ShortestPath(agg.Src, agg.Dst, nil, nil)
 		if !ok || sp.Delay <= 0 {
@@ -218,14 +215,6 @@ func TestStretchSkipRules(t *testing.T) {
 	// A by-value copy shares the baseline and still agrees.
 	cp := *p
 	checkStretch(t, "copy", &cp)
-
-	// Unplaced volume turns MaxStretch infinite, as before.
-	q := build()
-	q.Unplaced[4] = 0.5
-	for j := range q.Allocs[4] {
-		q.Allocs[4][j].Fraction /= 2
-	}
-	checkStretch(t, "unplaced", q)
 
 	// A hand-built placement's on-demand baseline writes nothing, so
 	// concurrent stretch queries are safe.

@@ -30,15 +30,12 @@ type PathAlloc struct {
 }
 
 // Placement is the result of running a scheme on a topology and traffic
-// matrix: per-aggregate path allocations plus any volume the scheme failed
-// to place (greedy schemes can get stuck).
+// matrix: per-aggregate path allocations, each aggregate's fractions
+// summing to a full unit.
 type Placement struct {
 	G      *graph.Graph
 	TM     *tm.Matrix
 	Allocs [][]PathAlloc // indexed like TM.Aggregates
-	// Unplaced is the fraction (0..1) of each aggregate's volume the
-	// scheme could not place.
-	Unplaced []float64
 
 	// base is the all-shortest-paths baseline the stretch metrics divide
 	// by: each aggregate's shortest-path delay on G (S_a), indexed like
@@ -55,10 +52,9 @@ var noPath = math.Inf(1)
 // NewPlacement returns an empty placement for the matrix.
 func NewPlacement(g *graph.Graph, m *tm.Matrix) *Placement {
 	return &Placement{
-		G:        g,
-		TM:       m,
-		Allocs:   make([][]PathAlloc, m.Len()),
-		Unplaced: make([]float64, m.Len()),
+		G:      g,
+		TM:     m,
+		Allocs: make([][]PathAlloc, m.Len()),
 	}
 }
 
@@ -146,8 +142,8 @@ func (p *Placement) CongestedPairFraction() float64 {
 	}
 	utils := p.Utilizations()
 	congested := 0
-	for i, allocs := range p.Allocs {
-		hit := p.Unplaced[i] > fracEps // unplaceable traffic counts as congested
+	for _, allocs := range p.Allocs {
+		hit := false
 	scan:
 		for _, a := range allocs {
 			if a.Fraction < fracEps {
@@ -169,8 +165,7 @@ func (p *Placement) CongestedPairFraction() float64 {
 
 // LatencyStretch returns the volume-weighted mean delay of the placement
 // divided by the all-shortest-path baseline — the paper's latency stretch
-// (Σ_f d_f / Σ_f d_f,sp with flows weighted by volume). Unplaced volume is
-// excluded from both sums.
+// (Σ_f d_f / Σ_f d_f,sp with flows weighted by volume).
 func (p *Placement) LatencyStretch() float64 {
 	num, den := 0.0, 0.0
 	sps := p.baseline()
@@ -194,15 +189,11 @@ func (p *Placement) LatencyStretch() float64 {
 }
 
 // MaxStretch returns the maximum over aggregates and used paths of
-// path-delay / shortest-path-delay — the x-axis of Figure 16. Returns
-// +Inf when some traffic is unplaced (the scenario "does not fit").
+// path-delay / shortest-path-delay — the x-axis of Figure 16.
 func (p *Placement) MaxStretch() float64 {
 	maxS := 1.0
 	sps := p.baseline()
 	for i, allocs := range p.Allocs {
-		if p.Unplaced[i] > fracEps {
-			return math.Inf(1)
-		}
 		if sps[i] == noPath || sps[i] <= 0 {
 			continue
 		}
@@ -218,36 +209,24 @@ func (p *Placement) MaxStretch() float64 {
 	return maxS
 }
 
-// TotalUnplacedVolume returns the volume (bits/sec) left unplaced.
-func (p *Placement) TotalUnplacedVolume() float64 {
-	sum := 0.0
-	for i, f := range p.Unplaced {
-		sum += f * p.TM.Aggregates[i].Volume
-	}
-	return sum
-}
-
 // Fits reports whether the placement carries all traffic without
 // overloading any link — the paper's criterion for "the routing system
 // found a placement that fits the traffic" (Figure 16). Links at exactly
 // 100% still fit.
 func (p *Placement) Fits() bool {
-	if p.TotalUnplacedVolume() > fracEps {
-		return false
-	}
 	return p.MaxUtilization() <= 1+satEps
 }
 
 // Validate checks structural invariants: fractions are sane, paths connect
-// the aggregate endpoints, and placed+unplaced is a full unit per
+// the aggregate endpoints, and the fractions are a full unit per
 // aggregate.
 func (p *Placement) Validate() error {
-	if len(p.Allocs) != p.TM.Len() || len(p.Unplaced) != p.TM.Len() {
+	if len(p.Allocs) != p.TM.Len() {
 		return fmt.Errorf("routing: placement size mismatch")
 	}
 	for i, allocs := range p.Allocs {
 		agg := p.TM.Aggregates[i]
-		total := p.Unplaced[i]
+		total := 0.0
 		for _, a := range allocs {
 			if a.Fraction < -fracEps || a.Fraction > 1+fracEps {
 				return fmt.Errorf("routing: aggregate %d has fraction %v", i, a.Fraction)

@@ -71,7 +71,6 @@ func TestPlacementValidateCatchesCorruption(t *testing.T) {
 
 	bad := *p
 	bad.Allocs = [][]PathAlloc{{{Path: p.Allocs[0][0].Path, Fraction: 0.5}}}
-	bad.Unplaced = []float64{0}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("fractions summing to 0.5 must fail")
 	}
@@ -79,7 +78,6 @@ func TestPlacementValidateCatchesCorruption(t *testing.T) {
 	bad2 := *p
 	wrong, _ := g.ShortestPath(1, 2, nil, nil)
 	bad2.Allocs = [][]PathAlloc{{{Path: wrong, Fraction: 1}}}
-	bad2.Unplaced = []float64{0}
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("path with wrong endpoints must fail")
 	}

@@ -242,9 +242,6 @@ func TestB4FillsShortestThenSpills(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalUnplacedVolume() > 1e-6 {
-		t.Fatalf("B4 left %v unplaced", p.TotalUnplacedVolume())
-	}
 	if len(p.Allocs[0]) != 2 {
 		t.Fatalf("B4 should use 2 paths, got %+v", p.Allocs[0])
 	}

@@ -10,8 +10,8 @@ type Scheme interface {
 	// Name identifies the scheme in experiment output.
 	Name() string
 	// Place computes a placement. Schemes never fail on well-formed
-	// input; greedy schemes record traffic they could not fit in the
-	// placement's Unplaced vector instead of erroring.
+	// input, and every aggregate's full volume is placed: traffic a
+	// scheme cannot fit overloads links (see Placement.Fits).
 	Place(g *graph.Graph, m *tm.Matrix) (*Placement, error)
 }
 

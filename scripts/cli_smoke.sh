@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CLI smoke test: build lowlat once and run the topology -> score ->
 # traffic -> closed-loop pipeline on the real binary, checking every
-# exit code, then require exit 2 (usage error) for a malformed flag and
-# for a non-positive count. `make cli-smoke` runs this locally; CI's
+# exit code, resume a store-backed figure run, then require exit 2
+# (usage error) for a malformed flag and for a non-positive count. `make cli-smoke` runs this locally; CI's
 # short job runs it after the unit suites.
 set -eu
 
@@ -40,6 +40,17 @@ expect 0 tm -file "$tmp/g.graphml" -count 2 -out "$tmp"
 
 expect 0 sim -net star-6 -minutes 1
 grep -q '^worst queue ' "$tmp/out" || fail "sim printed no summary"
+
+# exp -store resumes: the second run recalls every cell the first one
+# checkpointed, prints the same tables and appends nothing.
+shard_lines() { cat "$tmp"/exp/shard-*.jsonl 2>/dev/null | wc -l; }
+expect 0 exp -name fig16 -tms 1 -max-networks 6 -max-nodes 12 -store "$tmp/exp"
+cp "$tmp/out" "$tmp/exp1.out"
+stored=$(shard_lines)
+[ "$stored" -gt 0 ] || fail "exp -store checkpointed no cells"
+expect 0 exp -name fig16 -tms 1 -max-networks 6 -max-nodes 12 -store "$tmp/exp"
+cmp -s "$tmp/exp1.out" "$tmp/out" || fail "exp -store rerun printed different tables"
+[ "$(shard_lines)" -eq "$stored" ] || fail "exp -store rerun placed cells again"
 
 expect 2 route -no-such-flag
 expect 2 route -tms -1
