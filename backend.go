@@ -6,7 +6,6 @@ import (
 
 	"lowlat/internal/backend"
 	"lowlat/internal/cluster"
-	"lowlat/internal/predict"
 	"lowlat/internal/serve"
 	"lowlat/internal/store"
 )
@@ -89,21 +88,10 @@ type CachedBackendOptions = backend.CachedOptions
 // a zero content key — estimates, never persisted.
 type PredictiveBackend = backend.Predictive
 
-// PredictiveBackendOptions tunes a PredictiveBackend: the surface
-// confidence bound, an optional shared SurfaceIndex, and background
+// PredictiveBackendOptions tunes a PredictiveBackend's background
 // refinement (queue an exact solve for every predicted answer so the
 // surface self-corrects).
 type PredictiveBackendOptions = backend.PredictiveOptions
-
-// SurfaceIndex is the trained interpolation model behind a
-// PredictiveBackend: one metric surface per (topology fingerprint,
-// scheme) pair, observed incrementally and safe for concurrent use.
-type SurfaceIndex = predict.Index
-
-// SurfaceIndexOptions tunes a SurfaceIndex's confidence bound — the
-// line between "answer in microseconds" and "fall back to the exact
-// solver".
-type SurfaceIndexOptions = predict.Options
 
 // NewLocalBackend builds the compute-capable backend over an open result
 // store.
@@ -136,10 +124,6 @@ func NewCachedBackend(inner PlacementBackend, opts CachedBackendOptions) *Cached
 func NewPredictiveBackend(inner PlacementBackend, opts PredictiveBackendOptions) *PredictiveBackend {
 	return backend.NewPredictive(inner, opts)
 }
-
-// NewSurfaceIndex builds an empty interpolation index, for sharing one
-// trained model across several PredictiveBackends.
-func NewSurfaceIndex(opts SurfaceIndexOptions) *SurfaceIndex { return predict.NewIndex(opts) }
 
 // ServeBackend mounts a backend at addr and serves until ctx is
 // cancelled, then drains in-flight requests and returns. notify, when

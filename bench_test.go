@@ -175,38 +175,6 @@ func muxSeries(n, bins int) [][]float64 {
 	return out
 }
 
-// muxAblationCapacity carries 30 x 0.5 Gb/s with room for the bursts: the
-// summed series never queues beyond the bound, so the temporal test passes
-// and the check goes on to convolve 30 PMFs. (On a 10 Gb/s link it failed
-// the temporal test first and neither arm below convolved anything.)
-const muxAblationCapacity = 20e9
-
-// benchMuxConvolution times CheckLink on a link whose verdict depends on
-// the convolution, and refuses to run if the check stops before it.
-func benchMuxConvolution(b *testing.B, cfg mux.CheckConfig) {
-	b.Helper()
-	series := muxSeries(30, 600)
-	cfg.DisablePeakPrefilter = true
-	if v := mux.CheckLink(series, muxAblationCapacity, cfg); v.SkippedByPeakSum || v.FailedTemporal {
-		b.Fatalf("ablation link never reaches the convolution: %+v", v)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mux.CheckLink(series, muxAblationCapacity, cfg)
-	}
-}
-
-// BenchmarkAblationMuxFFT / MuxNaive compare the link multiplexing check's
-// convolution as shipped — per step the direct product over the operands'
-// support or the FFT, whichever is less work — against the unrestricted
-// O(N^2) product. (The name is the paper's: it convolves "via FFT".)
-func BenchmarkAblationMuxFFT(b *testing.B) { benchMuxConvolution(b, mux.CheckConfig{}) }
-
-func BenchmarkAblationMuxNaive(b *testing.B) {
-	benchMuxConvolution(b, mux.CheckConfig{NaiveConvolution: true})
-}
-
 // BenchmarkAblationPeakPrefilterOn / Off measure the paper's first
 // optimization in §5: links whose peak sum fits skip both tests.
 func BenchmarkAblationPeakPrefilterOn(b *testing.B) {

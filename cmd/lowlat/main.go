@@ -169,6 +169,48 @@ func countFlag(fs *flag.FlagSet, name string, value int, usage string) *int {
 	return p
 }
 
+// caseCap is a count that also accepts -1, meaning no cap.
+type caseCap int
+
+func (c *caseCap) String() string { return strconv.Itoa(int(*c)) }
+
+func (c *caseCap) Set(s string) error {
+	v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return errors.New("parse error")
+	}
+	if v < 1 && v != -1 {
+		return errors.New("must be at least 1, or -1 for no cap")
+	}
+	*c = caseCap(v)
+	return nil
+}
+
+// prob is a probability flag in (0, 1]. Zero is rejected rather than
+// read as "use the default", which is what the library does with it.
+type prob float64
+
+func (p *prob) String() string { return strconv.FormatFloat(float64(*p), 'g', -1, 64) }
+
+func (p *prob) Set(s string) error {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return errors.New("parse error")
+	}
+	if !(v > 0 && v <= 1) {
+		return errors.New("must be in (0, 1]")
+	}
+	*p = prob(v)
+	return nil
+}
+
+// probFlag registers a probability flag on fs and returns its value.
+func probFlag(fs *flag.FlagSet, name string, value float64, usage string) *float64 {
+	p := &value
+	fs.Var((*prob)(p), name, usage)
+	return p
+}
+
 // isSet reports whether the flag name was given on the command line.
 func isSet(fs *flag.FlagSet, name string) bool {
 	set := false
@@ -604,12 +646,13 @@ func cmdDynamics(args []string, stdout, stderr io.Writer) error {
 	headroom := fs.Float64("headroom", 0.10, "reserved link fraction (b4/ldr)")
 	failures := fs.String("failures", "random", "none | single | double | node | random")
 	churn := fs.String("churn", "diurnal", "none | diurnal | surge | trace | replay")
-	epochs := fs.Int("epochs", 8, "timeline length (enumerating failure models override it)")
+	epochs := countFlag(fs, "epochs", 8, "timeline length (enumerating failure models override it)")
 	seed := fs.Int64("seed", 1, "random seed")
 	replayFile := fs.String("replay", "", "demand-trace file for -churn replay (time src dst bps per line)")
-	maxFailures := fs.Int("max-failures", 50, "cap on double-failure cases (-1 = all)")
-	failProb := fs.Float64("fail-prob", 0.08, "random model: per-link per-epoch failure probability")
-	repairProb := fs.Float64("repair-prob", 0.5, "random model: per-epoch repair probability")
+	maxFailures := 50
+	fs.Var((*caseCap)(&maxFailures), "max-failures", "cap on double-failure cases (-1 = all)")
+	failProb := probFlag(fs, "fail-prob", 0.08, "random model: per-link per-epoch failure probability")
+	repairProb := probFlag(fs, "repair-prob", 0.5, "random model: per-epoch repair probability")
 	load := fs.Float64("load", 1/1.3, "target min-cut utilization of the base matrix")
 	locality := fs.Float64("locality", 1, "traffic locality parameter")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = one per CPU)")
@@ -644,7 +687,7 @@ func cmdDynamics(args []string, stdout, stderr io.Writer) error {
 		Failures:        dynamics.FailureModel(*failures),
 		FailProb:        *failProb,
 		RepairProb:      *repairProb,
-		MaxFailureCases: *maxFailures,
+		MaxFailureCases: maxFailures,
 		Churn:           dynamics.ChurnModel(*churn),
 	}
 	r := engine.NewRunner(*workers)

@@ -175,6 +175,8 @@ func TestNonPositiveCountsAreUsageErrors(t *testing.T) {
 		{"tm", "-net", "star-6", "-count", "-3"},
 		{"sim", "-net", "star-6", "-minutes", "0"},
 		{"sim", "-net", "star-6", "-minutes", "-2"},
+		{"dynamics", "-net", "ring-8", "-epochs", "0"},
+		{"dynamics", "-net", "ring-8", "-epochs", "-3"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {
@@ -182,6 +184,37 @@ func TestNonPositiveCountsAreUsageErrors(t *testing.T) {
 		}
 		if !strings.Contains(errOut.String(), "must be at least 1") {
 			t.Errorf("%v: stderr %q lacks the reason", args, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q on stdout", args, out.String())
+		}
+	}
+}
+
+// TestDynamicsOutOfRangeFlagsAreUsageErrors pins that the dynamics
+// probabilities and failure-case cap reject out-of-range values instead
+// of running on a default in their place.
+func TestDynamicsOutOfRangeFlagsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		reason string
+	}{
+		{[]string{"-fail-prob", "0"}, "must be in (0, 1]"},
+		{[]string{"-fail-prob", "-3"}, "must be in (0, 1]"},
+		{[]string{"-fail-prob", "1.5"}, "must be in (0, 1]"},
+		{[]string{"-repair-prob", "7"}, "must be in (0, 1]"},
+		{[]string{"-repair-prob", "0"}, "must be in (0, 1]"},
+		{[]string{"-fail-prob", "NaN"}, "must be in (0, 1]"},
+		{[]string{"-max-failures", "0"}, "must be at least 1, or -1 for no cap"},
+		{[]string{"-max-failures", "-2"}, "must be at least 1, or -1 for no cap"},
+	} {
+		args := append([]string{"dynamics", "-net", "ring-8"}, tc.args...)
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), tc.reason) {
+			t.Errorf("%v: stderr %q lacks %q", args, errOut.String(), tc.reason)
 		}
 		if out.Len() != 0 {
 			t.Errorf("%v: printed %q on stdout", args, out.String())

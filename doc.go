@@ -30,7 +30,7 @@
 //     consistent-hash cluster with optional replication
 //     (NewClusterBackend), a client-side cache tier
 //     (NewCachedBackend) and the predictive fast path over trained
-//     interpolation surfaces (NewPredictiveBackend, NewSurfaceIndex) —
+//     interpolation surfaces (NewPredictiveBackend) —
 //     served over HTTP by Serve or ServeBackend and read back with the
 //     typed client (NewServeClient).
 //

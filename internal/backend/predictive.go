@@ -15,13 +15,6 @@ import (
 
 // PredictiveOptions tunes a Predictive backend.
 type PredictiveOptions struct {
-	// Predict tunes the interpolation index NewPredictive builds when
-	// Index is nil (confidence radius, minimum support, roughness
-	// bound).
-	Predict predict.Options
-	// Index, when non-nil, is an externally built (possibly shared)
-	// index used instead of a fresh one.
-	Index *predict.Index
 	// Refine queues a background exact solve for every predicted answer:
 	// the ground truth lands in the inner backend's store and replaces
 	// the interpolated sample, so the surface self-corrects while
@@ -29,25 +22,18 @@ type PredictiveOptions struct {
 	// best-effort — a full queue drops the request rather than blocking
 	// the serving path.
 	Refine bool
-	// RefineQueue bounds the pending refinement queue (default 64).
-	RefineQueue int
-	// RefineTimeout bounds one background solve (default 10m).
-	RefineTimeout time.Duration
 	// OnRefine, when non-nil, runs after each background refinement
 	// attempt completes, with the solved result (zero on failure). Tests
 	// synchronize on it.
 	OnRefine func(spec store.CellSpec, r store.Result, err error)
 }
 
-func (o PredictiveOptions) withDefaults() PredictiveOptions {
-	if o.RefineQueue <= 0 {
-		o.RefineQueue = 64
-	}
-	if o.RefineTimeout <= 0 {
-		o.RefineTimeout = 10 * time.Minute
-	}
-	return o
-}
+const (
+	// refineQueue bounds the pending refinement queue.
+	refineQueue = 64
+	// refineTimeout bounds one background solve.
+	refineTimeout = 10 * time.Minute
+)
 
 // netInfo caches what Place needs to know about a net term to answer
 // without constructing the topology: its display name, class label and
@@ -106,21 +92,16 @@ type Predictive struct {
 // falls back on every request. Close releases the background refinement
 // worker when Refine is on.
 func NewPredictive(inner Backend, opts PredictiveOptions) *Predictive {
-	opts = opts.withDefaults()
-	idx := opts.Index
-	if idx == nil {
-		idx = predict.NewIndex(opts.Predict)
-	}
 	p := &Predictive{
 		Forward: NewForward(inner),
-		idx:     idx,
+		idx:     predict.NewIndex(predict.Options{}),
 		opts:    opts,
 		nets:    newLRU[string, netInfo](netCacheCapacity),
 		stop:    make(chan struct{}),
 		obs:     obs.NewRegistry(),
 	}
 	if opts.Refine {
-		p.refine = make(chan store.CellSpec, opts.RefineQueue)
+		p.refine = make(chan store.CellSpec, refineQueue)
 		p.wg.Add(1)
 		go p.refineLoop()
 	}
@@ -271,7 +252,7 @@ func (p *Predictive) refineLoop() {
 		case <-p.stop:
 			return
 		case spec := <-p.refine:
-			ctx, cancel := context.WithTimeout(context.Background(), p.opts.RefineTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), refineTimeout)
 			res, err := p.inner.Place(ctx, spec)
 			cancel()
 			if err == nil {

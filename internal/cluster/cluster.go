@@ -47,25 +47,17 @@ import (
 
 // Options tunes a cluster backend.
 type Options struct {
-	// VNodes is the virtual-node count per replica (default 64). More
-	// vnodes flatten the key distribution at the cost of a bigger ring.
-	VNodes int
 	// Labels name the replicas for ring placement (default: a replica's
 	// BaseURL when it has one, else "replica-<i>"). Ownership is a pure
 	// function of (labels, vnodes, key): clusters sharing labels route
 	// identically, and stable labels keep ownership stable across
 	// restarts.
 	Labels []string
-	// ProbeTimeout bounds each health probe (default 2s).
-	ProbeTimeout time.Duration
-	// QueryTimeout bounds each replica's share of a Query fan-out
-	// (default 30s).
-	QueryTimeout time.Duration
 	// ReprobeInterval is how long a down mark sticks before the next
 	// request touching that replica re-probes it (default 5s). A
 	// restarted replica rejoins the ring within one interval without any
 	// operator action; the re-probe is synchronous but happens at most
-	// once per interval per replica, bounded by ProbeTimeout.
+	// once per interval per replica, bounded by probeTimeout.
 	ReprobeInterval time.Duration
 	// Replicas is the ownership factor R: every cell is written to its
 	// key's first R distinct ring successors, Lookup reads from the
@@ -98,16 +90,20 @@ type Options struct {
 	Windows obs.WindowConfig
 }
 
+const (
+	// vnodes is the virtual-node count per replica. More vnodes flatten
+	// the key distribution at the cost of a bigger ring. It is a
+	// constant because ownership is a pure function of (labels, vnodes,
+	// key): every client of a cluster must agree on it to route every
+	// key identically.
+	vnodes = 64
+	// probeTimeout bounds each health probe.
+	probeTimeout = 2 * time.Second
+	// queryTimeout bounds each replica's share of a Query fan-out.
+	queryTimeout = 30 * time.Second
+)
+
 func (o Options) withDefaults() Options {
-	if o.VNodes <= 0 {
-		o.VNodes = 64
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.QueryTimeout <= 0 {
-		o.QueryTimeout = 30 * time.Second
-	}
 	if o.ReprobeInterval <= 0 {
 		o.ReprobeInterval = 5 * time.Second
 	}
@@ -204,7 +200,7 @@ func New(replicas []backend.Backend, opts Options) (*Backend, error) {
 	c := &Backend{
 		replicas:  replicas,
 		labels:    labels,
-		ring:      newRing(labels, opts.VNodes),
+		ring:      newRing(labels, vnodes),
 		opts:      opts,
 		r:         r,
 		down:      make([]atomic.Bool, len(replicas)),
@@ -283,7 +279,7 @@ func (c *Backend) Down(i int) bool { return c.down[i].Load() }
 
 // healthy reports whether replica i should receive traffic. A replica
 // marked down stays skipped until its ReprobeInterval elapses; then the
-// first request to touch it re-probes (bounded by ProbeTimeout, at most
+// first request to touch it re-probes (bounded by probeTimeout, at most
 // one prober at a time via the timestamp CAS) and marks it back up on
 // success — the automatic recovery path after a replica restart, with
 // no operator in the loop.
@@ -303,7 +299,7 @@ func (c *Backend) healthy(i int) bool {
 		c.markUp(i)
 		return true
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	if p.Probe(ctx) != nil {
 		return false
@@ -326,7 +322,7 @@ func (c *Backend) Probe(ctx context.Context) int {
 			c.markUp(i)
 			continue
 		}
-		pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		err := p.Probe(pctx)
 		cancel()
 		if err != nil {
@@ -598,7 +594,7 @@ func (c *Backend) QueryContext(ctx context.Context, f sweep.Filter) ([]store.Res
 		go func(i int, r backend.Backend) {
 			defer wg.Done()
 			if q, ok := r.(backend.ContextQuerier); ok {
-				qctx, cancel := context.WithTimeout(ctx, c.opts.QueryTimeout)
+				qctx, cancel := context.WithTimeout(ctx, queryTimeout)
 				defer cancel()
 				res, err := q.QueryContext(qctx, f)
 				parts[i].results, parts[i].err = res, err

@@ -328,7 +328,7 @@ func (c *Backend) sweepLoop() {
 		case <-c.stop:
 			return
 		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), c.opts.QueryTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), queryTimeout)
 			_, _ = c.Heal(ctx)
 			cancel()
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // ring is a consistent-hash ring over replica indices. Each replica
-// contributes VNodes points, hashed from "<label>#<vnode>"; a key is
+// contributes vnodes points, hashed from "<label>#<vnode>"; a key is
 // owned by the replica of the first point clockwise from the key's hash.
 // Virtual nodes smooth the load split (a handful of raw points would
 // carve the 64-bit circle into wildly unequal arcs), and the

@@ -35,19 +35,10 @@ import (
 // settings.
 type Config struct {
 	// Mux configures the multiplexing tests (10 ms queue bound, 100 ms
-	// bins, 60 s interval, 1024 PMF levels).
+	// bins, 60 s interval).
 	Mux mux.CheckConfig
-	// ScaleUp is the factor applied to the demands of aggregates that
-	// share a failing link (default 1.1, mirroring the 10% hedge).
-	ScaleUp float64
 	// MaxMuxRounds bounds the appraise/re-optimize loop (default 8).
 	MaxMuxRounds int
-	// MaxPaths bounds per-aggregate path sets (default 64).
-	MaxPaths int
-	// BaseHeadroom reserves a uniform capacity fraction in addition to
-	// the per-aggregate scale-ups (default 0: LDR's headroom is
-	// demand-driven).
-	BaseHeadroom float64
 	// ScaleLinksInstead switches to the alternative the paper rejects in
 	// §5: when a link fails the multiplexing test, shrink that link's
 	// capacity rather than scaling up the offending aggregates. Kept as
@@ -56,10 +47,13 @@ type Config struct {
 	ScaleLinksInstead bool
 }
 
+// scaleUp is the factor applied to the demands of aggregates that share
+// a failing link, mirroring the 10% hedge. LDR reserves no uniform
+// headroom on top: its headroom is demand-driven, added only where
+// multiplexing fails.
+const scaleUp = 1.1
+
 func (c Config) withDefaults() Config {
-	if c.ScaleUp <= 0 {
-		c.ScaleUp = 1.1
-	}
 	if c.MaxMuxRounds <= 0 {
 		c.MaxMuxRounds = 8
 	}
@@ -240,11 +234,7 @@ func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 			optCache = routing.NewPathCache(optGraph)
 		}
 
-		placement, stats, err := (routing.LatencyOpt{
-			Headroom: c.cfg.BaseHeadroom,
-			Cache:    optCache,
-			MaxPaths: c.cfg.MaxPaths,
-		}).PlaceWithStats(optGraph, matrix)
+		placement, stats, err := routing.LatencyOpt{Cache: optCache}.PlaceWithStats(optGraph, matrix)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +261,7 @@ func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 		if c.cfg.ScaleLinksInstead {
 			// Ablation mode: shrink the failing links themselves.
 			for _, lid := range failing {
-				linkScale[lid] /= c.cfg.ScaleUp
+				linkScale[lid] /= scaleUp
 			}
 			continue
 		}
@@ -287,7 +277,7 @@ func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 			for _, al := range allocs {
 				for _, lid := range al.Path.Links {
 					if failSet[lid] {
-						multipliers[i] *= c.cfg.ScaleUp
+						multipliers[i] *= scaleUp
 						break scan
 					}
 				}

@@ -51,8 +51,8 @@ const (
 	ChurnNone ChurnModel = "none"
 	// ChurnDiurnal scales the matrix along one sinusoidal day.
 	ChurnDiurnal ChurnModel = "diurnal"
-	// ChurnSurge multiplies a seeded subset of pairs by SurgeFactor,
-	// re-drawn every epoch.
+	// ChurnSurge multiplies a seeded tenth of the pairs by 3, re-drawn
+	// every epoch.
 	ChurnSurge ChurnModel = "surge"
 	// ChurnTrace scales the matrix by a synthetic internal/trace bitrate
 	// trace rebinned to the timeline.
@@ -83,14 +83,6 @@ type Config struct {
 	MaxFailureCases int
 	// Churn picks the demand model (default ChurnNone).
 	Churn ChurnModel
-	// DiurnalAmplitude is ChurnDiurnal's swing (default 0.3).
-	DiurnalAmplitude float64
-	// SurgeFraction and SurgeFactor shape ChurnSurge (defaults 0.1, 3).
-	SurgeFraction float64
-	SurgeFactor   float64
-	// TraceCfg overrides ChurnTrace's synthetic trace (Seed is forced to
-	// the run's seed when unset).
-	TraceCfg trace.Config
 	// Replay is ChurnReplay's demand trace; required for that model.
 	Replay *trace.DemandTrace
 }
@@ -114,17 +106,18 @@ func (c Config) withDefaults() Config {
 	if c.Churn == "" {
 		c.Churn = ChurnNone
 	}
-	if c.DiurnalAmplitude <= 0 {
-		c.DiurnalAmplitude = 0.3
-	}
-	if c.SurgeFraction <= 0 {
-		c.SurgeFraction = 0.1
-	}
-	if c.SurgeFactor <= 0 {
-		c.SurgeFactor = 3
-	}
 	return c
 }
+
+const (
+	// diurnalAmplitude is ChurnDiurnal's swing; below 1, so demand
+	// never goes negative.
+	diurnalAmplitude = 0.3
+	// surgeFraction and surgeFactor shape ChurnSurge: the share of pairs
+	// surging each epoch, and their demand multiplier.
+	surgeFraction = 0.1
+	surgeFactor   = 3
+)
 
 // enumeratingFailures reports whether the model enumerates independent
 // failure cases (as opposed to walking a time series).
@@ -143,6 +136,9 @@ func ChurnModels() []ChurnModel {
 }
 
 func (c Config) validate() error {
+	if c.FailProb > 1 || c.RepairProb > 1 {
+		return fmt.Errorf("dynamics: failure probability %v and repair probability %v must be at most 1", c.FailProb, c.RepairProb)
+	}
 	switch c.Failures {
 	case FailNone, FailSingle, FailDouble, FailNode, FailRandom:
 	default:
@@ -157,11 +153,7 @@ func (c Config) validate() error {
 			c.Failures, ChurnNone, c.Churn)
 	}
 	switch c.Churn {
-	case ChurnDiurnal:
-		if c.DiurnalAmplitude >= 1 {
-			return fmt.Errorf("dynamics: diurnal amplitude %v would drive demand negative; want < 1", c.DiurnalAmplitude)
-		}
-	case ChurnNone, ChurnSurge, ChurnTrace:
+	case ChurnNone, ChurnDiurnal, ChurnSurge, ChurnTrace:
 	case ChurnReplay:
 		// Enumerating failure models (which would fight the replay for
 		// the epoch count) are already rejected above.
@@ -228,11 +220,11 @@ func (r *Result) MeanStretch() float64 {
 	return sum / float64(len(r.Epochs))
 }
 
-// WorstStretch returns the maximum finite per-epoch MaxStretch.
+// WorstStretch returns the maximum per-epoch MaxStretch.
 func (r *Result) WorstStretch() float64 {
 	worst := 1.0
 	for _, e := range r.Epochs {
-		if !math.IsInf(e.MaxStretch, 1) && e.MaxStretch > worst {
+		if e.MaxStretch > worst {
 			worst = e.MaxStretch
 		}
 	}
@@ -351,18 +343,10 @@ func timeline(g *graph.Graph, base *tm.Matrix, cfg Config) ([]epochState, error)
 	}
 	switch cfg.Churn {
 	case ChurnDiurnal:
-		scales = DiurnalScales(epochs, cfg.DiurnalAmplitude)
+		scales = DiurnalScales(epochs, diurnalAmplitude)
 	case ChurnTrace:
-		tc := cfg.TraceCfg
-		if tc.Seed == 0 {
-			tc.Seed = cfg.Seed
-		}
-		if tc.Minutes <= 0 {
-			tc.Minutes = epochs
-		}
-		if tc.BinsPerSecond <= 0 {
-			tc.BinsPerSecond = 1 // minute-scale drift is all that matters here
-		}
+		// One bin per second: minute-scale drift is all that matters here.
+		tc := trace.Config{Seed: cfg.Seed, Minutes: epochs, BinsPerSecond: 1}
 		scales = TraceScales(trace.Generate(tc), epochs)
 	}
 
@@ -380,7 +364,7 @@ func timeline(g *graph.Graph, base *tm.Matrix, cfg Config) ([]epochState, error)
 			m = matrices[e]
 			st.scale = 1
 		case ChurnSurge:
-			m = Surge(base, cfg.Seed+int64(e), cfg.SurgeFraction, cfg.SurgeFactor)
+			m = Surge(base, cfg.Seed+int64(e), surgeFraction, surgeFactor)
 		}
 		if st.scale != 1 {
 			m = m.Scale(st.scale)

@@ -271,6 +271,8 @@ func TestConfigValidation(t *testing.T) {
 		{Churn: "tide"},
 		{Churn: ChurnReplay}, // no Replay trace
 		{Churn: ChurnReplay, Replay: &trace.DemandTrace{Samples: []trace.DemandSample{{Src: "a", Dst: "b", Bps: 1}}}, Failures: FailSingle},
+		{Failures: FailRandom, FailProb: 1.5},
+		{Failures: FailRandom, RepairProb: 7},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(context.Background(), engine.NewRunner(1), g, m, routing.SP{}, cfg); err == nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"lowlat/internal/routing"
 	"lowlat/internal/stats"
@@ -29,8 +28,8 @@ func displayName(s routing.Scheme) string {
 // Fig16Variant is one sub-figure of Figure 16.
 type Fig16Variant struct {
 	Label string
-	// PerScheme maps the display name to the max-stretch samples of all
-	// (network, matrix) scenarios; +Inf entries mean "did not fit".
+	// PerScheme maps the display name to the max-stretch samples of the
+	// (network, matrix) scenarios the scheme fit.
 	PerScheme map[string][]float64
 	// FitFraction is the share of scenarios each scheme fit — where the
 	// paper's CDFs fail to reach 1.0.
@@ -83,13 +82,10 @@ func Fig16(cfg Config) (*Fig16Result, error) {
 			for _, cells := range grid[si] {
 				for _, c := range cells {
 					total++
-					maxS := c.MaxStretch
 					if c.Fits {
 						fit++
-					} else {
-						maxS = math.Inf(1)
+						variant.PerScheme[name] = append(variant.PerScheme[name], c.MaxStretch)
 					}
-					variant.PerScheme[name] = append(variant.PerScheme[name], maxS)
 				}
 			}
 			if total > 0 {
@@ -114,14 +110,7 @@ func (r *Fig16Result) Tables() []*Table {
 			},
 		}
 		for _, name := range order {
-			samples := v.PerScheme[name]
-			finite := make([]float64, 0, len(samples))
-			for _, s := range samples {
-				if !math.IsInf(s, 1) {
-					finite = append(finite, s)
-				}
-			}
-			c := stats.NewCDF(finite)
+			c := stats.NewCDF(v.PerScheme[name])
 			maxF := "-"
 			if c.Len() > 0 {
 				maxF = f3(c.Max())

@@ -10,45 +10,28 @@ import (
 	"lowlat/internal/trace"
 )
 
-// TraceSetConfig mirrors the paper's CAIDA dataset: 4 backbone links with
-// 10 hour-long traces each (the paper had 40 per link; the reproduction's
-// default keeps runtime in check — raise Traces for the full sweep).
-type TraceSetConfig struct {
-	Links         int
-	TracesPerLink int
-	Minutes       int
-	BinsPerSecond int
-	Seed          int64
-}
+// The synthetic trace set mirrors the paper's CAIDA dataset: 4 backbone
+// links with 10 hour-long traces each (the paper had 40 per link; 10
+// keeps runtime in check).
+const (
+	traceLinks    = 4
+	tracesPerLink = 10
+	traceMinutes  = 60
+	// The paper measures per millisecond; 100 bins/sec keeps the same
+	// minute-scale statistics at a tenth of the memory.
+	traceBinsPerSecond = 100
+)
 
-func (c TraceSetConfig) withDefaults() TraceSetConfig {
-	if c.Links <= 0 {
-		c.Links = 4
-	}
-	if c.TracesPerLink <= 0 {
-		c.TracesPerLink = 10
-	}
-	if c.Minutes <= 0 {
-		c.Minutes = 60
-	}
-	if c.BinsPerSecond <= 0 {
-		// The paper measures per millisecond; 100 bins/sec keeps the
-		// same minute-scale statistics at a tenth of the memory.
-		c.BinsPerSecond = 100
-	}
-	return c
-}
-
-func (c TraceSetConfig) generate(ctx context.Context, workers int) ([]trace.Trace, error) {
-	c = c.withDefaults()
-	cfgs := make([]trace.Config, 0, c.Links*c.TracesPerLink)
-	for l := 0; l < c.Links; l++ {
+// traceSet generates the trace set, in (link, trace) order.
+func traceSet(ctx context.Context, seed int64, workers int) ([]trace.Trace, error) {
+	cfgs := make([]trace.Config, 0, traceLinks*tracesPerLink)
+	for l := 0; l < traceLinks; l++ {
 		meanBps := 1e9 + 0.5e9*float64(l) // 1-2.5 Gb/s per link, like CAIDA's 1-3
-		for t := 0; t < c.TracesPerLink; t++ {
+		for t := 0; t < tracesPerLink; t++ {
 			cfgs = append(cfgs, trace.Config{
-				Seed:          c.Seed + int64(l*1000+t),
-				Minutes:       c.Minutes,
-				BinsPerSecond: c.BinsPerSecond,
+				Seed:          seed + int64(l*1000+t),
+				Minutes:       traceMinutes,
+				BinsPerSecond: traceBinsPerSecond,
 				MeanBps:       meanBps,
 			})
 		}
@@ -75,7 +58,7 @@ type Fig9Result struct {
 // Fig9 runs Algorithm 1 over the synthetic trace set, one engine unit per
 // trace.
 func Fig9(cfg Config) (*Fig9Result, error) {
-	traces, err := TraceSetConfig{Seed: cfg.Seed}.generate(cfg.ctx(), cfg.Workers)
+	traces, err := traceSet(cfg.ctx(), cfg.Seed, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +122,7 @@ type Fig10Result struct {
 
 // Fig10 computes consecutive-minute sigma pairs over the trace set.
 func Fig10(cfg Config) (*Fig10Result, error) {
-	traces, err := TraceSetConfig{Seed: cfg.Seed}.generate(cfg.ctx(), cfg.Workers)
+	traces, err := traceSet(cfg.ctx(), cfg.Seed, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,10 @@ import (
 	"lowlat/internal/graph"
 )
 
+// maxAlternates caps how many alternate paths are accumulated while
+// seeking a capacity-viable route-around.
+const maxAlternates = 8
+
 // APAConfig parameterizes the APA/LLPD computation. The zero value is
 // replaced by the paper's defaults.
 type APAConfig struct {
@@ -24,9 +28,6 @@ type APAConfig struct {
 	// APAThreshold is the per-pair APA above which a pair counts toward
 	// LLPD. Paper default: 0.7.
 	APAThreshold float64
-	// MaxAlternates caps how many alternate paths are accumulated while
-	// seeking a capacity-viable route-around. Default: 8.
-	MaxAlternates int
 }
 
 func (c APAConfig) withDefaults() APAConfig {
@@ -35,9 +36,6 @@ func (c APAConfig) withDefaults() APAConfig {
 	}
 	if c.APAThreshold <= 0 {
 		c.APAThreshold = 0.7
-	}
-	if c.MaxAlternates <= 0 {
-		c.MaxAlternates = 8
 	}
 	return c
 }
@@ -70,7 +68,7 @@ func canRouteAround(g *graph.Graph, src, dst graph.NodeID, lid graph.LinkID,
 
 	maxDelay := cfg.StretchLimit * spDelay
 	inUnion := make(map[graph.LinkID]bool)
-	for n := 0; n < cfg.MaxAlternates; n++ {
+	for n := 0; n < maxAlternates; n++ {
 		p, ok := ksp.At(n)
 		if !ok {
 			return false // alternates exhausted

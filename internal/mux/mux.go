@@ -30,6 +30,9 @@
 // fence), four orders of magnitude inside the decision threshold.
 package mux
 
+// levels is the PMF quantization of the uncorrelated test (paper: 1024).
+const levels = 1024
+
 // CheckConfig parameterizes the multiplexing tests. Zero values take the
 // paper's defaults.
 type CheckConfig struct {
@@ -41,11 +44,6 @@ type CheckConfig struct {
 	// IntervalSec is the span the measurements cover (paper: 60 s);
 	// the exceedance threshold is MaxQueueSec / IntervalSec.
 	IntervalSec float64
-	// Levels is the PMF quantization (paper: 1024).
-	Levels int
-	// NaiveConvolution switches the O(N^2) direct convolution in place
-	// of the FFT, for the ablation benchmark.
-	NaiveConvolution bool
 	// DisablePeakPrefilter turns off the peak-sum shortcut, for the
 	// ablation benchmark.
 	DisablePeakPrefilter bool
@@ -60,9 +58,6 @@ func (c CheckConfig) withDefaults() CheckConfig {
 	}
 	if c.IntervalSec <= 0 {
 		c.IntervalSec = 60
-	}
-	if c.Levels <= 0 {
-		c.Levels = 1024
 	}
 	return c
 }
@@ -150,7 +145,7 @@ func checkLink(series [][]float64, peakSum, capacity float64, cfg CheckConfig) V
 		return v
 	}
 
-	v.ExceedProb = exceedProb(series, capacity, cfg)
+	v.ExceedProb = exceedProb(series, capacity)
 	if v.ExceedProb > cfg.Threshold() {
 		v.FailedConvolution = true
 		return v
@@ -161,16 +156,8 @@ func checkLink(series [][]float64, peakSum, capacity float64, cfg CheckConfig) V
 
 // exceedProb is the uncorrelated test: the probability that the sum of
 // the series, taken as independent, reaches capacity.
-func exceedProb(series [][]float64, capacity float64, cfg CheckConfig) float64 {
-	levels := cfg.Levels
+func exceedProb(series [][]float64, capacity float64) float64 {
 	binWidth := capacity / float64(levels)
-	if cfg.NaiveConvolution {
-		pmfs := make([]PMF, len(series))
-		for i, s := range series {
-			pmfs[i] = FromSamples(s, binWidth, levels)
-		}
-		return ConvolveAll(pmfs, levels, true).TailMass()
-	}
 	// One buffer for the first series' PMF, one that each later series
 	// is quantized into in turn, two for the chain's results.
 	ch := newChain(levels)

@@ -146,11 +146,11 @@ func refCheckLink(series [][]float64, capacity float64, cfg CheckConfig) Verdict
 		return v
 	}
 	pmfs := make([]PMF, len(series))
-	binWidth := capacity / float64(cfg.Levels)
+	binWidth := capacity / float64(levels)
 	for i, s := range series {
-		pmfs[i] = FromSamples(s, binWidth, cfg.Levels)
+		pmfs[i] = FromSamples(s, binWidth, levels)
 	}
-	v.ExceedProb = refConvolveAll(pmfs, cfg.Levels).TailMass()
+	v.ExceedProb = refConvolveAll(pmfs, levels).TailMass()
 	if v.ExceedProb > cfg.Threshold() {
 		v.FailedConvolution = true
 		return v

@@ -80,46 +80,38 @@ type Surface struct {
 	max     Coord
 }
 
-// Options tunes an Index's confidence bound — the line between "answer
-// in microseconds" and "fall back to the exact solver". The zero value
-// uses the defaults noted on each field.
+// An Index's confidence bound — the line between "answer in
+// microseconds" and "fall back to the exact solver" — is these constants
+// plus Options.MaxRough.
+const (
+	// minSamples is the fewest in-range neighbors a prediction may rest
+	// on. An exact hit — a sample at the query's own coordinate and
+	// seed — always answers, regardless.
+	minSamples = 3
+	// neighbors caps how many nearest samples interpolate.
+	neighbors = 8
+	// maxRadius bounds the distance to the nearest usable sample, in
+	// scaled coordinate units. Beyond it the local surface has no
+	// support and the solver must answer.
+	maxRadius = 0.25
+	// boundsMargin expands the trained bounding box before the
+	// outside-the-region test, absorbing float noise at the edges.
+	boundsMargin = 1e-9
+)
+
+// Options tunes an Index's confidence bound. The zero value uses the
+// default noted on the field.
 type Options struct {
-	// MinSamples is the fewest in-range neighbors a prediction may rest
-	// on (default 3). An exact hit — a sample at the query's own
-	// coordinate and seed — always answers, regardless.
-	MinSamples int
-	// Neighbors caps how many nearest samples interpolate (default 8).
-	Neighbors int
-	// MaxRadius bounds the distance to the nearest usable sample
-	// (default 0.25 in scaled coordinate units). Beyond it the local
-	// surface has no support and the solver must answer.
-	MaxRadius float64
 	// MaxRough bounds the local roughness gauge: the weighted
 	// coefficient of variation of the neighbors' stretch and max-util
 	// (and the absolute spread of their congested fraction). A rougher
 	// neighborhood than this falls back (default 0.25).
 	MaxRough float64
-	// BoundsMargin expands the trained bounding box before the
-	// outside-the-region test, absorbing float noise at the edges
-	// (default 1e-9).
-	BoundsMargin float64
 }
 
 func (o Options) withDefaults() Options {
-	if o.MinSamples <= 0 {
-		o.MinSamples = 3
-	}
-	if o.Neighbors <= 0 {
-		o.Neighbors = 8
-	}
-	if o.MaxRadius <= 0 {
-		o.MaxRadius = 0.25
-	}
 	if o.MaxRough <= 0 {
 		o.MaxRough = 0.25
-	}
-	if o.BoundsMargin <= 0 {
-		o.BoundsMargin = 1e-9
 	}
 	return o
 }
@@ -242,7 +234,7 @@ func (ix *Index) Predict(g store.Digest, scheme string, seed int64, at Coord) (E
 		return Estimate{Metrics: surf.samples[i].Metrics, Samples: 1, Exact: true}, true
 	}
 
-	m := ix.opts.BoundsMargin
+	m := boundsMargin
 	if at.Headroom < surf.min.Headroom-m || at.Headroom > surf.max.Headroom+m ||
 		at.Load < surf.min.Load-m || at.Load > surf.max.Load+m ||
 		at.Locality < surf.min.Locality-m || at.Locality > surf.max.Locality+m {
@@ -255,16 +247,16 @@ func (ix *Index) Predict(g store.Digest, scheme string, seed int64, at Coord) (E
 	nbrs := make([]neighbor, 0, len(surf.samples))
 	for i := range surf.samples {
 		s := &surf.samples[i]
-		if d := dist(at, s.At); d <= ix.opts.MaxRadius {
+		if d := dist(at, s.At); d <= maxRadius {
 			nbrs = append(nbrs, neighbor{d: d, s: s})
 		}
 	}
-	if len(nbrs) < ix.opts.MinSamples {
+	if len(nbrs) < minSamples {
 		return Estimate{}, false
 	}
 	sort.Slice(nbrs, func(a, b int) bool { return nbrs[a].d < nbrs[b].d })
-	if len(nbrs) > ix.opts.Neighbors {
-		nbrs = nbrs[:ix.opts.Neighbors]
+	if len(nbrs) > neighbors {
+		nbrs = nbrs[:neighbors]
 	}
 
 	// Inverse-distance weights with a small softening term: an

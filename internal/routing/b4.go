@@ -5,6 +5,14 @@ import (
 	"lowlat/internal/tm"
 )
 
+const (
+	// b4Quanta is the number of increments each aggregate's volume is
+	// split into for the parallel waterfill.
+	b4Quanta = 50
+	// b4MaxPaths bounds each aggregate's path list.
+	b4MaxPaths = 32
+)
+
 // B4 is the greedy waterfill allocator of Jain et al. (SIGCOMM 2015) as the
 // paper describes it in §3: traffic from every aggregate is placed
 // incrementally, in parallel, onto each aggregate's shortest path; when an
@@ -17,11 +25,6 @@ type B4 struct {
 	// a second pass against full link capacities — B4 "eating into" the
 	// reserved headroom, exactly as the paper observes.
 	Headroom float64
-	// Quanta is the number of increments each aggregate's volume is
-	// split into for the parallel waterfill. Default 50.
-	Quanta int
-	// MaxPaths bounds each aggregate's path list. Default 32.
-	MaxPaths int
 	// Cache optionally shares the per-aggregate k-shortest-path lists
 	// with other placements on the same topology: B4 walks each pair's
 	// unmasked enumeration in order, which is exactly what a PathCache
@@ -38,16 +41,6 @@ func (b B4) Name() string {
 	return "b4"
 }
 
-func (b B4) withDefaults() B4 {
-	if b.Quanta <= 0 {
-		b.Quanta = 50
-	}
-	if b.MaxPaths <= 0 {
-		b.MaxPaths = 32
-	}
-	return b
-}
-
 // WithPathCache implements CacheableScheme; an explicitly set cache wins.
 func (b B4) WithPathCache(c *PathCache) Scheme {
 	if b.Cache == nil {
@@ -58,7 +51,6 @@ func (b B4) WithPathCache(c *PathCache) Scheme {
 
 // Place implements Scheme.
 func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
-	b = b.withDefaults()
 	cache := b.Cache
 	if cache == nil {
 		cache = NewPathCache(g)
@@ -84,7 +76,7 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	for i := range states {
 		states[i] = &aggState{
 			paths:     sps[i : i+1],
-			remaining: float64(b.Quanta),
+			remaining: float64(b4Quanta),
 			placed:    make([]float64, 1),
 		}
 	}
@@ -112,10 +104,10 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 				if st.stuck || st.remaining <= 0 {
 					continue
 				}
-				quantum := m.Aggregates[i].Volume / float64(b.Quanta)
+				quantum := m.Aggregates[i].Volume / float64(b4Quanta)
 				for {
 					path, ok := pathAt(i)
-					if !ok || st.pathIdx >= b.MaxPaths {
+					if !ok || st.pathIdx >= b4MaxPaths {
 						st.stuck = true
 						break
 					}
@@ -181,7 +173,7 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 		// enumeration order and the same inputs give the same list.
 		var allocs []PathAlloc
 		for idx, quanta := range st.placed {
-			f := quanta / float64(b.Quanta)
+			f := quanta / float64(b4Quanta)
 			if f > fracEps {
 				allocs = append(allocs, PathAlloc{Path: st.paths[idx], Fraction: f})
 			}

@@ -59,18 +59,24 @@ func SpecName(s Scheme) string {
 // same (graph, matrix). Zero values render as themselves, not as the
 // defaults they resolve to at Place time, which is conservative: a zero
 // and an explicit default digest differently and at worst recompute.
+//
+// B4's q=0:p=0 and LatencyOpt's p=0 are frozen literals: they printed
+// the quanta and path-bound fields, since replaced by constants, which
+// were zero in every key ever written. Dropping or changing them would
+// move every B4 and LatencyOpt content key and orphan the cells stored
+// under it.
 func ConfigString(s Scheme) string {
 	switch v := s.(type) {
 	case SP:
 		return "sp"
 	case B4:
-		return fmt.Sprintf("b4:h=%g:q=%d:p=%d", v.Headroom, v.Quanta, v.MaxPaths)
+		return fmt.Sprintf("b4:h=%g:q=0:p=0", v.Headroom)
 	case MPLSTE:
 		return fmt.Sprintf("mplste:h=%g:o=%d", v.Headroom, v.Order)
 	case MinMax:
 		return fmt.Sprintf("minmax:k=%d:sb=%g", v.K, v.StretchBound)
 	case LatencyOpt:
-		return fmt.Sprintf("latopt:h=%g:p=%d:x=%v", v.Headroom, v.MaxPaths, v.Exact)
+		return fmt.Sprintf("latopt:h=%g:p=0:x=%v", v.Headroom, v.Exact)
 	}
 	return fmt.Sprintf("scheme:%s", s.Name())
 }

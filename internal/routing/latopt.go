@@ -39,8 +39,6 @@ type LatencyOpt struct {
 	// the engine's SolverCache injects one per topology so concurrent
 	// placements share path computations.
 	Cache *PathCache
-	// MaxPaths bounds each aggregate's path list (default 64).
-	MaxPaths int
 	// Exact keeps growing path sets around *saturated* (not just
 	// overloaded) links once a feasible placement is found, closing the
 	// small optimality gap the paper's Figure 13 termination can leave.
@@ -76,7 +74,7 @@ func (o LatencyOpt) PlaceWithStats(g *graph.Graph, m *tm.Matrix) (*Placement, So
 }
 
 func (o LatencyOpt) solver() *pathSolver {
-	return &pathSolver{kind: kindLatency, headroom: o.Headroom, cache: o.Cache, maxPaths: o.MaxPaths, polish: o.Exact}
+	return &pathSolver{kind: kindLatency, headroom: o.Headroom, cache: o.Cache, polish: o.Exact}
 }
 
 // MinMax is TeXCP/MATE-style traffic engineering: minimize the maximum
@@ -88,8 +86,6 @@ func (o LatencyOpt) solver() *pathSolver {
 type MinMax struct {
 	K     int
 	Cache *PathCache
-	// MaxPaths bounds growth in the K = 0 case (default 64).
-	MaxPaths int
 	// StretchBound, when positive, excludes candidate paths longer than
 	// StretchBound x the aggregate's shortest-path delay — the paper's
 	// §8 suggestion for keeping MinMax off needless detours while
@@ -125,5 +121,5 @@ func (mm MinMax) PlaceWithStats(g *graph.Graph, m *tm.Matrix) (*Placement, Solve
 }
 
 func (mm MinMax) solver() *pathSolver {
-	return &pathSolver{kind: kindMinMax, fixedK: mm.K, cache: mm.Cache, maxPaths: mm.MaxPaths, bound: mm.StretchBound}
+	return &pathSolver{kind: kindMinMax, fixedK: mm.K, cache: mm.Cache, bound: mm.StretchBound}
 }

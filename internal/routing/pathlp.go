@@ -20,6 +20,10 @@ const (
 	tinyM1 = 1e-4
 )
 
+// maxPaths bounds each aggregate's path list while the solver grows it
+// (LatencyOpt, and MinMax with K = 0).
+const maxPaths = 64
+
 // pathSolveKind selects the LP objective.
 type pathSolveKind int
 
@@ -37,7 +41,6 @@ type pathSolver struct {
 	fixedK   int     // >0: fixed path budget per aggregate, no growth (MinMaxK10)
 	polish   bool    // keep optimizing around saturated links once feasible
 	bound    float64 // >0: never consider paths longer than bound x shortest
-	maxPaths int
 	cache    *PathCache
 	// ws holds the simplex tableau across this solve's growth rounds and
 	// Omax re-solves; a pathSolver lives for one solve, so it dies with it.
@@ -74,9 +77,6 @@ func (s *pathSolver) place(g *graph.Graph, m *tm.Matrix) (*Placement, SolveStats
 }
 
 func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, error) {
-	if s.maxPaths <= 0 {
-		s.maxPaths = 64
-	}
 	if s.cache == nil {
 		s.cache = NewPathCache(g)
 	}
@@ -226,7 +226,7 @@ func (s *pathSolver) growAround(m *tm.Matrix, pathSets [][]graph.Path,
 	}
 	grew := false
 	for i := range m.Aggregates {
-		if kCount[i] >= s.maxPaths || capped[i] {
+		if kCount[i] >= maxPaths || capped[i] {
 			continue
 		}
 		crosses := false

@@ -27,7 +27,7 @@
 //     the backend;
 //   - a flight outlives its leader: the one policy the daemon adds under
 //     the tier (detached) severs the dispatch from the leading request's
-//     cancellation and bounds it by PlaceTimeout instead;
+//     cancellation and bounds it by placeTimeout instead;
 //   - the Local backend bounds admitted computations by a semaphore —
 //     beyond it /v1/place answers 429 immediately instead of queueing
 //     without bound — and runs actual solves on a bounded worker pool;
@@ -66,12 +66,6 @@ type Options struct {
 	// DrainTimeout bounds graceful shutdown: how long Serve waits for
 	// in-flight requests after its context is cancelled (default 15s).
 	DrainTimeout time.Duration
-	// PlaceTimeout bounds one /v1/place flight end to end (default 10m).
-	// Local solves rarely approach it; what it actually protects against
-	// is a proxied backend that blackholes — without a deadline a hung
-	// downstream would pin the flight leader, its coalesced followers,
-	// and the request key forever.
-	PlaceTimeout time.Duration
 	// Logger, when non-nil, receives one structured record per request:
 	// request ID, endpoint, status, duration, handler annotations (cell
 	// key, answer source) and per-stage timings. Nil disables request
@@ -81,8 +75,6 @@ type Options struct {
 	// is retained in the /v1/slow ring (default 500ms; negative disables
 	// retention).
 	SlowThreshold time.Duration
-	// SlowRingSize bounds the /v1/slow ring in entries (default 64).
-	SlowRingSize int
 	// Objectives are the declarative SLOs /v1/health and the
 	// lowlat_slo_* gauges evaluate (see obs.ParseObjective for the
 	// grammar). Empty means no SLO engine: /v1/health reports on down
@@ -104,15 +96,26 @@ type Options struct {
 	// transitions record into. A daemon fronting a cluster passes the
 	// same journal to cluster.Options.Journal so replica transitions and
 	// serving-layer transitions land in one sequence. Nil allocates a
-	// private JournalSize-entry journal.
+	// private journalSize-entry journal.
 	Journal *obs.Journal
-	// JournalSize bounds the private journal allocated when Journal is
-	// nil (default 1024 entries).
-	JournalSize int
-	// WatchInterval is the default /v1/watch snapshot period when the
-	// request does not name one (default 2s).
-	WatchInterval time.Duration
 }
+
+const (
+	// placeTimeout bounds one /v1/place flight end to end. Local solves
+	// rarely approach it; what it actually protects against is a
+	// proxied backend that blackholes — without a deadline a hung
+	// downstream would pin the flight leader, its coalesced followers,
+	// and the request key forever.
+	placeTimeout = 10 * time.Minute
+	// slowRingSize bounds the /v1/slow ring in entries.
+	slowRingSize = 64
+	// journalSize bounds the private journal allocated when
+	// Options.Journal is nil.
+	journalSize = 1024
+	// watchInterval is the /v1/watch snapshot period when the request
+	// does not name one.
+	watchInterval = 2 * time.Second
+)
 
 func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
@@ -121,17 +124,11 @@ func (o Options) withDefaults() Options {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 15 * time.Second
 	}
-	if o.PlaceTimeout <= 0 {
-		o.PlaceTimeout = 10 * time.Minute
-	}
 	if o.SlowThreshold == 0 {
 		o.SlowThreshold = 500 * time.Millisecond
 	}
 	if o.Journal == nil {
-		o.Journal = obs.NewJournal(o.JournalSize)
-	}
-	if o.WatchInterval <= 0 {
-		o.WatchInterval = 2 * time.Second
+		o.Journal = obs.NewJournal(journalSize)
 	}
 	return o
 }
@@ -330,12 +327,11 @@ func New(st *store.Store, opts Options) *Server {
 // disconnects must not abort the dispatch — but a blackholed downstream
 // must not pin the flight (and its request key) forever either. The
 // dispatch therefore runs on the leader's context with cancellation
-// severed and PlaceTimeout in its place. Values ride along, so the
+// severed and placeTimeout in its place. Values ride along, so the
 // leader's Trace still collects backend stage timings and the request
 // ID still reaches downstream daemons.
 type detached struct {
 	backend.Forward
-	timeout time.Duration
 }
 
 // Place implements backend.Backend.
@@ -345,9 +341,9 @@ func (d detached) Place(ctx context.Context, spec store.CellSpec) (store.Result,
 }
 
 // PlaceSourced dispatches on a context that outlives ctx's cancellation,
-// bounded by the timeout.
+// bounded by placeTimeout.
 func (d detached) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, backend.Source, error) {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), d.timeout)
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), placeTimeout)
 	defer cancel()
 	return d.Forward.PlaceSourced(ctx, spec)
 }
@@ -362,12 +358,12 @@ func NewBackendServer(b backend.Backend, opts Options) *Server {
 	s := &Server{
 		b: b,
 		tier: backend.NewCached(
-			detached{Forward: backend.NewForward(b), timeout: opts.PlaceTimeout},
+			detached{Forward: backend.NewForward(b)},
 			backend.CachedOptions{Size: opts.CacheSize}),
 		opts:        opts,
 		mux:         http.NewServeMux(),
 		obs:         obs.NewRegistryWindows(opts.Windows),
-		slow:        obs.NewSlowRing(opts.SlowRingSize),
+		slow:        obs.NewSlowRing(slowRingSize),
 		journal:     opts.Journal,
 		healthState: HealthOK,
 	}

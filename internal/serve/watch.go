@@ -43,7 +43,7 @@ type WatchEvent struct {
 // (floored at 100ms); ?since=<seq> replays journal entries after a
 // cursor into the first snapshot instead of starting at "now".
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	interval := s.opts.WatchInterval
+	interval := watchInterval
 	q := r.URL.Query()
 	if v := q.Get("interval"); v != "" {
 		d, err := time.ParseDuration(v)

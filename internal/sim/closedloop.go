@@ -61,15 +61,17 @@ type ClosedLoopConfig struct {
 	// minute-to-minute mean random walk (default 0.025, matching the
 	// <10%/min the paper cites for backbone links).
 	DriftPerMinute float64
-	// Controller configures LDR. Ignored when Scheme is set.
-	Controller core.Config
-	// Scheme, when non-nil, replaces LDR: each minute the scheme places
+	// Scheme, when non-nil, replaces LDR (run at the paper's settings): each minute the scheme places
 	// a matrix whose demands are last minute's measured means. This is
 	// how the B4/MinMax comparisons run.
 	Scheme routing.Scheme
 	// BufferSec bounds link buffers during simulation (0 = unbounded).
 	BufferSec float64
 }
+
+// queueBoundSec is the transient queue bound a minute is judged against:
+// the 10 ms LDR's multiplexing test guards.
+const queueBoundSec = 0.010
 
 func (c ClosedLoopConfig) withDefaults() ClosedLoopConfig {
 	if c.Minutes <= 0 {
@@ -204,15 +206,10 @@ func RunClosedLoop(g *graph.Graph, specs []AggregateSpec, cfg ClosedLoopConfig) 
 
 	var ctl *core.Controller
 	if cfg.Scheme == nil {
-		ctl = core.NewController(g, cfg.Controller)
+		ctl = core.NewController(g, core.Config{})
 	}
 
-	queueBound := cfg.Controller.Mux.MaxQueueSec
-	if queueBound <= 0 {
-		queueBound = 0.010
-	}
-
-	res := &ClosedLoopResult{QueueBoundSec: queueBound}
+	res := &ClosedLoopResult{QueueBoundSec: queueBoundSec}
 	measured := genMinute(0) // bootstrap: minute 0 doubles as first measurement
 
 	for minute := 0; minute < cfg.Minutes; minute++ {
@@ -266,7 +263,7 @@ func RunClosedLoop(g *graph.Graph, specs []AggregateSpec, cfg ClosedLoopConfig) 
 		if stats.MaxQueueSec > res.WorstQueueSec {
 			res.WorstQueueSec = stats.MaxQueueSec
 		}
-		if stats.MaxQueueSec > queueBound {
+		if stats.MaxQueueSec > queueBoundSec {
 			res.QueueViolations++
 		}
 		res.MeanStretch += stats.LatencyStretch

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
 )
 
 // CellSpec is the request-side address of one scenario cell: the
@@ -52,12 +51,4 @@ func (s CellSpec) Normalized() CellSpec {
 // key and as the consistent-hash ring key for Place routing.
 func (s CellSpec) String() string {
 	return fmt.Sprintf("%s|%d|%s|%g|%g|%g", s.Net, s.Seed, s.Scheme, s.Headroom, s.Load, s.Locality)
-}
-
-// Hash is the 64-bit FNV-1a of the canonical string — the value
-// consistent-hash rings place Place requests by.
-func (s CellSpec) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s.String()))
-	return h.Sum64()
 }

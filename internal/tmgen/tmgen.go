@@ -29,14 +29,20 @@ import (
 	"lowlat/internal/tm"
 )
 
+const (
+	// zipfExponent shapes the PoP mass distribution.
+	zipfExponent = 1.2
+	// flowsPerGbps sets the aggregate flow counts n_a, proportional to
+	// volume: one flow per Mbps.
+	flowsPerGbps = 1000
+)
+
 // Config parameterizes traffic matrix generation. Zero values take the
 // paper's defaults.
 type Config struct {
 	// Seed drives the Zipf mass assignment; different seeds give the
 	// independent matrices of the paper's "100 traffic matrices".
 	Seed int64
-	// ZipfExponent shapes the PoP mass distribution (default 1.2).
-	ZipfExponent float64
 	// Locality is the paper's ℓ: short flows may grow by ℓ times their
 	// gravity-model demand, funded by shrinking long flows, with per-PoP
 	// ingress/egress totals preserved. Default 1. Explicit zero means
@@ -49,9 +55,6 @@ type Config struct {
 	// ("possible to route without congestion if all traffic increases by
 	// 30%"), i.e. 0.77. Default 0.77.
 	TargetMaxUtil float64
-	// FlowsPerGbps sets the aggregate flow counts n_a (default 1000,
-	// i.e. one flow per Mbps), proportional to volume.
-	FlowsPerGbps float64
 	// Cache optionally shares shortest-path and k-shortest-path work
 	// with other solves on the same topology; it must be bound to the
 	// graph being generated for. Nil means a private cache for the call.
@@ -60,17 +63,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ZipfExponent <= 0 {
-		c.ZipfExponent = 1.2
-	}
 	if c.Locality == 0 && !c.NoLocality {
 		c.Locality = 1
 	}
 	if c.TargetMaxUtil <= 0 {
 		c.TargetMaxUtil = 1 / 1.3
-	}
-	if c.FlowsPerGbps <= 0 {
-		c.FlowsPerGbps = 1000
 	}
 	return c
 }
@@ -101,7 +98,7 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 		cache = routing.NewPathCache(g)
 	}
 	rng := stats.Rng(cfg.Seed)
-	masses := stats.ShuffledZipfWeights(n, cfg.ZipfExponent, rng)
+	masses := stats.ShuffledZipfWeights(n, zipfExponent, rng)
 
 	// Gravity model: volume(i,j) proportional to mass_i * mass_j.
 	base := make([][]float64, n)
@@ -194,7 +191,7 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	copy(final, unit.Aggregates)
 	for i := range final {
 		final[i].Volume *= scale
-		flows := int(math.Round(final[i].Volume / 1e9 * cfg.FlowsPerGbps))
+		flows := int(math.Round(final[i].Volume / 1e9 * flowsPerGbps))
 		if flows < 1 {
 			flows = 1
 		}

@@ -11,6 +11,7 @@ import (
 )
 
 // GrowConfig parameterizes LLPD-guided topology growth (§8, Figure 20).
+// Candidates are scored by LLPD at the paper's APA settings.
 type GrowConfig struct {
 	// Fraction of additional (bidirectional) links to add relative to the
 	// current link count. Paper default: 0.05.
@@ -21,8 +22,6 @@ type GrowConfig struct {
 	CandidateSample int
 	// Seed drives candidate sampling.
 	Seed int64
-	// APA holds the metric configuration used for scoring.
-	APA metrics.APAConfig
 }
 
 func (c GrowConfig) withDefaults() GrowConfig {
@@ -97,7 +96,7 @@ func Grow(g *graph.Graph, cfg GrowConfig) (*graph.Graph, []AddedLink) {
 			b := graph.Clone(cur)
 			b.AddGeoBiLink(c.a, c.b, capacity)
 			trial := b.MustBuild()
-			llpd := metrics.LLPD(trial, cfg.APA)
+			llpd := metrics.LLPD(trial, metrics.APAConfig{})
 			if llpd > bestLLPD {
 				bestLLPD = llpd
 				bestGraph = trial

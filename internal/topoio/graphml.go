@@ -21,9 +21,6 @@ type GraphMLOptions struct {
 	// DefaultDelay is used for edges between nodes lacking coordinates
 	// (seconds). Default 1 ms.
 	DefaultDelay float64
-	// Slack inflates great-circle distances when deriving delays, to
-	// model fiber paths not following great circles (default 1.0).
-	Slack float64
 	// KeepName overrides the graph name; empty uses the GraphML
 	// "Network" attribute or the graph element id.
 	KeepName string
@@ -35,9 +32,6 @@ func (o GraphMLOptions) withDefaults() GraphMLOptions {
 	}
 	if o.DefaultDelay <= 0 {
 		o.DefaultDelay = 0.001
-	}
-	if o.Slack <= 0 {
-		o.Slack = geo.DefaultSlack
 	}
 	return o
 }
@@ -187,7 +181,7 @@ func ReadGraphML(r io.Reader, opts GraphMLOptions) (*graph.Graph, error) {
 		if d, ok := parseFloat(attrs["delay"]); ok && d > 0 {
 			delay = d
 		} else if src.hasLoc && dst.hasLoc {
-			if d := geo.PropagationDelay(src.loc, dst.loc, opts.Slack); d > 0 {
+			if d := geo.PropagationDelay(src.loc, dst.loc, geo.DefaultSlack); d > 0 {
 				delay = d
 			}
 		}

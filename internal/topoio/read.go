@@ -9,10 +9,9 @@ import (
 	"lowlat/internal/topo"
 )
 
-// ReadOptions bundles per-format options for the auto-detecting reader.
+// ReadOptions configures the auto-detecting reader; each format reads
+// at its own defaults.
 type ReadOptions struct {
-	GraphML  GraphMLOptions
-	Repetita RepetitaOptions
 	// Name overrides the graph name for formats that carry none.
 	Name string
 }
@@ -30,17 +29,9 @@ func Read(r io.Reader, opts ReadOptions) (*graph.Graph, error) {
 func ReadBytes(data []byte, opts ReadOptions) (*graph.Graph, error) {
 	switch f := Detect(data); f {
 	case FormatGraphML:
-		g := opts.GraphML
-		if g.KeepName == "" {
-			g.KeepName = opts.Name
-		}
-		return ReadGraphML(bytes.NewReader(data), g)
+		return ReadGraphML(bytes.NewReader(data), GraphMLOptions{KeepName: opts.Name})
 	case FormatRepetita:
-		rp := opts.Repetita
-		if opts.Name != "" {
-			rp.Name = opts.Name
-		}
-		return ReadRepetita(bytes.NewReader(data), rp)
+		return ReadRepetita(bytes.NewReader(data), RepetitaOptions{Name: opts.Name})
 	case FormatNative:
 		return topo.Unmarshal(data)
 	default:

@@ -36,13 +36,14 @@ type Config struct {
 	// BurstStd is the sub-second standard deviation as a fraction of
 	// the current mean (default 0.25).
 	BurstStd float64
-	// BurstStdJitter lets the burstiness itself wander slowly minute to
-	// minute (default 0.05 relative).
-	BurstStdJitter float64
 	// BurstCorr is the AR(1) coefficient of the per-bin noise; close to
 	// 1 yields temporally clumped bursts (default 0.9).
 	BurstCorr float64
 }
+
+// burstStdJitter lets the burstiness itself wander slowly minute to
+// minute, relative to BurstStd.
+const burstStdJitter = 0.05
 
 func (c Config) withDefaults() Config {
 	if c.Minutes <= 0 {
@@ -59,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BurstStd <= 0 {
 		c.BurstStd = 0.25
-	}
-	if c.BurstStdJitter <= 0 {
-		c.BurstStdJitter = 0.05
 	}
 	if c.BurstCorr <= 0 {
 		c.BurstCorr = 0.9
@@ -131,7 +129,7 @@ func Generate(cfg Config) Trace {
 		if mean > cfg.MeanBps*4 {
 			mean = cfg.MeanBps * 4
 		}
-		burstStd *= 1 + rng.NormFloat64()*cfg.BurstStdJitter
+		burstStd *= 1 + rng.NormFloat64()*burstStdJitter
 		if burstStd < cfg.BurstStd*0.5 {
 			burstStd = cfg.BurstStd * 0.5
 		}
