@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet staticcheck analyze shellcheck govulncheck build short bench race cli-smoke sweep-smoke serve-smoke cluster-smoke predict-gate examples-smoke clean
+.PHONY: ci vet staticcheck analyze shellcheck govulncheck build short bench race cli-smoke serve-smoke cluster-smoke predict-gate examples-smoke clean
 
 ci: vet staticcheck analyze shellcheck build short cli-smoke serve-smoke cluster-smoke predict-gate examples-smoke bench
 
@@ -64,19 +64,11 @@ race:
 	$(GO) test -race -timeout 75m ./...
 
 # CLI smoke test: build lowlat once and run topo -> llpd -> tm -> sim on
-# the real binary, checking each exit code, plus exit 2 for a bad flag
-# and a non-positive count. Leaves nothing behind.
+# the real binary, checking each exit code, resume a figure run and a
+# sweep from a store (the sweep across a compaction), plus exit 2 for a
+# bad flag and a non-positive count. Leaves nothing behind.
 cli-smoke:
 	sh ./scripts/cli_smoke.sh
-
-# Resumability smoke test: run a small sweep into a local store, run it
-# again (every cell must be reused), and export the result slice. The
-# store directory is gitignored; `make clean` removes it.
-SWEEP_STORE ?= .sweepstore
-sweep-smoke:
-	$(GO) run ./cmd/lowlat sweep -store $(SWEEP_STORE) -grid "nets=star-6,ring-8;seeds=1,2;schemes=sp,minmax"
-	$(GO) run ./cmd/lowlat sweep -store $(SWEEP_STORE) -grid "nets=star-6,ring-8;seeds=1,2;schemes=sp,minmax"
-	$(GO) run ./cmd/lowlat export -store $(SWEEP_STORE) -format csv
 
 # Serving smoke test: seed a tiny store, boot lowlatd on an ephemeral
 # port, curl query/place/stats end to end, and require a clean SIGTERM
@@ -114,6 +106,6 @@ examples-smoke:
 clean:
 	rm -f BENCH_ci.json
 	rm -rf bin
-	rm -rf $(SWEEP_STORE) $(SERVE_STORE) $(PREDICT_STORE)
+	rm -rf $(SERVE_STORE) $(PREDICT_STORE)
 	rm -rf $(CLUSTER_STORE)-a $(CLUSTER_STORE)-b $(CLUSTER_STORE)-sweep
 	rm -rf $(CLUSTER_STORE)-r1 $(CLUSTER_STORE)-r2 $(CLUSTER_STORE)-r3 $(CLUSTER_STORE)-rsweep

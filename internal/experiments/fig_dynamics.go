@@ -109,8 +109,8 @@ func FigDynamics(cfg Config) (*FigDynamicsResult, error) {
 	return &FigDynamicsResult{Rows: rows}, nil
 }
 
-// Table renders the per-pair timeline summaries.
-func (r *FigDynamicsResult) Table() *Table {
+// Tables renders the per-pair timeline summaries.
+func (r *FigDynamicsResult) Tables() []*Table {
 	t := &Table{
 		Title: "Figure D (dynamics): scheme resilience under link failures and diurnal churn",
 		Header: []string{"network", "scheme", "epochs", "mean stretch", "worst stretch",
@@ -127,7 +127,7 @@ func (r *FigDynamicsResult) Table() *Table {
 			f3(row.MinHeadroom()), fPct(row.UnfitFrac()), fPct(row.MaxLostDemand()),
 		})
 	}
-	return t
+	return []*Table{t}
 }
 
 // displayName2 maps scheme Name() strings onto the figure legends

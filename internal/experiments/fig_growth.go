@@ -143,8 +143,8 @@ func Fig20(cfg Config) (*Fig20Result, error) {
 	return res, nil
 }
 
-// Table renders the before/after comparison.
-func (r *Fig20Result) Table() *Table {
+// Tables renders the before/after comparison.
+func (r *Fig20Result) Tables() []*Table {
 	t := &Table{
 		Title: "Figure 20: latency stretch before/after +5% LLPD-guided links",
 		Header: []string{"network", "scheme", "med before", "med after",
@@ -159,5 +159,5 @@ func (r *Fig20Result) Table() *Table {
 			f3(row.BeforeP90), f3(row.AfterP90), f3(row.LLPDBefore), f3(row.LLPDAfter),
 		})
 	}
-	return t
+	return []*Table{t}
 }

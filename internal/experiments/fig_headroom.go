@@ -72,8 +72,8 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 	return res, nil
 }
 
-// Table renders utilization quantiles for both schemes.
-func (r *Fig7Result) Table() *Table {
+// Tables renders utilization quantiles for both schemes.
+func (r *Fig7Result) Tables() []*Table {
 	lat := stats.NewCDF(r.LatOptUtil)
 	mm := stats.NewCDF(r.MinMaxUtil)
 	t := &Table{
@@ -90,7 +90,7 @@ func (r *Fig7Result) Table() *Table {
 			fmt.Sprintf("p%.0f", q*100), f3(lat.Quantile(q)), f3(mm.Quantile(q)),
 		})
 	}
-	return t
+	return []*Table{t}
 }
 
 // Fig8Result reproduces Figure 8: median latency stretch as headroom is
@@ -134,8 +134,8 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	return res, nil
 }
 
-// Table renders the sweep.
-func (r *Fig8Result) Table() *Table {
+// Tables renders the sweep.
+func (r *Fig8Result) Tables() []*Table {
 	header := []string{"network", "LLPD"}
 	for _, h := range r.Headrooms {
 		header = append(header, fPct(h)+" hr")
@@ -154,5 +154,5 @@ func (r *Fig8Result) Table() *Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return []*Table{t}
 }

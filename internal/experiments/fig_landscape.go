@@ -70,8 +70,8 @@ func Fig1(cfg Config) (*Fig1Result, error) {
 	return &Fig1Result{Rows: rows}, nil
 }
 
-// Table renders the result.
-func (r *Fig1Result) Table() *Table {
+// Tables renders the result.
+func (r *Fig1Result) Tables() []*Table {
 	t := &Table{
 		Title:  "Figure 1: APA distribution per network (stretch limit 1.4)",
 		Header: []string{"network", "class", "pairs", ">=0.3", ">=0.5", ">=0.7", ">=0.9", "LLPD"},
@@ -87,7 +87,7 @@ func (r *Fig1Result) Table() *Table {
 			f3(row.LLPD),
 		})
 	}
-	return t
+	return []*Table{t}
 }
 
 // CongestionRow is one network's congestion outcome under one scheme.
@@ -148,10 +148,10 @@ func congestionRow(n Network, cells []store.Metrics) CongestionRow {
 	}
 }
 
-// Table renders the result.
-func (r *Fig3Result) Table() *Table {
-	return congestionTable("Figure 3: SP routing congestion vs LLPD", r.Rows,
-		"networks sorted by LLPD; high-LLPD networks concentrate traffic under SP")
+// Tables renders the result.
+func (r *Fig3Result) Tables() []*Table {
+	return []*Table{congestionTable("Figure 3: SP routing congestion vs LLPD", r.Rows,
+		"networks sorted by LLPD; high-LLPD networks concentrate traffic under SP")}
 }
 
 func congestionTable(title string, rows []CongestionRow, note string) *Table {
@@ -246,10 +246,10 @@ func Fig19(cfg Config) (*Fig19Result, error) {
 	return &Fig19Result{Rows: base.Rows, GoogleRow: rows[0][0]}, nil
 }
 
-// Table renders the result.
-func (r *Fig19Result) Table() *Table {
+// Tables renders the result.
+func (r *Fig19Result) Tables() []*Table {
 	t := congestionTable("Figure 19: SP congestion vs LLPD, with Google-like network",
 		append(append([]CongestionRow{}, r.Rows...), r.GoogleRow),
 		"the Google-like network has the highest LLPD of all and cannot be SP-routed")
-	return t
+	return []*Table{t}
 }

@@ -103,8 +103,8 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 	return res, nil
 }
 
-// Table renders per-network runtimes and distribution quantiles.
-func (r *Fig15Result) Table() *Table {
+// Tables renders per-network runtimes and distribution quantiles.
+func (r *Fig15Result) Tables() []*Table {
 	t := &Table{
 		Title:  "Figure 15: optimization runtime (ms), networks with LLPD > 0.5",
 		Header: []string{"network", "LDR warm", "LDR cold", "link-based"},
@@ -124,5 +124,5 @@ func (r *Fig15Result) Table() *Table {
 	cold := stats.NewCDF(r.ColdMs)
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"runtime medians: warm %.1f ms, cold %.1f ms", warm.Quantile(0.5), cold.Quantile(0.5)))
-	return t
+	return []*Table{t}
 }

@@ -89,8 +89,8 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 	return res, nil
 }
 
-// Table renders the ratio CDF.
-func (r *Fig9Result) Table() *Table {
+// Tables renders the ratio CDF.
+func (r *Fig9Result) Tables() []*Table {
 	c := stats.NewCDF(r.Ratios)
 	t := &Table{
 		Title:  "Figure 9: measured/predicted bitrate under Algorithm 1",
@@ -106,7 +106,7 @@ func (r *Fig9Result) Table() *Table {
 			fmt.Sprintf("p%.1f", q*100), f3(c.Quantile(q)),
 		})
 	}
-	return t
+	return []*Table{t}
 }
 
 // Fig10Result reproduces Figure 10: the per-minute standard deviation of
@@ -153,8 +153,8 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 	return res, nil
 }
 
-// Table renders summary statistics of the scatter.
-func (r *Fig10Result) Table() *Table {
+// Tables renders summary statistics of the scatter.
+func (r *Fig10Result) Tables() []*Table {
 	cx := stats.NewCDF(r.X)
 	t := &Table{
 		Title:  "Figure 10: sigma(t) vs sigma(t+1) of per-ms traffic rate",
@@ -171,5 +171,5 @@ func (r *Fig10Result) Table() *Table {
 		[]string{"sigma p50 (Gbps)", f3(cx.Quantile(0.5) / 1e9)},
 		[]string{"sigma p90 (Gbps)", f3(cx.Quantile(0.9) / 1e9)},
 	)
-	return t
+	return []*Table{t}
 }

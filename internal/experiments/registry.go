@@ -3,161 +3,73 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
-// runner executes one experiment and writes its tables.
-type runner func(cfg Config, w io.Writer) error
+// figure is one registered experiment: its name and a run that writes
+// its tables.
+type figure struct {
+	name string
+	run  func(cfg Config, w io.Writer) error
+}
 
-var registry = map[string]runner{
-	"fig1": func(cfg Config, w io.Writer) error {
-		r, err := Fig1(cfg)
+// fig registers one figure driver with the renderer of its tables.
+func fig[R any](name string, drive func(Config) (R, error), tables func(R) []*Table) figure {
+	return figure{name, func(cfg Config, w io.Writer) error {
+		r, err := drive(cfg)
 		if err != nil {
 			return err
 		}
-		return r.Table().Write(w)
-	},
-	"fig3": func(cfg Config, w io.Writer) error {
-		r, err := Fig3(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
-	"fig4": func(cfg Config, w io.Writer) error {
-		r, err := Fig4(cfg)
-		if err != nil {
-			return err
-		}
-		for _, t := range r.Tables() {
+		for _, t := range tables(r) {
 			if err := t.Write(w); err != nil {
 				return err
 			}
 		}
 		return nil
-	},
-	"fig7": func(cfg Config, w io.Writer) error {
-		r, err := Fig7(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
-	"fig8": func(cfg Config, w io.Writer) error {
-		r, err := Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
-	"fig9": func(cfg Config, w io.Writer) error {
-		r, err := Fig9(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
-	"fig10": func(cfg Config, w io.Writer) error {
-		r, err := Fig10(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
-	"fig15": func(cfg Config, w io.Writer) error {
-		r, err := Fig15(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
-	"fig16": func(cfg Config, w io.Writer) error {
-		r, err := Fig16(cfg)
-		if err != nil {
-			return err
-		}
-		for _, t := range r.Tables() {
-			if err := t.Write(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	},
-	"fig17": func(cfg Config, w io.Writer) error {
-		r, err := Fig17(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table("Figure 17: median max stretch vs load (LLPD > 0.5)",
-			"B4 degrades sharply with load; MinMax converges toward optimal").Write(w)
-	},
-	"fig18": func(cfg Config, w io.Writer) error {
-		r, err := Fig18(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table("Figure 18: median max stretch vs locality (LLPD > 0.5)",
-			"low locality (long-haul heavy) hurts B4 most; locality > 1 changes little").Write(w)
-	},
-	"fig19": func(cfg Config, w io.Writer) error {
-		r, err := Fig19(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
-	"fig20": func(cfg Config, w io.Writer) error {
-		r, err := Fig20(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
-	"fig_dynamics": func(cfg Config, w io.Writer) error {
-		r, err := FigDynamics(cfg)
-		if err != nil {
-			return err
-		}
-		return r.Table().Write(w)
-	},
+	}}
+}
+
+// registry lists the experiments in Names order: paper figures by number,
+// then extensions without a paper figure number.
+var registry = []figure{
+	fig("fig1", Fig1, (*Fig1Result).Tables),
+	fig("fig3", Fig3, (*Fig3Result).Tables),
+	fig("fig4", Fig4, (*Fig4Result).Tables),
+	fig("fig7", Fig7, (*Fig7Result).Tables),
+	fig("fig8", Fig8, (*Fig8Result).Tables),
+	fig("fig9", Fig9, (*Fig9Result).Tables),
+	fig("fig10", Fig10, (*Fig10Result).Tables),
+	fig("fig15", Fig15, (*Fig15Result).Tables),
+	fig("fig16", Fig16, (*Fig16Result).Tables),
+	fig("fig17", Fig17, func(r *SweepResult) []*Table {
+		return []*Table{r.Table("Figure 17: median max stretch vs load (LLPD > 0.5)",
+			"B4 degrades sharply with load; MinMax converges toward optimal")}
+	}),
+	fig("fig18", Fig18, func(r *SweepResult) []*Table {
+		return []*Table{r.Table("Figure 18: median max stretch vs locality (LLPD > 0.5)",
+			"low locality (long-haul heavy) hurts B4 most; locality > 1 changes little")}
+	}),
+	fig("fig19", Fig19, (*Fig19Result).Tables),
+	fig("fig20", Fig20, (*Fig20Result).Tables),
+	fig("fig_dynamics", FigDynamics, (*FigDynamicsResult).Tables),
 }
 
 // Names lists the available experiments in order.
 func Names() []string {
-	var names []string
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(registry))
+	for i, f := range registry {
+		names[i] = f.name
 	}
-	sort.Slice(names, func(a, b int) bool {
-		// figN sorts numerically.
-		return figNum(names[a]) < figNum(names[b])
-	})
 	return names
-}
-
-func figNum(s string) int {
-	n, seen := 0, false
-	for _, c := range s {
-		if c >= '0' && c <= '9' {
-			n = n*10 + int(c-'0')
-			seen = true
-		}
-	}
-	if !seen {
-		// Extensions without a paper figure number (fig_dynamics) sort
-		// after every numbered figure.
-		return 1 << 30
-	}
-	return n
 }
 
 // Run executes the named experiment with the config, writing tables to w.
 func Run(name string, cfg Config, w io.Writer) error {
-	r, ok := registry[name]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+	for _, f := range registry {
+		if f.name == name {
+			return f.run(cfg, w)
+		}
 	}
-	return r(cfg, w)
+	return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 }
 
 // RunAll executes every experiment in order, stopping early when the

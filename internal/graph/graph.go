@@ -223,9 +223,10 @@ func Clone(g *Graph) *Builder {
 }
 
 // WithScaledCapacities returns a copy of g with every link's capacity
-// multiplied by factor. Routing schemes use this to implement the headroom
-// dial: reserving fraction h of every link is equivalent to routing on a
-// topology scaled by (1-h).
+// multiplied by factor: reserving fraction h of every link is equivalent
+// to routing on a topology scaled by (1-h). The routing schemes do not
+// call it — their path solver scales capacities itself — so it serves as
+// the reference a test routes on to compare a headroom dial against.
 func WithScaledCapacities(g *Graph, factor float64) *Graph {
 	b := Clone(g)
 	for i := range b.links {

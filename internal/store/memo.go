@@ -1,12 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"lowlat/internal/graph"
 )
@@ -46,147 +43,61 @@ type memoRecord struct {
 }
 
 // memoName is the memo file, separate from the shard files so the shard
-// glob (and tools iterating result lines) never see memo records.
+// pattern (and tools iterating result lines) never see memo records.
 const memoName = "memo.jsonl"
 
-// Memo looks up the memoized matrix digest for one calibration point.
-func (s *Store) Memo(k MemoKey) (Digest, bool) {
-	s.imu.RLock()
-	defer s.imu.RUnlock()
-	d, ok := s.memo[k]
-	return d, ok
+// newMemoTable is the calibration memo table: one file, compacted in
+// (graph, seed, load, locality) order.
+func newMemoTable(dir string) *table[MemoKey, Digest] {
+	return &table[MemoKey, Digest]{
+		dir: dir, kind: "memo", pattern: memoName,
+		files: logFiles(dir, memoName),
+		shard: func(MemoKey) int { return 0 },
+		encode: func(k MemoKey, d Digest) ([]byte, error) {
+			b, err := json.Marshal(memoRecord{Key: k, Matrix: d})
+			if err != nil {
+				return nil, fmt.Errorf("store: %w", err)
+			}
+			return b, nil
+		},
+		decode: func(b []byte) (MemoKey, Digest, error) {
+			var r memoRecord
+			if err := json.Unmarshal(b, &r); err != nil {
+				return MemoKey{}, 0, err
+			}
+			if r.Key == (MemoKey{}) {
+				return MemoKey{}, 0, errors.New("memo record has no key")
+			}
+			return r.Key, r.Matrix, nil
+		},
+		less: func(a, b MemoKey) bool {
+			if a.Graph != b.Graph {
+				return a.Graph < b.Graph
+			}
+			if a.Seed != b.Seed {
+				return a.Seed < b.Seed
+			}
+			if a.Load != b.Load {
+				return a.Load < b.Load
+			}
+			return a.Locality < b.Locality
+		},
+		index: make(map[MemoKey]Digest),
+	}
 }
+
+// Memo looks up the memoized matrix digest for one calibration point.
+func (s *Store) Memo(k MemoKey) (Digest, bool) { return s.memo.get(k) }
 
 // MemoLen reports how many calibration points are memoized.
-func (s *Store) MemoLen() int {
-	s.imu.RLock()
-	defer s.imu.RUnlock()
-	return len(s.memo)
-}
+func (s *Store) MemoLen() int { return s.memo.len() }
 
 // PutMemo appends a calibration memo entry and indexes it. Like Put, an
-// entry identical to the indexed one is a no-op, the line is written with
-// a single write syscall under the memo lock, and the newest write wins
+// entry identical to the indexed one is a no-op and the newest write wins
 // on the next Open.
 func (s *Store) PutMemo(k MemoKey, matrix Digest) error {
 	if s.readonly {
 		return fmt.Errorf("store: %s: put memo: %w", s.dir, ErrReadOnly)
 	}
-	s.imu.RLock()
-	prev, ok := s.memo[k]
-	s.imu.RUnlock()
-	if ok && prev == matrix {
-		return nil
-	}
-	line, err := json.Marshal(memoRecord{Key: k, Matrix: matrix})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	line = append(line, '\n')
-
-	s.mmu.Lock()
-	f, err := s.memoHandle()
-	if err == nil {
-		_, err = f.Write(line)
-	}
-	s.mmu.Unlock()
-	if err != nil {
-		return fmt.Errorf("store: memo %s: %w", filepath.Join(s.dir, memoName), err)
-	}
-
-	s.imu.Lock()
-	s.memo[k] = matrix
-	s.imu.Unlock()
-	return nil
-}
-
-// memoHandle lazily opens the memo append handle, healing a torn tail the
-// same way shardFile does. Callers hold mmu.
-func (s *Store) memoHandle() (*os.File, error) {
-	if s.memoFile != nil {
-		return s.memoFile, nil
-	}
-	f, err := openAppend(filepath.Join(s.dir, memoName))
-	if err != nil {
-		return nil, err
-	}
-	s.memoFile = f
-	return f, nil
-}
-
-// loadMemo scans the memo file (if present) and rebuilds the memo index.
-// Unparseable lines — a tail torn by a killed writer — are counted into
-// the same Skipped total the shard loader uses.
-func (s *Store) loadMemo() error {
-	path := filepath.Join(s.dir, memoName)
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: memo %s: %w", path, err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r memoRecord
-		if err := json.Unmarshal(line, &r); err != nil || r.Key == (MemoKey{}) {
-			s.skipped++
-			continue
-		}
-		s.memo[r.Key] = r.Matrix //nolint:locked // Open-time: the store has not been published to any other goroutine yet
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: memo %s: %w", path, err)
-	}
-	return nil
-}
-
-// compactMemoLocked rewrites the memo file as exactly one line per indexed
-// entry, sorted, via temp+rename. Callers hold mmu and imu.
-func (s *Store) compactMemoLocked() error {
-	if s.memoFile != nil {
-		s.memoFile.Close()
-		s.memoFile = nil
-	}
-	keys := make([]MemoKey, 0, len(s.memo))
-	for k := range s.memo {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb := keys[a], keys[b]
-		if ka.Graph != kb.Graph {
-			return ka.Graph < kb.Graph
-		}
-		if ka.Seed != kb.Seed {
-			return ka.Seed < kb.Seed
-		}
-		if ka.Load != kb.Load {
-			return ka.Load < kb.Load
-		}
-		return ka.Locality < kb.Locality
-	})
-	var buf []byte
-	for _, k := range keys {
-		line, err := json.Marshal(memoRecord{Key: k, Matrix: s.memo[k]})
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
-	path := filepath.Join(s.dir, memoName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("store: memo %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: memo %s: %w", path, err)
-	}
-	return nil
+	return s.memo.put(k, matrix)
 }

@@ -1,27 +1,27 @@
 // Package store is the persistent scenario-result store: an append-only,
 // sharded JSONL database of placement outcomes keyed by content-derived
 // cell keys (graph fingerprint, traffic-matrix digest, scheme name and
-// configuration). It is the substrate the resumable sweeps in
-// internal/sweep checkpoint into — a sweep killed mid-run reopens the
-// store and recomputes only the cells that never landed.
+// configuration), beside a calibration memo of matrix digests. It is the
+// substrate the resumable sweeps in internal/sweep checkpoint into — a
+// sweep killed mid-run reopens the store and recomputes only the cells
+// that never landed.
 //
 // The design favors crash-tolerance over cleverness, the same trade large
 // design-space studies (cISP's landscape sweeps, the Besta et al. path
-// diversity study) make: results append as single JSONL lines under a
-// per-shard lock, the index is rebuilt by scanning every shard at Open,
-// and a line torn by a crash mid-append is skipped (and counted) instead
-// of poisoning the file. Compact rewrites the shards with exactly the
-// indexed records, dropping duplicates and torn tails.
+// diversity study) make. The result shards and the memo file are two
+// instances of one table mechanism (table.go): records append as single
+// JSONL lines under a per-file lock, the index is rebuilt by scanning
+// every file at Open, and a line torn by a crash mid-append is skipped
+// (and counted) instead of poisoning the file. Compact rewrites each file
+// with exactly the indexed records, dropping duplicates and torn tails.
+// Locks are taken file lock first, then that table's index lock; no lock
+// spans the two tables.
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 
 	"lowlat/internal/routing"
 )
@@ -83,19 +83,9 @@ type Result struct {
 // separate processes are not supported (last Open wins on Compact).
 type Store struct {
 	dir      string
-	shards   int
 	readonly bool
-
-	fmu   []sync.Mutex // one per write shard, ordered before imu
-	files []*os.File   // lazily opened append handles
-
-	mmu      sync.Mutex // memo-file lock, ordered before imu
-	memoFile *os.File   // lazily opened memo append handle
-
-	imu     sync.RWMutex
-	index   map[CellKey]Result // guarded by imu
-	memo    map[MemoKey]Digest // guarded by imu
-	skipped int                // unparseable lines tolerated at Open
+	cells    *table[CellKey, Result]
+	memo     *table[MemoKey, Digest]
 }
 
 // Open creates dir if needed, scans every shard for existing results and
@@ -105,24 +95,10 @@ func Open(dir string) (*Store, error) { return OpenSharded(dir, DefaultShards) }
 // OpenSharded is Open with an explicit write-shard count (tests use 1 to
 // make torn-tail layouts deterministic).
 func OpenSharded(dir string, shards int) (*Store, error) {
-	if shards < 1 {
-		shards = 1
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:    dir,
-		shards: shards,
-		fmu:    make([]sync.Mutex, shards),
-		files:  make([]*os.File, shards),
-		index:  make(map[CellKey]Result),
-		memo:   make(map[MemoKey]Digest),
-	}
-	if err := s.load(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return open(dir, shards, false)
 }
 
 // OpenReadOnly opens an existing store for reading only: the directory is
@@ -140,17 +116,48 @@ func OpenReadOnly(dir string) (*Store, error) {
 	if !fi.IsDir() {
 		return nil, fmt.Errorf("store: open %s: not a directory", dir)
 	}
+	return open(dir, DefaultShards, true)
+}
+
+// open builds both tables over dir and loads them.
+func open(dir string, shards int, readonly bool) (*Store, error) {
+	if shards < 1 {
+		shards = 1
+	}
 	s := &Store{
 		dir:      dir,
-		shards:   DefaultShards,
-		readonly: true,
-		index:    make(map[CellKey]Result),
-		memo:     make(map[MemoKey]Digest),
+		readonly: readonly,
+		cells:    newCellTable(dir, shards),
+		memo:     newMemoTable(dir),
 	}
-	if err := s.load(); err != nil {
+	if err := s.cells.load(); err != nil {
+		return nil, err
+	}
+	if err := s.memo.load(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// newCellTable is the result table: cells spread over shards files by
+// key hash, compacted in canonical key-string order.
+func newCellTable(dir string, shards int) *table[CellKey, Result] {
+	names := make([]string, shards)
+	for i := range names {
+		names[i] = shardName(i)
+	}
+	return &table[CellKey, Result]{
+		dir: dir, kind: "shard", pattern: "shard-*.jsonl",
+		files:  logFiles(dir, names...),
+		shard:  func(k CellKey) int { return int(k.hash() % uint64(shards)) },
+		encode: func(_ CellKey, r Result) ([]byte, error) { return MarshalResult(r) },
+		decode: func(b []byte) (CellKey, Result, error) {
+			r, err := UnmarshalResult(b)
+			return r.Key, r, err
+		},
+		less:  func(a, b CellKey) bool { return a.String() < b.String() },
+		index: make(map[CellKey]Result),
+	}
 }
 
 // ReadOnly reports whether the store was opened with OpenReadOnly.
@@ -159,80 +166,20 @@ func (s *Store) ReadOnly() bool { return s.readonly }
 // shardName returns the shard file name for write shard i.
 func shardName(i int) string { return fmt.Sprintf("shard-%03d.jsonl", i) }
 
-// load scans every shard-*.jsonl in the directory (not just the
-// configured write shards) and rebuilds the index. Lines that fail to
-// parse — torn tails from a killed writer, or stray corruption — are
-// counted and skipped; later records for a key replace earlier ones, so
-// within one file append order wins.
-func (s *Store) load() error {
-	paths, err := filepath.Glob(filepath.Join(s.dir, "shard-*.jsonl"))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := s.loadShard(p); err != nil {
-			return err
-		}
-	}
-	return s.loadMemo()
-}
-
-// loadShard reads one shard file into the index. Every failure is wrapped
-// with the shard path: a daemon refusing to start over one unreadable
-// shard must name the file, not just the syscall.
-func (s *Store) loadShard(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: shard %s: %w", path, err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		r, err := UnmarshalResult(line)
-		if err != nil {
-			s.skipped++
-			continue
-		}
-		s.index[r.Key] = r //nolint:locked // Open-time: the store has not been published to any other goroutine yet
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: shard %s: %w", path, err)
-	}
-	return nil
-}
-
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Len reports how many distinct cells are indexed.
-func (s *Store) Len() int {
-	s.imu.RLock()
-	defer s.imu.RUnlock()
-	return len(s.index)
-}
+func (s *Store) Len() int { return s.cells.len() }
 
-// Skipped reports how many unparseable lines Open tolerated. A non-zero
-// count after a crash is expected (one torn tail line); callers surface
-// it so silent corruption never looks like a clean open.
-func (s *Store) Skipped() int {
-	s.imu.RLock()
-	defer s.imu.RUnlock()
-	return s.skipped
-}
+// Skipped reports how many unparseable lines Open tolerated, shards and
+// memo together. A non-zero count after a crash is expected (one torn
+// tail line); callers surface it so silent corruption never looks like a
+// clean open.
+func (s *Store) Skipped() int { return s.cells.skips() + s.memo.skips() }
 
 // Get looks a cell up by key.
-func (s *Store) Get(k CellKey) (Result, bool) {
-	s.imu.RLock()
-	defer s.imu.RUnlock()
-	r, ok := s.index[k]
-	return r, ok
-}
+func (s *Store) Get(k CellKey) (Result, bool) { return s.cells.get(k) }
 
 // Lookup is Get under the placement-backend method name, so a bare
 // *Store satisfies the read side of the backend interfaces without an
@@ -242,99 +189,20 @@ func (s *Store) Lookup(k CellKey) (Result, bool) { return s.Get(k) }
 // Put appends a result to its shard and indexes it. Re-putting a result
 // identical to the indexed one is a no-op (no duplicate line); a result
 // with the same key but different contents appends and replaces, so the
-// newest write wins on the next Open too. The line is written with a
-// single write syscall under the shard lock, which keeps concurrent
-// checkpoints from interleaving; a process killed mid-write leaves at
-// most one torn tail line, which the next Open skips.
+// newest write wins on the next Open too. A process killed mid-write
+// leaves at most one torn tail line, which the next Open skips.
 func (s *Store) Put(r Result) error {
 	if s.readonly {
 		return fmt.Errorf("store: %s: put: %w", s.dir, ErrReadOnly)
 	}
-	s.imu.RLock()
-	prev, ok := s.index[r.Key]
-	s.imu.RUnlock()
-	if ok && prev == r {
-		return nil
-	}
-	line, err := MarshalResult(r)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-
-	shard := int(r.Key.hash() % uint64(s.shards))
-	s.fmu[shard].Lock()
-	f, err := s.shardFile(shard)
-	if err == nil {
-		_, err = f.Write(line)
-	}
-	s.fmu[shard].Unlock()
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-
-	s.imu.Lock()
-	s.index[r.Key] = r
-	s.imu.Unlock()
-	return nil
-}
-
-// shardFile lazily opens the append handle for a shard. If the file's
-// last line was torn by a crash (no trailing newline), a newline is
-// appended first so the next record starts on its own line instead of
-// concatenating onto the fragment. Callers hold the shard lock.
-func (s *Store) shardFile(shard int) (*os.File, error) {
-	if s.files[shard] != nil {
-		return s.files[shard], nil
-	}
-	f, err := openAppend(filepath.Join(s.dir, shardName(shard)))
-	if err != nil {
-		return nil, err
-	}
-	s.files[shard] = f
-	return f, nil
-}
-
-// openAppend opens a JSONL file for appending, first appending a newline
-// if the existing last line was torn by a crash (no trailing newline), so
-// the next record starts on its own line instead of concatenating onto
-// the fragment.
-func openAppend(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if n := st.Size(); n > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], n-1); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if last[0] != '\n' {
-			if _, err := f.Write([]byte{'\n'}); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	return f, nil
+	return s.cells.put(r.Key, r)
 }
 
 // Results returns every indexed cell sorted by (net, seed, tm, scheme,
 // headroom, key) — a total order, so exports are byte-identical however
 // the cells were computed or recovered.
 func (s *Store) Results() []Result {
-	s.imu.RLock()
-	out := make([]Result, 0, len(s.index))
-	for _, r := range s.index {
-		out = append(out, r)
-	}
-	s.imu.RUnlock()
+	out := s.cells.values()
 	SortResults(out)
 	return out
 }
@@ -342,119 +210,24 @@ func (s *Store) Results() []Result {
 // Keys returns every indexed cell key sorted by canonical string — the
 // per-replica key inventory anti-entropy sweeps exchange. Sorted output
 // keeps digest endpoints and heal logs deterministic.
-func (s *Store) Keys() []CellKey {
-	s.imu.RLock()
-	out := make([]CellKey, 0, len(s.index))
-	for k := range s.index {
-		out = append(out, k)
-	}
-	s.imu.RUnlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].String() < out[b].String() })
-	return out
-}
+func (s *Store) Keys() []CellKey { return s.cells.keys() }
 
-// Compact rewrites the store as exactly one line per indexed cell,
-// dropping superseded duplicates and torn tails. Shards are written to
-// temp files and renamed into place, so a crash mid-compact leaves either
-// the old or the new file, never a half of each; stale shard files
-// outside the configured write-shard set are removed.
+// Compact rewrites the store as exactly one line per indexed cell and
+// memo entry, dropping superseded duplicates and torn tails. Each file is
+// written to a temp file and renamed into place, so a crash mid-compact
+// leaves either the old or the new file, never a half of each; stale
+// shard files outside the configured write-shard set are removed.
 func (s *Store) Compact() error {
 	if s.readonly {
 		return fmt.Errorf("store: %s: compact: %w", s.dir, ErrReadOnly)
 	}
-	for i := range s.fmu {
-		s.fmu[i].Lock()
-	}
-	defer func() {
-		for i := range s.fmu {
-			s.fmu[i].Unlock()
-		}
-	}()
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	s.imu.Lock()
-	defer s.imu.Unlock()
-
-	// Close append handles: the files are about to be replaced.
-	for i, f := range s.files {
-		if f != nil {
-			f.Close()
-			s.files[i] = nil
-		}
-	}
-
-	lines := make([][]byte, s.shards)
-	keys := make([]CellKey, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].String() < keys[b].String() })
-	for _, k := range keys {
-		line, err := MarshalResult(s.index[k])
-		if err != nil {
-			return err
-		}
-		shard := int(k.hash() % uint64(s.shards))
-		lines[shard] = append(lines[shard], line...)
-		lines[shard] = append(lines[shard], '\n')
-	}
-
-	existing, err := filepath.Glob(filepath.Join(s.dir, "shard-*.jsonl"))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	fresh := make(map[string]bool, s.shards)
-	for i := 0; i < s.shards; i++ {
-		path := filepath.Join(s.dir, shardName(i))
-		fresh[path] = true
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, lines[i], 0o644); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	for _, p := range existing {
-		if !fresh[p] {
-			if err := os.Remove(p); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-		}
-	}
-	if err := s.compactMemoLocked(); err != nil {
+	if err := s.cells.compact(); err != nil {
 		return err
 	}
-	s.skipped = 0
-	return nil
+	return s.memo.compact()
 }
 
 // Close releases the append handles. The store must not be used after.
 func (s *Store) Close() error {
-	for i := range s.fmu {
-		s.fmu[i].Lock()
-	}
-	defer func() {
-		for i := range s.fmu {
-			s.fmu[i].Unlock()
-		}
-	}()
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	var first error
-	for i, f := range s.files {
-		if f != nil {
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-			s.files[i] = nil
-		}
-	}
-	if s.memoFile != nil {
-		if err := s.memoFile.Close(); err != nil && first == nil {
-			first = err
-		}
-		s.memoFile = nil
-	}
-	return first
+	return errors.Join(s.cells.close(), s.memo.close())
 }

@@ -3,12 +3,14 @@ package store
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"lowlat/internal/engine"
@@ -294,8 +296,8 @@ func TestCompact(t *testing.T) {
 }
 
 // TestConcurrentPuts checkpoints from many goroutines at once, the way the
-// sweep orchestrator's workers do; run with -race this doubles as the
-// locking test.
+// sweep orchestrator's workers do, interleaving memo writes, reads and
+// compactions; run with -race this doubles as the locking test.
 func TestConcurrentPuts(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -313,21 +315,33 @@ func TestConcurrentPuts(t *testing.T) {
 			r := base
 			r.Key.Matrix = Digest(uint64(i) + 1)
 			r.Meta.TM = i
-			return struct{}{}, s.Put(r)
+			if err := s.Put(r); err != nil {
+				return struct{}{}, err
+			}
+			if err := s.PutMemo(MemoKey{Graph: r.Key.Graph, Seed: int64(i)}, r.Key.Matrix); err != nil {
+				return struct{}{}, err
+			}
+			if got, ok := s.Get(r.Key); !ok || got != r {
+				return struct{}{}, fmt.Errorf("cell %d: Get after Put = %v", i, ok)
+			}
+			if i%16 == 0 {
+				return struct{}{}, s.Compact()
+			}
+			return struct{}{}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 64 {
-		t.Fatalf("Len=%d, want 64", s.Len())
+	if s.Len() != 64 || s.MemoLen() != 64 {
+		t.Fatalf("Len=%d MemoLen=%d, want 64, 64", s.Len(), s.MemoLen())
 	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 64 || s2.Skipped() != 0 {
-		t.Fatalf("reopen: Len=%d Skipped=%d, want 64, 0", s2.Len(), s2.Skipped())
+	if s2.Len() != 64 || s2.MemoLen() != 64 || s2.Skipped() != 0 {
+		t.Fatalf("reopen: Len=%d MemoLen=%d Skipped=%d, want 64, 64, 0", s2.Len(), s2.MemoLen(), s2.Skipped())
 	}
 }
 
@@ -598,5 +612,217 @@ func TestMetricsOfDoesNoPathWork(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { MetricsOf(p) }); allocs >= 64 {
 			t.Errorf("%s: MetricsOf allocates %.0f times per call, want < 64", scheme.Name(), allocs)
 		}
+	}
+}
+
+// fileHashes maps every file name in dir to the hex SHA-256 of its bytes.
+func fileHashes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fmt.Sprintf("%x", sha256.Sum256(data))
+	}
+	return out
+}
+
+func checkHashes(t *testing.T, when string, got, want map[string]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d files, want %d", when, len(got), len(want))
+	}
+	for n, h := range want {
+		if got[n] != h {
+			t.Errorf("%s: %s sha256 = %s, want %s", when, n, got[n], h)
+		}
+	}
+}
+
+// TestStoreFilesPinned fixes the bytes both tables write — appends,
+// supersessions, a healed torn tail and a compaction — so the on-disk
+// format cannot drift under a refactor of the persistence code.
+func TestStoreFilesPinned(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []Result{
+		testCell(t, 1, routing.SP{}),
+		testCell(t, 2, routing.SP{}),
+		testCell(t, 1, routing.MinMax{}),
+		testCell(t, 2, routing.MinMax{}),
+	}
+	for _, r := range cells {
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	relabeled := cells[2]
+	relabeled.Meta.Class = "relabeled"
+	if err := s.Put(relabeled); err != nil {
+		t.Fatal(err)
+	}
+	g := topo.Ring("ring-8", 8, 1400, topo.Cap10G)
+	k1, k2 := MemoKeyFor(g, 1, 0.6, 1), MemoKeyFor(g, 2, 0.6, 1)
+	for _, e := range []struct {
+		k MemoKey
+		d Digest
+	}{{k1, 0xaaaa}, {k2, 0xbbbb}, {k1, 0xcccc}} {
+		if err := s.PutMemo(e.k, e.d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the shard holding the relabeled cell mid-record.
+	shard := filepath.Join(dir, shardName(int(relabeled.Key.hash()%2)))
+	data, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shard, data[:len(data)-9], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Len() != 4 || s2.Skipped() != 1 || s2.MemoLen() != 2 {
+		t.Fatalf("reopen: Len=%d Skipped=%d MemoLen=%d, want 4, 1, 2", s2.Len(), s2.Skipped(), s2.MemoLen())
+	}
+	if got, _ := s2.Get(relabeled.Key); got != cells[2] {
+		t.Fatalf("torn supersession should fall back to the first write, got %+v", got.Meta)
+	}
+	// Re-putting it appends to the torn shard, which heals the tail first.
+	if err := s2.Put(relabeled); err != nil {
+		t.Fatal(err)
+	}
+	checkHashes(t, "before compact", fileHashes(t, dir), map[string]string{
+		"memo.jsonl":      "5f3bee009c96b76077aed15cf82d65df451b974da60cdd1231711bb7519dd2f9",
+		"shard-000.jsonl": "1f3845d3aff96b1d9a3cabd208a50ff3c7b0024c283323f268b228c2a77f3d39",
+		"shard-001.jsonl": "1a16782b07e1f14d1e28273e236ef59e9fb80c7a72916e5a2cf12685f0fed1ef",
+	})
+	if err := s2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	checkHashes(t, "after compact", fileHashes(t, dir), map[string]string{
+		"memo.jsonl":      "fa417409f04c2418ecfd56b8cbe7a32ef58d9959e6f82467f1de2e64900582bf",
+		"shard-000.jsonl": "1f3845d3aff96b1d9a3cabd208a50ff3c7b0024c283323f268b228c2a77f3d39",
+		"shard-001.jsonl": "8ee849ddc6f785d81472625ce0776745761810af7633ff108b74bb4637529d67",
+	})
+}
+
+// TestPutIndexMatchesDisk races two puts of different values for one key
+// and checks that the index answers what the next Open loads: the append
+// order and the index order must be the same order.
+func TestPutIndexMatchesDisk(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSharded(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials = 5000
+	keys := make([]CellKey, trials)
+	for i := range keys {
+		keys[i] = CellKey{Graph: Digest(i + 1), Matrix: 1, Scheme: "sp"}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for v := 1; v <= 4; v++ {
+			r := Result{Key: keys[i], Meta: Meta{Net: "probe", Seed: int64(v)}}
+			mk := MemoKey{Graph: keys[i].Graph, Seed: 1}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := s.Put(r); err != nil {
+					t.Error(err)
+				}
+				if err := s.PutMemo(mk, Digest(r.Meta.Seed)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	s.Close()
+	s2, err := OpenSharded(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	bad := 0
+	for _, k := range keys {
+		mem, _ := s.Get(k)
+		disk, _ := s2.Get(k)
+		mk := MemoKey{Graph: k.Graph, Seed: 1}
+		memMemo, _ := s.Memo(mk)
+		diskMemo, _ := s2.Memo(mk)
+		if mem != disk || memMemo != diskMemo {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d keys: Get answers a value the reopened store does not", bad, trials)
+	}
+}
+
+// TestDirWithGlobMetacharacters: a store directory is a path, never a
+// pattern. "run[1]" must reopen with its cells, and a store at "a*" must
+// neither load nor delete the shards of its sibling "ab".
+func TestDirWithGlobMetacharacters(t *testing.T) {
+	root := t.TempDir()
+	put := func(dir string, r Result) {
+		t.Helper()
+		s, err := OpenSharded(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bracket := filepath.Join(root, "run[1]")
+	put(bracket, testCell(t, 1, routing.SP{}))
+	s, err := Open(bracket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 1 {
+		t.Errorf("%s reopened with %d cells, want 1", bracket, s.Len())
+	}
+	s.Close()
+
+	sibling, star := filepath.Join(root, "ab"), filepath.Join(root, "a*")
+	put(sibling, testCell(t, 2, routing.SP{}))
+	put(star, testCell(t, 3, routing.SP{}))
+	s, err = OpenSharded(star, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 1 {
+		t.Errorf("%s opened with %d cells, want 1", star, s.Len())
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(sibling, shardName(0))); err != nil {
+		t.Fatalf("compacting %s removed its sibling's shard: %v", star, err)
 	}
 }

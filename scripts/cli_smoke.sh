@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # CLI smoke test: build lowlat once and run the topology -> score ->
 # traffic -> closed-loop pipeline on the real binary, checking every
-# exit code, resume a store-backed figure run, then require exit 2
-# (usage error) for a malformed flag and for a non-positive count. `make cli-smoke` runs this locally; CI's
-# short job runs it after the unit suites.
+# exit code, resume a store-backed figure run and a store-backed sweep
+# across a compaction, then require exit 2 (usage error) for a malformed
+# flag and for a non-positive count. `make cli-smoke` runs this locally;
+# CI's short job runs it after the unit suites.
 set -eu
 
 tmp="$(mktemp -d)"
@@ -51,6 +52,23 @@ stored=$(shard_lines)
 expect 0 exp -name fig16 -tms 1 -max-networks 6 -max-nodes 12 -store "$tmp/exp"
 cmp -s "$tmp/exp1.out" "$tmp/out" || fail "exp -store rerun printed different tables"
 [ "$(shard_lines)" -eq "$stored" ] || fail "exp -store rerun placed cells again"
+
+# sweep -store resumes across a compaction: the second run reuses every
+# cell and derives every key from the calibration memo, compaction leaves
+# the exported slice byte-identical, and a third run still reuses all.
+grid="nets=star-6,ring-8;seeds=1,2;schemes=sp,minmax"
+expect 0 sweep -store "$tmp/sweep" -grid "$grid"
+grep -q ' 8 computed' "$tmp/out" || fail "sweep run 1 did not compute 8 cells"
+expect 0 export -store "$tmp/sweep" -format csv
+cp "$tmp/out" "$tmp/export1.csv"
+expect 0 sweep -store "$tmp/sweep" -grid "$grid" -compact
+grep -q '8 reused, 0 computed' "$tmp/out" || fail "sweep run 2 did not reuse every cell"
+grep -q '0 matrices generated, 4 memo hits' "$tmp/out" || fail "sweep run 2 regenerated matrices"
+expect 0 export -store "$tmp/sweep" -format csv
+cmp -s "$tmp/export1.csv" "$tmp/out" || fail "compaction changed the exported cells"
+expect 0 sweep -store "$tmp/sweep" -grid "$grid"
+grep -q '8 reused, 0 computed' "$tmp/out" || fail "sweep run 3 did not reuse every cell after compaction"
+grep -q '0 matrices generated, 4 memo hits' "$tmp/out" || fail "compaction lost calibration memo entries"
 
 expect 2 route -no-such-flag
 expect 2 route -tms -1
