@@ -9,18 +9,28 @@
 // bounds lo <= x <= hi. Lower bounds must be finite; upper bounds may be
 // +Inf. Maximization is expressed by negating the objective.
 //
-// A solve's large buffers (the m x n tableau above all) live in a
-// Workspace. Problem.Solve uses a fresh one; a caller that solves a run of
-// similar problems — the path solver's growth rounds — passes its own to
-// SolveIn and allocates them once. A Workspace is not safe for concurrent
-// use, and its contents are undefined between solves: nothing a Solution
-// returns points into it.
+// Every buffer a solve needs (the m x n tableau above all, then the
+// bounds, basis and reduced costs) lives in a Workspace, reused from one
+// solve to the next and grown, with some room to spare, only when a
+// problem outgrows it. Problem.Solve draws its Workspace from a pool this
+// package owns (a reuse.List, which every goroutine reaches) and returns
+// it when the solve ends, so the growth rounds, calibration solves and
+// failure epochs of a process share a handful of them rather than
+// allocate and zero a tableau each; the pool holds one per concurrent
+// solve at most and lets go of one left idle through two garbage
+// collections. A caller that must keep a huge LP out of the pool (the
+// link-based baseline) passes a Workspace of its own to SolveIn. A
+// Workspace is not safe for concurrent use, and its contents are
+// undefined between solves: nothing a Solution returns points into it,
+// so a Solution kept from one solve is unchanged by every later one.
 package lp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+
+	"lowlat/internal/reuse"
 )
 
 // Op is a constraint comparison operator.
@@ -91,6 +101,14 @@ type conRow struct {
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{} }
 
+// Reset empties p, keeping the capacity of its buffers, so that a caller
+// assembling a run of similar problems allocates them once. p lets go of
+// the term slices its constraints retained.
+func (p *Problem) Reset() {
+	clear(p.rows)
+	p.obj, p.lo, p.hi, p.rows = p.obj[:0], p.lo[:0], p.hi[:0], p.rows[:0]
+}
+
 // AddVar adds a variable with bounds [lo, hi] and objective coefficient
 // obj, returning its index. lo must be finite; hi may be +Inf.
 func (p *Problem) AddVar(lo, hi, obj float64) int {
@@ -134,9 +152,17 @@ type Solution struct {
 // indices, a NaN or infinite objective or constraint coefficient or rhs)
 // or if the iteration safety limit is hit; infeasibility and
 // unboundedness are reported via Solution.Status.
-func (p *Problem) Solve() (*Solution, error) { return p.SolveIn(new(Workspace)) }
+func (p *Problem) Solve() (*Solution, error) {
+	ws := workspaces.Get()
+	sol, err := p.SolveIn(ws)
+	workspaces.Put(ws)
+	return sol, err
+}
 
-// SolveIn is Solve with the tableau built in ws, reusing whatever ws
+// workspaces is the pool Solve draws its Workspace from.
+var workspaces reuse.List[Workspace]
+
+// SolveIn is Solve with the solve's buffers in ws, reusing whatever ws
 // already holds that is large enough.
 func (p *Problem) SolveIn(ws *Workspace) (*Solution, error) {
 	if err := p.validate(); err != nil {

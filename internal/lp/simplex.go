@@ -1,6 +1,10 @@
 package lp
 
-import "math"
+import (
+	"math"
+
+	"lowlat/internal/reuse"
+)
 
 // simplex is a dense two-phase primal simplex tableau with bounded
 // variables. Internally every variable is shifted so its lower bound is 0;
@@ -33,22 +37,19 @@ const (
 	epsFeas  = 1e-7
 )
 
-// Workspace holds the buffers of a solve whose size grows with the problem,
-// so that consecutive solves allocate them once. The zero value is ready to
-// use; see the package comment for the contract.
+// Workspace holds every buffer of a solve whose size grows with the
+// problem, so that consecutive solves allocate them only when a problem
+// outgrows the last. The zero value is ready to use; see the package
+// comment for the contract.
 type Workspace struct {
-	tab              []float64   // m x n tableau cells, row-major
-	rows             [][]float64 // the m row views into tab
-	bhat, zrow, cost []float64
-	nzbuf            []int32
+	s     simplex   // the last solve's state; its slices keep their capacity
+	cells []float64 // the m x n tableau, row-major; s.tab holds the row views
 }
 
-// zeroed returns n zeros, in buf's memory when it is large enough.
-func zeroed(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
+// sized returns n zero values, in buf's memory when it is large enough
+// and otherwise grown as reuse.Grow grows every solver buffer.
+func sized[T any](buf []T, n int) []T {
+	buf = reuse.Grow(buf, n)
 	clear(buf)
 	return buf
 }
@@ -68,18 +69,19 @@ func normOp(op Op, rhs float64) Op {
 
 func newSimplex(p *Problem, ws *Workspace) *simplex {
 	nStruct, m := len(p.obj), len(p.rows)
+	s := &ws.s
 
 	// Shift variables to lower bound 0, folding the shift into each row's
 	// rhs, and count columns: slacks for LE/GE, artificials for GE/EQ,
 	// after a row with negative rhs is negated (below) so that rhs >= 0.
-	ws.bhat = zeroed(ws.bhat, m)
+	s.bhat = sized(s.bhat, m)
 	nSlack, nArt := 0, 0
 	for i, r := range p.rows {
 		rhs := r.rhs
 		for _, t := range r.terms {
 			rhs -= t.Coeff * p.lo[t.Var]
 		}
-		ws.bhat[i] = rhs
+		s.bhat[i] = rhs
 		op := normOp(r.op, rhs)
 		if op != EQ {
 			nSlack++
@@ -90,36 +92,20 @@ func newSimplex(p *Problem, ws *Workspace) *simplex {
 	}
 	n := nStruct + nSlack + nArt
 
-	if cap(ws.tab) < m*n {
+	if cap(ws.cells) < m*n {
 		// Let go of the old tableau, and the row views into it, before
 		// allocating the larger one: while the workspace still held it the
 		// collector could not, and place_cold's peak RSS rose 13 %.
-		ws.tab = nil
-		clear(ws.rows[:cap(ws.rows)])
+		ws.cells = nil
+		clear(s.tab[:cap(s.tab)])
 	}
-	ws.tab = zeroed(ws.tab, m*n)
-	ws.zrow, ws.cost = zeroed(ws.zrow, n), zeroed(ws.cost, n)
-	if cap(ws.rows) < m {
-		ws.rows = make([][]float64, m)
-	}
-	if cap(ws.nzbuf) < n {
-		ws.nzbuf = make([]int32, 0, n)
-	}
-	s := &simplex{
-		m: m, n: n,
-		tab:      ws.rows[:m],
-		bhat:     ws.bhat,
-		zrow:     ws.zrow,
-		cost:     ws.cost,
-		nzbuf:    ws.nzbuf[:0],
-		u:        make([]float64, n),
-		flipped:  make([]bool, n),
-		banned:   make([]bool, n),
-		basis:    make([]int, m),
-		rowOf:    make([]int, n),
-		nStruct:  nStruct,
-		artStart: nStruct + nSlack,
-	}
+	ws.cells = sized(ws.cells, m*n)
+	s.tab = sized(s.tab, m)
+	s.zrow, s.cost, s.u = sized(s.zrow, n), sized(s.cost, n), sized(s.u, n)
+	s.flipped, s.banned = sized(s.flipped, n), sized(s.banned, n)
+	s.basis, s.rowOf = sized(s.basis, m), sized(s.rowOf, n)
+	s.nzbuf = sized(s.nzbuf, n)[:0]
+	s.m, s.n, s.nStruct, s.artStart, s.pivots = m, n, nStruct, nStruct+nSlack, 0
 	for j := range s.rowOf {
 		s.rowOf[j] = -1
 	}
@@ -133,7 +119,7 @@ func newSimplex(p *Problem, ws *Workspace) *simplex {
 	slack := nStruct
 	art := s.artStart
 	for i, r := range p.rows {
-		row := ws.tab[i*n : (i+1)*n]
+		row := ws.cells[i*n : (i+1)*n]
 		for _, t := range r.terms {
 			row[t.Var] += t.Coeff
 		}

@@ -258,7 +258,7 @@ func TestWorkspaceReuse(t *testing.T) {
 			defer wg.Done()
 			var ws Workspace
 			for round, p := range []*Problem{a, b, a, b, a} {
-				want, werr := p.Solve()
+				want, werr := p.SolveIn(new(Workspace))
 				got, gerr := p.SolveIn(&ws)
 				if err := sameSolution(want, werr, got, gerr); err != nil {
 					t.Errorf("round %d: reused workspace: %v", round, err)
@@ -367,7 +367,7 @@ func TestPricingMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, err := p.Solve()
+		want, err := p.SolveIn(new(Workspace))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

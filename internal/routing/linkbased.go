@@ -122,7 +122,9 @@ func LinkBasedLatencyOpt(g *graph.Graph, m *tm.Matrix, headroom float64) (*LinkB
 		prob.AddConstraint(lp.LE, 0, lp.Term{Var: ol, Coeff: 1}, lp.Term{Var: oMax, Coeff: -1})
 	}
 
-	sol, err := prob.Solve()
+	// A private workspace: this tableau runs to tens of megabytes, which
+	// the pool behind Solve would keep alive for the path LPs after it.
+	sol, err := prob.SolveIn(new(lp.Workspace))
 	if err != nil {
 		return nil, err
 	}

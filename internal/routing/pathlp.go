@@ -5,6 +5,7 @@ import (
 
 	"lowlat/internal/graph"
 	"lowlat/internal/lp"
+	"lowlat/internal/reuse"
 	"lowlat/internal/tm"
 )
 
@@ -42,9 +43,10 @@ type pathSolver struct {
 	polish   bool    // keep optimizing around saturated links once feasible
 	bound    float64 // >0: never consider paths longer than bound x shortest
 	cache    *PathCache
-	// ws holds the simplex tableau across this solve's growth rounds and
-	// Omax re-solves; a pathSolver lives for one solve, so it dies with it.
-	ws lp.Workspace
+	// model is where every LP of this solve is assembled, drawn from
+	// lpModels for the solve's growth rounds and Omax re-solves and
+	// returned when the solve ends.
+	model *lpModel
 	// onModel, set only by tests, sees every LP assembled and its inputs.
 	onModel func(prob *lp.Problem, pm *pathModel, withOmax bool)
 
@@ -77,6 +79,11 @@ func (s *pathSolver) place(g *graph.Graph, m *tm.Matrix) (*Placement, SolveStats
 }
 
 func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, error) {
+	s.model = lpModels.Get()
+	defer func() {
+		lpModels.Put(s.model)
+		s.model = nil
+	}()
 	if s.cache == nil {
 		s.cache = NewPathCache(g)
 	}
@@ -117,6 +124,10 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 	}
 	pathSets := make([][]graph.Path, m.Len())
 	capped := make([]bool, m.Len())
+	// An aggregate left on its one candidate path carries it whole in
+	// every round's placement; the rounds share one backing array for
+	// those allocations, and the one placement returned owns it.
+	singles := make([]PathAlloc, m.Len())
 	loadPaths := func() {
 		for i, a := range m.Aggregates {
 			ps := s.cache.Paths(a.Src, a.Dst, kCount[i])
@@ -148,7 +159,7 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 
 	for round := 0; round < maxRounds; round++ {
 		s.growRounds = round
-		placement, err := s.solveOnce(g, m, sps, pathSets, caps, norm, minS)
+		placement, err := s.solveOnce(g, m, sps, pathSets, singles, caps, norm, minS)
 		if err != nil {
 			return nil, err
 		}
@@ -247,6 +258,22 @@ func (s *pathSolver) growAround(m *tm.Matrix, pathSets [][]graph.Path,
 	return grew
 }
 
+// lpModel is the memory a path LP is assembled in: the problem and every
+// scratch buffer of pathModel.build. A solve holds one across its growth
+// rounds, which widen the LP, so build allocates only when a round
+// outgrows every earlier one; between solves it waits in lpModels. The
+// simplex copies the model into its tableau and Solution.X is its own, so
+// nothing a solve returns points into it.
+type lpModel struct {
+	prob      lp.Problem
+	touches   []int       // per link: the most terms its capacity row can get
+	arena     []lp.Term   // every row's terms
+	linkTerms [][]lp.Term // per link: its capacity row's terms, in arena
+	ols       []int       // the o_l variables, for the caller
+}
+
+var lpModels reuse.List[lpModel]
+
 // pathModel is what one growth round's LP is assembled from: the current
 // path sets and the per-link loads they fix.
 type pathModel struct {
@@ -265,12 +292,14 @@ type pathModel struct {
 	// varBase[a]+p is the LP variable of multi-path aggregate a's path
 	// p >= 1; build fills it.
 	varBase []int
+	buf     *lpModel // where build assembles the LP
 }
 
 // solveOnce formulates and solves the Figure 12 LP over the current path
-// sets. Aggregates with a single candidate path contribute fixed load;
-// only multi-path aggregates get variables, which is what keeps the LP
-// small (the paper's central scalability observation in §5).
+// sets. Aggregates with a single candidate path contribute fixed load (and
+// their allocation, the same in every round, goes to singles[i]); only
+// multi-path aggregates get variables, which is what keeps the LP small
+// (the paper's central scalability observation in §5).
 //
 // The model substitutes the shortest path's fraction out (x_p0 = 1 - sum
 // of the moved fractions), so no equality rows are needed and, whenever no
@@ -278,13 +307,14 @@ type pathModel struct {
 // nonnegative rhs: the all-shortest-paths point is a slack-only feasible
 // basis and the simplex skips phase 1 entirely.
 func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
-	pathSets [][]graph.Path, caps []float64, norm, minS float64) (*Placement, error) {
+	pathSets [][]graph.Path, singles []PathAlloc, caps []float64, norm, minS float64) (*Placement, error) {
 	placement := NewPlacement(g, m)
 	pm := &pathModel{kind: s.kind, m: m, sps: sps, pathSets: pathSets, caps: caps, norm: norm, minS: minS,
-		fixed: make([]float64, g.NumLinks()), varBase: make([]int, len(pathSets))}
+		fixed: make([]float64, g.NumLinks()), varBase: make([]int, len(pathSets)), buf: s.model}
 	for i, ps := range pathSets {
 		if len(ps) <= 1 {
-			placement.Allocs[i] = []PathAlloc{{Path: ps[0], Fraction: 1}}
+			singles[i] = PathAlloc{Path: ps[0], Fraction: 1}
+			placement.Allocs[i] = singles[i : i+1 : i+1]
 		} else {
 			pm.multi = append(pm.multi, i)
 		}
@@ -301,7 +331,7 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 		if s.onModel != nil {
 			s.onModel(prob, pm, withOmax)
 		}
-		sol, err := prob.SolveIn(&s.ws)
+		sol, err := prob.Solve()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -357,13 +387,14 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 	return placement, nil
 }
 
-// build assembles the whole LP: y_ap variables (p >= 1, the fraction moved
-// OFF the shortest path onto path p, with the Figure 12 delay cost
-// n_a * (d_p - d_p0) * (1 + M1 * minS/S_a)), per-aggregate budget rows, and
-// capacity rows in utilization units. O_l is modeled as 1 + o_l with
-// o_l >= 0; only links whose fixed load already exceeds capacity yield a
-// negative rhs (and hence a phase-1 artificial). It returns the o_l
-// variables beside the problem.
+// build assembles the whole LP in pm.buf: y_ap variables (p >= 1, the
+// fraction moved OFF the shortest path onto path p, with the Figure 12
+// delay cost n_a * (d_p - d_p0) * (1 + M1 * minS/S_a)), per-aggregate
+// budget rows, and capacity rows in utilization units. O_l is modeled as
+// 1 + o_l with o_l >= 0; only links whose fixed load already exceeds
+// capacity yield a negative rhs (and hence a phase-1 artificial). It
+// returns the o_l variables beside the problem; both are pm.buf's, good
+// until the next build.
 //
 // No maps and no sorting: variables are numbered aggregate by aggregate,
 // path by path, so a link's terms, appended as the variables are created,
@@ -372,14 +403,23 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 // appended, so it is popped — but the link stays active: its row is
 // emitted even when every coefficient cancels.
 func (pm *pathModel) build(withOmax bool) (*lp.Problem, []int) {
-	prob := lp.NewProblem()
-	// One arena for every link's terms, each slice sized to the most the
-	// link can receive plus its overload variable; a link that receives
-	// none is inactive and gets no row.
-	touches := make([]int, len(pm.caps))
+	b := pm.buf
+	prob := &b.prob
+	prob.Reset()
+	// One arena for every row's terms: each link's sized to the most the
+	// link can receive plus its overload variable (a link that receives
+	// none is inactive and gets no row), each budget row's to its
+	// aggregate's paths, and two per Omax row.
+	b.touches = reuse.Grow(b.touches, len(pm.caps))
+	clear(b.touches)
+	touches := b.touches
 	size := len(touches)
+	if withOmax {
+		size += 2 * len(touches)
+	}
 	for _, i := range pm.multi {
 		ps := pm.pathSets[i]
+		size += len(ps) - 1
 		for _, p := range ps[1:] {
 			for _, lid := range p.Links {
 				touches[lid]++
@@ -390,8 +430,10 @@ func (pm *pathModel) build(withOmax bool) (*lp.Problem, []int) {
 			size += len(p.Links) + len(ps[0].Links)
 		}
 	}
-	arena := make([]lp.Term, size)
-	linkTerms := make([][]lp.Term, len(touches))
+	b.arena = reuse.Grow(b.arena, size)
+	arena := b.arena
+	b.linkTerms = reuse.Grow(b.linkTerms, len(touches))
+	linkTerms := b.linkTerms
 	for lid, n := range touches {
 		linkTerms[lid], arena = arena[:0:n+1], arena[n+1:]
 	}
@@ -400,7 +442,8 @@ func (pm *pathModel) build(withOmax bool) (*lp.Problem, []int) {
 		tieBreak := 1 + tinyM1*pm.minS/pm.sps[i].Delay
 		ps := pm.pathSets[i]
 		pm.varBase[i] = prob.NumVars() - 1
-		rowTerms := make([]lp.Term, 0, len(ps)-1)
+		rowTerms := arena[: 0 : len(ps)-1]
+		arena = arena[len(ps)-1:]
 		for _, p := range ps[1:] {
 			coeff := float64(a.Flows) * a.EffectiveWeight() * (p.Delay - ps[0].Delay) * tieBreak / pm.norm
 			if coeff < 0 {
@@ -426,7 +469,7 @@ func (pm *pathModel) build(withOmax bool) (*lp.Problem, []int) {
 		prob.AddConstraint(lp.LE, 1, rowTerms...)
 	}
 
-	var ols []int
+	b.ols = b.ols[:0]
 	switch pm.kind {
 	case kindLatency:
 		oMax := -1
@@ -438,10 +481,13 @@ func (pm *pathModel) build(withOmax bool) (*lp.Problem, []int) {
 				continue
 			}
 			ol := prob.AddVar(0, math.Inf(1), bigM3)
-			ols = append(ols, ol)
+			b.ols = append(b.ols, ol)
 			prob.AddConstraint(lp.LE, 1-pm.fixed[lid]/pm.caps[lid], append(terms, lp.Term{Var: ol, Coeff: -1})...)
 			if withOmax {
-				prob.AddConstraint(lp.LE, 0, lp.Term{Var: ol, Coeff: 1}, lp.Term{Var: oMax, Coeff: -1})
+				row := arena[:2:2]
+				arena = arena[2:]
+				row[0], row[1] = lp.Term{Var: ol, Coeff: 1}, lp.Term{Var: oMax, Coeff: -1}
+				prob.AddConstraint(lp.LE, 0, row...)
 			}
 		}
 	case kindMinMax:
@@ -452,7 +498,7 @@ func (pm *pathModel) build(withOmax bool) (*lp.Problem, []int) {
 			}
 		}
 	}
-	return prob, ols
+	return prob, b.ols
 }
 
 type solveStatusError struct{ status string }

@@ -174,6 +174,7 @@ func (c *BuildCapture) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 		if c.pm == nil && withOmax && s.growRounds >= c.MinRound {
 			cp := *pm // the solver rewrites pathSets in place every round
 			cp.pathSets = append([][]graph.Path(nil), pm.pathSets...)
+			cp.buf = new(lpModel) // the solver's goes back to the pool
 			c.pm = &cp
 		}
 	}
@@ -181,8 +182,9 @@ func (c *BuildCapture) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	return p, err
 }
 
-// Rebuild assembles the captured model again and returns its size; ok is
-// false when no solve got as far as MinRound.
+// Rebuild assembles the captured model again, in the one buffer every
+// Rebuild reuses as the solver's growth rounds do, and returns its size;
+// ok is false when no solve got as far as MinRound.
 func (c *BuildCapture) Rebuild() (vars, rows int, ok bool) {
 	if c.pm == nil {
 		return 0, 0, false

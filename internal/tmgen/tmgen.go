@@ -125,14 +125,14 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	shaped := base
 	if cfg.Locality > 0 {
 		var err error
-		shaped, err = applyLocality(g, base, cfg.Locality)
+		shaped, err = applyLocality(g, cache, base, cfg.Locality)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	// Assemble the unscaled matrix.
-	var aggs []tm.Aggregate
+	aggs := make([]tm.Aggregate, 0, n*(n-1))
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j || shaped[i][j] <= 1e-12 {
@@ -226,24 +226,11 @@ func GenerateSet(g *graph.Graph, cfg Config, count int) ([]*tm.Matrix, error) {
 
 // applyLocality solves the transportation LP: minimize sum d_ij * t_ij
 // subject to row sums, column sums, and 0 <= t_ij <= (1+ℓ) base_ij. With
-// ℓ = 0 the unique feasible point is the base matrix itself.
-func applyLocality(g *graph.Graph, base [][]float64, locality float64) ([][]float64, error) {
+// ℓ = 0 the unique feasible point is the base matrix itself. d_ij is the
+// pair's shortest-path delay from cache, which the placement solves of
+// the matrix read next.
+func applyLocality(g *graph.Graph, cache *routing.PathCache, base [][]float64, locality float64) ([][]float64, error) {
 	n := len(base)
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		dists, via := g.ShortestPathTree(graph.NodeID(i), nil, nil)
-		for j := range dist[i] {
-			if j != i && via[j] < 0 {
-				// Unreachable: the distance is a sentinel, not a
-				// cost the LP could weigh an aggregate by.
-				return nil, fmt.Errorf("tmgen: %s has no path from %s to %s",
-					g.Name(), g.Node(graph.NodeID(i)).Name, g.Node(graph.NodeID(j)).Name)
-			}
-			dist[i][j] = dists[j]
-		}
-	}
-
 	prob := lp.NewProblem()
 	vars := make([][]int, n)
 	rowSum := make([]float64, n)
@@ -252,38 +239,46 @@ func applyLocality(g *graph.Graph, base [][]float64, locality float64) ([][]floa
 		vars[i] = make([]int, n)
 		for j := 0; j < n; j++ {
 			vars[i][j] = -1
-			if i == j || base[i][j] <= 0 {
+			if i == j {
+				continue
+			}
+			sp, ok := cache.ShortestPath(graph.NodeID(i), graph.NodeID(j))
+			if !ok {
+				// Unreachable: there is no distance the LP could
+				// weigh an aggregate by.
+				return nil, fmt.Errorf("tmgen: %s has no path from %s to %s",
+					g.Name(), g.Node(graph.NodeID(i)).Name, g.Node(graph.NodeID(j)).Name)
+			}
+			if base[i][j] <= 0 {
 				continue
 			}
 			// Short flows may grow to (1+ℓ)x their demand; long flows
 			// shrink at most to 1/(1+ℓ)x, so long-distance links stay
 			// loaded enough "to justify their presence" (§3).
-			vars[i][j] = prob.AddVar(base[i][j]/(1+locality), (1+locality)*base[i][j], dist[i][j])
+			vars[i][j] = prob.AddVar(base[i][j]/(1+locality), (1+locality)*base[i][j], sp.Delay)
 			rowSum[i] += base[i][j]
 			colSum[j] += base[i][j]
 		}
 	}
-	for i := 0; i < n; i++ {
-		var terms []lp.Term
-		for j := 0; j < n; j++ {
-			if vars[i][j] >= 0 {
-				terms = append(terms, lp.Term{Var: vars[i][j], Coeff: 1})
+	// Every variable sits in one row sum and one column sum, so one arena
+	// holds the terms of every constraint.
+	arena := make([]lp.Term, 0, 2*prob.NumVars())
+	addSum := func(rhs float64, varAt func(k int) int) {
+		start := len(arena)
+		for k := 0; k < n; k++ {
+			if v := varAt(k); v >= 0 {
+				arena = append(arena, lp.Term{Var: v, Coeff: 1})
 			}
 		}
-		if len(terms) > 0 {
-			prob.AddConstraint(lp.EQ, rowSum[i], terms...)
+		if len(arena) > start {
+			prob.AddConstraint(lp.EQ, rhs, arena[start:len(arena):len(arena)]...)
 		}
 	}
+	for i := 0; i < n; i++ {
+		addSum(rowSum[i], func(j int) int { return vars[i][j] })
+	}
 	for j := 0; j < n; j++ {
-		var terms []lp.Term
-		for i := 0; i < n; i++ {
-			if vars[i][j] >= 0 {
-				terms = append(terms, lp.Term{Var: vars[i][j], Coeff: 1})
-			}
-		}
-		if len(terms) > 0 {
-			prob.AddConstraint(lp.EQ, colSum[j], terms...)
-		}
+		addSum(colSum[j], func(i int) int { return vars[i][j] })
 	}
 
 	sol, err := prob.Solve()
