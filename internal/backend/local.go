@@ -179,12 +179,12 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 	defer func() { <-l.work }()
 
 	t0 := time.Now()
-	m, err := sweep.GenerateMatrixCached(g, spec.Seed, spec.Load, spec.Locality, l.st, l.solver.ForGraph(g))
+	m, md, err := sweep.GenerateMatrixCached(g, spec.Seed, spec.Load, spec.Locality, l.st, l.solver.ForGraph(g))
 	l.obs.Observe(ctx, obs.StageMatrix, time.Since(t0))
 	if err != nil {
 		return store.Result{}, "", fmt.Errorf("generate matrix: %w", err)
 	}
-	key := store.KeyFor(g, m, scheme)
+	key := store.KeyForDigest(g, md, scheme)
 	// A store predating its memo can hold the cell even on a memo miss.
 	if res, hit := l.storeGet(ctx, key); hit {
 		l.storeHits.Add(1)

@@ -233,7 +233,7 @@ func (c Config) matrix(n Network, i int, cache *routing.PathCache) (*tm.Matrix, 
 	}
 	matrixMu.Unlock()
 	e.once.Do(func() {
-		e.m, e.err = sweep.GenerateMatrixCached(n.Graph, key.seed, key.load, key.locality, nil, cache)
+		e.m, _, e.err = sweep.GenerateMatrixCached(n.Graph, key.seed, key.load, key.locality, nil, cache)
 	})
 	return e.m, e.err
 }

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"lowlat/internal/geo"
@@ -326,5 +328,26 @@ func TestMask(t *testing.T) {
 	}
 	if nilMask.Clone() == nil {
 		t.Fatal("Clone of nil should be usable")
+	}
+}
+
+// TestPathKeyMatchesFmt pins Path.Key to the string it was first built
+// as, fmt's "%d," per link, over the empty path, small and large IDs and
+// the extremes of LinkID.
+func TestPathKeyMatchesFmt(t *testing.T) {
+	for _, links := range [][]LinkID{
+		nil,
+		{0},
+		{7, 0, 12},
+		{9, 10, 99, 100, 999, 1000, 65535, 65536},
+		{math.MaxInt32, 1, math.MinInt32, -1},
+	} {
+		var sb strings.Builder
+		for _, l := range links {
+			fmt.Fprintf(&sb, "%d,", l)
+		}
+		if got, want := (Path{Links: links}).Key(), sb.String(); got != want {
+			t.Errorf("links %v: Key %q, want %q", links, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -86,13 +87,14 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Key returns a compact string key for the link sequence, for dedup maps.
+// Key returns a compact string key for the link sequence, for dedup maps:
+// each link's decimal ID followed by a comma.
 func (p Path) Key() string {
-	var sb strings.Builder
+	buf := make([]byte, 0, 4*len(p.Links))
 	for _, l := range p.Links {
-		fmt.Fprintf(&sb, "%d,", l)
+		buf = append(strconv.AppendInt(buf, int64(l), 10), ',')
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // Format renders the path as "A -> B -> C (12.3 ms)".

@@ -9,6 +9,19 @@
 // bounds lo <= x <= hi. Lower bounds must be finite; upper bounds may be
 // +Inf. Maximization is expressed by negating the objective.
 //
+// The tableau is dense, m rows by n columns, but an iteration touches only
+// what its pivot changes. The ratio test records the rows where the
+// entering column is nonzero, and the bound flip or pivot that follows
+// walks that list and no other row. The pivot row is read once, into a
+// compact list of its nonzero columns and their values, which the
+// elimination of the other rows and of the reduced costs reads. Once
+// phase 1 has retired the artificial columns the live width shrinks to
+// the structural and slack columns: phase 2 neither prices nor updates
+// the rest, which hold stale values. Every arithmetic operation on a live
+// cell is the one a dense pass would do, so the pivot sequence and every
+// bit of a Solution are the same; simplex_ref_test.go holds the kernel to
+// a dense reference kernel after every iteration.
+//
 // Every buffer a solve needs (the m x n tableau above all, then the
 // bounds, basis and reduced costs) lives in a Workspace, reused from one
 // solve to the next and grown, with some room to spare, only when a

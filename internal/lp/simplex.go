@@ -13,6 +13,7 @@ import (
 // and the textbook tableau invariants hold (bhat >= 0).
 type simplex struct {
 	m, n int // rows, total columns (structural + slack + artificial)
+	w    int // live width: n in phase 1, artStart once the artificials retire
 
 	tab  [][]float64 // m x n tableau, B^-1 A in the current coordinates
 	bhat []float64   // B^-1 b, always >= 0
@@ -28,7 +29,14 @@ type simplex struct {
 	nStruct  int   // number of structural (caller) variables
 	artStart int   // first artificial column, n if none
 	pivots   int
-	nzbuf    []int32 // scratch: nonzero columns of the pivot row
+
+	// Per-iteration scratch. ratioTest records in rows the rows where
+	// the entering column is nonzero, the only rows a pivot or a bound
+	// flip changes; pivot compacts the pivot row's nonzeros into
+	// nzbuf (columns) and vals (their scaled values).
+	rows  []int32
+	nzbuf []int32
+	vals  []float64
 }
 
 const (
@@ -104,8 +112,8 @@ func newSimplex(p *Problem, ws *Workspace) *simplex {
 	s.zrow, s.cost, s.u = sized(s.zrow, n), sized(s.cost, n), sized(s.u, n)
 	s.flipped, s.banned = sized(s.flipped, n), sized(s.banned, n)
 	s.basis, s.rowOf = sized(s.basis, m), sized(s.rowOf, n)
-	s.nzbuf = sized(s.nzbuf, n)[:0]
-	s.m, s.n, s.nStruct, s.artStart, s.pivots = m, n, nStruct, nStruct+nSlack, 0
+	s.rows, s.nzbuf, s.vals = sized(s.rows, m)[:0], sized(s.nzbuf, n)[:0], sized(s.vals, n)[:0]
+	s.m, s.n, s.w, s.nStruct, s.artStart, s.pivots = m, n, n, nStruct, nStruct+nSlack, 0
 	for j := range s.rowOf {
 		s.rowOf[j] = -1
 	}
@@ -219,7 +227,9 @@ func (s *simplex) phase1Objective() float64 {
 // retireArtificials pivots basic artificials out where possible and bans
 // all artificial columns from re-entering. A basic artificial whose row has
 // no eligible pivot is degenerate at zero and stays harmlessly in place
-// (its upper bound is forced to zero).
+// (its upper bound is forced to zero). Banned columns are never read
+// again, so the live width shrinks to the structural and slack columns:
+// phase 2 prices, scans and eliminates only those.
 func (s *simplex) retireArtificials() {
 	for i := 0; i < s.m; i++ {
 		col := s.basis[i]
@@ -231,7 +241,8 @@ func (s *simplex) retireArtificials() {
 				continue
 			}
 			if math.Abs(s.tab[i][j]) > 1e-7 {
-				s.pivot(i, j)
+				s.column(j)
+				s.pivot(i, j, false)
 				break
 			}
 		}
@@ -240,6 +251,7 @@ func (s *simplex) retireArtificials() {
 		s.banned[j] = true
 		s.u[j] = 0
 	}
+	s.w = s.artStart
 }
 
 // resetZrow recomputes reduced costs from scratch for the current phase's
@@ -251,7 +263,7 @@ func (s *simplex) resetZrow() {
 		}
 		return s.cost[j]
 	}
-	for j := 0; j < s.n; j++ {
+	for j := 0; j < s.w; j++ {
 		s.zrow[j] = colCost(j)
 	}
 	for i, bc := range s.basis {
@@ -260,7 +272,7 @@ func (s *simplex) resetZrow() {
 			continue
 		}
 		row := s.tab[i]
-		for j := 0; j < s.n; j++ {
+		for j := 0; j < s.w; j++ {
 			s.zrow[j] -= cb * row[j]
 		}
 	}
@@ -275,46 +287,79 @@ func (s *simplex) resetZrow() {
 func (s *simplex) iterate(maxIter int) (Status, error) {
 	blandAfter := 500 + 20*(s.m+s.n)
 	for iter := 0; iter < maxIter; iter++ {
-		bland := iter > blandAfter
-		e := s.chooseEntering(bland)
-		if e < 0 {
-			return Optimal, nil
-		}
-		limitRow, limitKind := s.ratioTest(e)
-		switch limitKind {
-		case limitNone:
-			return Unbounded, nil
-		case limitSelf:
-			s.flipColumn(e)
-		case limitLower:
-			s.pivot(limitRow, e)
-		case limitUpper:
-			// The leaving basic variable exits at its upper bound:
-			// flip it first so it leaves at zero, then pivot.
-			s.flipBasic(limitRow)
-			s.pivot(limitRow, e)
+		if status, done := s.step(iter > blandAfter); done {
+			return status, nil
 		}
 	}
 	return Optimal, ErrIterationLimit
 }
 
-// chooseEntering returns the nonbasic column with the most negative
-// reduced cost below -epsCost (Dantzig's rule), or with bland the first
-// such column; -1 when none is. The reduced-cost test comes first: it
-// rejects almost every column, so the eligibility lookups run only for
-// improving ones. Written negated, it also rejects a NaN reduced cost.
-func (s *simplex) chooseEntering(bland bool) int {
-	best, bestVal := -1, -epsCost
-	for j, rc := range s.zrow[:s.n] {
-		if !(rc < bestVal) || s.rowOf[j] >= 0 || s.banned[j] || s.u[j] == 0 {
-			continue
-		}
-		if bland {
-			return j
-		}
-		best, bestVal = j, rc
+// step runs one iteration: pricing, the ratio test, then a bound flip or
+// a pivot. done reports that the phase ended, optimal or unbounded.
+func (s *simplex) step(bland bool) (status Status, done bool) {
+	e := s.chooseEntering(bland)
+	if e < 0 {
+		return Optimal, true
 	}
-	return best
+	limitRow, limitKind := s.ratioTest(e)
+	switch limitKind {
+	case limitNone:
+		return Unbounded, true
+	case limitSelf:
+		s.flipColumn(e)
+	case limitLower:
+		s.pivot(limitRow, e, false)
+	case limitUpper:
+		// The leaving basic variable exits at its upper bound: it is
+		// flipped so that it leaves at zero.
+		s.pivot(limitRow, e, true)
+	}
+	return Optimal, false
+}
+
+// eligible reports whether nonbasic column j may enter.
+func (s *simplex) eligible(j int) bool {
+	return s.rowOf[j] < 0 && !s.banned[j] && s.u[j] != 0
+}
+
+// chooseEntering returns the nonbasic column with the most negative
+// reduced cost below -epsCost (Dantzig's rule), the first such column on
+// a tie, or with bland the first improving column at all; -1 when none
+// is. The reduced-cost test comes first: it rejects almost every column,
+// so the eligibility lookups run only for improving ones, and a NaN
+// reduced cost fails it. Dantzig's scan runs in two independent lanes,
+// the even and the odd columns, whose winners are combined with the same
+// lowest-index tie-break.
+func (s *simplex) chooseEntering(bland bool) int {
+	z := s.zrow[:s.w]
+	if bland {
+		for j, rc := range z {
+			if rc < -epsCost && s.eligible(j) {
+				return j
+			}
+		}
+		return -1
+	}
+	b0, v0, b1, v1 := -1, -epsCost, -1, -epsCost
+	j := 0
+	for ; j+1 < len(z); j += 2 {
+		pair := z[j : j+2 : j+2]
+		if rc := pair[0]; rc < v0 && s.eligible(j) {
+			b0, v0 = j, rc
+		}
+		if rc := pair[1]; rc < v1 && s.eligible(j+1) {
+			b1, v1 = j+1, rc
+		}
+	}
+	if j < len(z) {
+		if rc := z[j]; rc < v0 && s.eligible(j) {
+			b0, v0 = j, rc
+		}
+	}
+	if b1 >= 0 && (b0 < 0 || v1 < v0 || (v1 == v0 && b1 < b0)) {
+		return b1
+	}
+	return b0
 }
 
 type limitKind int
@@ -328,7 +373,9 @@ const (
 
 // ratioTest determines how far the entering column e can increase. Ties
 // between rows are broken towards the smallest basic column index, which
-// together with Bland's entering rule prevents cycling.
+// together with Bland's entering rule prevents cycling. It leaves in
+// s.rows the rows where column e is nonzero, for the flip or pivot that
+// follows.
 func (s *simplex) ratioTest(e int) (int, limitKind) {
 	limit := s.u[e] // +Inf when e is unbounded above
 	kind := limitSelf
@@ -339,8 +386,13 @@ func (s *simplex) ratioTest(e int) (int, limitKind) {
 		}
 		return t < limit+1e-12 && row >= 0 && s.basis[i] < s.basis[row]
 	}
-	for i := 0; i < s.m; i++ {
-		d := s.tab[i][e]
+	rows := s.rows[:0]
+	for i, ti := range s.tab {
+		d := ti[e]
+		if d == 0 {
+			continue
+		}
+		rows = append(rows, int32(i))
 		if d > epsPivot {
 			if t := s.bhat[i] / d; t < limit || better(t, i) {
 				limit, row, kind = t, i, limitLower
@@ -355,90 +407,127 @@ func (s *simplex) ratioTest(e int) (int, limitKind) {
 			}
 		}
 	}
+	s.rows = rows
 	if math.IsInf(limit, 1) {
 		return -1, limitNone
 	}
 	return row, kind
 }
 
+// column leaves in s.rows the rows where column e is nonzero, as
+// ratioTest does, for a pivot that no ratio test chose.
+func (s *simplex) column(e int) {
+	rows := s.rows[:0]
+	for i, ti := range s.tab {
+		if ti[e] != 0 {
+			rows = append(rows, int32(i))
+		}
+	}
+	s.rows = rows
+}
+
 // flipColumn complements nonbasic column j (x -> u - x), moving it between
-// its bounds without a basis change.
+// its bounds without a basis change. It walks only s.rows, the rows where
+// column j is nonzero.
 func (s *simplex) flipColumn(j int) {
 	uj := s.u[j]
-	for i := 0; i < s.m; i++ {
-		if c := s.tab[i][j]; c != 0 {
-			s.bhat[i] -= c * uj
-			if s.bhat[i] < 0 && s.bhat[i] > -1e-9 {
-				s.bhat[i] = 0
-			}
-			s.tab[i][j] = -c
+	for _, i := range s.rows {
+		ti := s.tab[i]
+		c := ti[j]
+		s.bhat[i] -= c * uj
+		if s.bhat[i] < 0 && s.bhat[i] > -1e-9 {
+			s.bhat[i] = 0
 		}
+		ti[j] = -c
 	}
 	s.zrow[j] = -s.zrow[j]
 	s.flipped[j] = !s.flipped[j]
 	s.pivots++ // a bound flip counts as an iteration
 }
 
-// flipBasic complements the basic variable of row r (which is about to
-// leave at its upper bound) so that it leaves at zero instead.
-func (s *simplex) flipBasic(r int) {
-	col := s.basis[r]
-	u := s.u[col]
-	// The basic column is the unit vector e_r; substituting x = u - x'
-	// updates the rhs and negates the column, then the row is rescaled
-	// so the basic coefficient is +1 again.
-	s.bhat[r] = u - s.bhat[r]
-	for j := 0; j < s.n; j++ {
-		if j != col {
-			s.tab[r][j] = -s.tab[r][j]
-		}
-	}
-	s.flipped[col] = !s.flipped[col]
-}
-
-// pivot makes column e basic in row r via Gauss-Jordan elimination. The
-// elimination walks only the pivot row's nonzero columns: routing LPs
-// start from very sparse rows, which makes early pivots near-free.
-func (s *simplex) pivot(r, e int) {
+// pivot makes column e basic in row r via Gauss-Jordan elimination,
+// eliminating e from s.rows, the rows where it is nonzero. With flip the
+// leaving basic variable exits at its upper bound, so it is complemented
+// first (x = u - x'): the rhs becomes u - bhat and every entry of row r
+// but the basic column's changes sign.
+//
+// Row r is read once: one pass flips and scales it and compacts its
+// nonzeros into (nzbuf, vals). The elimination of the other rows and of
+// zrow then reads only the compact values, and the routing and locality
+// LPs' sparse rows make early pivots near-free.
+func (s *simplex) pivot(r, e int, flip bool) {
 	s.pivots++
-	rowR := s.tab[r]
-	inv := 1 / rowR[e]
-	nz := s.nzbuf[:0]
-	for j := 0; j < s.n; j++ {
-		if v := rowR[j]; v != 0 {
-			rowR[j] = v * inv
-			nz = append(nz, int32(j))
+	rowR := s.tab[r][:s.w]
+	// A flip negates an entry and the pivot both, so an entry's factor
+	// stays 1/rowR[e] ((-v)·(1/-p) and v·(1/p) are the same double); only
+	// bhat[r] and the zeros take the sign. The basic column keeps its
+	// sign, so it is negated first and the pass restores it.
+	scale := 1 / rowR[e]
+	inv := scale
+	if flip {
+		col := s.basis[r]
+		s.bhat[r] = s.u[col] - s.bhat[r]
+		s.flipped[col] = !s.flipped[col]
+		inv = -scale
+		if col < len(rowR) {
+			rowR[col] = -rowR[col]
 		}
 	}
-	s.nzbuf = nz
+	// The pivot entry ends at exactly 1 and column e of every other row
+	// at exactly 0, so it stays out of the compact row.
+	rowR[e] = 0
+	nz, vals := s.nzbuf[:0], s.vals[:0]
+	for j, v := range rowR {
+		if v != 0 {
+			v *= scale
+			rowR[j] = v
+			nz = append(nz, int32(j))
+			vals = append(vals, v)
+		} else if flip {
+			rowR[j] = -v
+		}
+	}
+	s.nzbuf, s.vals = nz, vals
 	rowR[e] = 1
 	s.bhat[r] *= inv
+	br := s.bhat[r]
 
-	for i := 0; i < s.m; i++ {
-		if i == r {
-			continue
-		}
-		f := s.tab[i][e]
-		if f == 0 {
+	for _, i := range s.rows {
+		if int(i) == r {
 			continue
 		}
 		rowI := s.tab[i]
-		for _, j := range nz {
-			rowI[j] -= f * rowR[j]
-		}
+		f := rowI[e]
+		axpy(rowI, f, nz, vals)
 		rowI[e] = 0
-		s.bhat[i] -= f * s.bhat[r]
+		s.bhat[i] -= f * br
 		if s.bhat[i] < 0 && s.bhat[i] > -1e-9 {
 			s.bhat[i] = 0
 		}
 	}
 	if f := s.zrow[e]; f != 0 {
-		for _, j := range nz {
-			s.zrow[j] -= f * rowR[j]
-		}
+		axpy(s.zrow, f, nz, vals)
 		s.zrow[e] = 0
 	}
 	s.setBasic(r, e)
+}
+
+// axpy subtracts f times the compact row (nz, vals) from row, four
+// entries per step: the entries are distinct, so their updates are
+// independent.
+func axpy(row []float64, f float64, nz []int32, vals []float64) {
+	vals = vals[:len(nz)]
+	k := 0
+	for ; k+4 <= len(nz); k += 4 {
+		j, v := nz[k:k+4:k+4], vals[k:k+4:k+4]
+		row[j[0]] -= f * v[0]
+		row[j[1]] -= f * v[1]
+		row[j[2]] -= f * v[2]
+		row[j[3]] -= f * v[3]
+	}
+	for ; k < len(nz); k++ {
+		row[nz[k]] -= f * vals[k]
+	}
 }
 
 // extract maps the tableau back to the caller's coordinates.

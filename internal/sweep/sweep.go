@@ -100,14 +100,17 @@ type Placer interface {
 // re-running the calibration solves; generation is deterministic in
 // (graph, seed, load, locality), which is what makes the memo sound.
 func GenerateMatrix(g *graph.Graph, seed int64, load, locality float64, st *store.Store) (*tm.Matrix, error) {
-	return GenerateMatrixCached(g, seed, load, locality, st, nil)
+	m, _, err := GenerateMatrixCached(g, seed, load, locality, st, nil)
+	return m, err
 }
 
 // GenerateMatrixCached is GenerateMatrix with the calibration solves run
 // on cache — the PathCache of g that the cell's placement solve will use
 // next, so the two stages enumerate each pair's paths once between them.
 // A nil cache is private to the call; the matrix is the same either way.
-func GenerateMatrixCached(g *graph.Graph, seed int64, load, locality float64, st *store.Store, cache *routing.PathCache) (*tm.Matrix, error) {
+// It also returns the matrix's digest (store.MatrixDigest), hashed once
+// for the memo and for the caller's cell keys (store.KeyForDigest).
+func GenerateMatrixCached(g *graph.Graph, seed int64, load, locality float64, st *store.Store, cache *routing.PathCache) (*tm.Matrix, store.Digest, error) {
 	res, err := tmgen.Generate(g, tmgen.Config{
 		Seed:          seed,
 		Locality:      locality,
@@ -116,15 +119,15 @@ func GenerateMatrixCached(g *graph.Graph, seed int64, load, locality float64, st
 		Cache:         cache,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	md := store.MatrixDigest(g, res.Matrix)
 	if st != nil && !st.ReadOnly() {
-		if err := st.PutMemo(store.MemoKeyFor(g, seed, load, locality),
-			store.MatrixDigest(g, res.Matrix)); err != nil {
-			return nil, err
+		if err := st.PutMemo(store.MemoKeyFor(g, seed, load, locality), md); err != nil {
+			return nil, 0, err
 		}
 	}
-	return res.Matrix, nil
+	return res.Matrix, md, nil
 }
 
 // Plan expands a grid into cells in deterministic nested order (net x
@@ -186,8 +189,9 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 	}
 
 	// Memo pass: groups whose every cell is already stored keep their
-	// memoized matrix digest and skip generation.
-	memoed := make([]store.Digest, len(jobs))
+	// memoized matrix digest and skip generation; the rest take the
+	// digest of the matrix generated below.
+	digests := make([]store.Digest, len(jobs))
 	var genJobs []int
 	for ji, j := range jobs {
 		if st == nil || !skipStored {
@@ -205,7 +209,7 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 				}
 			}
 			if allStored {
-				memoed[ji] = md
+				digests[ji] = md
 				stats.memoHits++
 				continue
 			}
@@ -215,34 +219,34 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 
 	// One calibrated matrix per remaining (net, seed), generated
 	// concurrently; a memo-hit group keeps a nil matrix.
+	type generated struct {
+		m  *tm.Matrix
+		md store.Digest
+	}
 	mats := make([]*tm.Matrix, len(jobs))
 	gen, err := engine.Map(ctx, workers, genJobs,
-		func(_ context.Context, _ int, ji int) (*tm.Matrix, error) {
+		func(_ context.Context, _ int, ji int) (generated, error) {
 			j := jobs[ji]
 			g := nets[j.net].Graph
-			m, err := GenerateMatrixCached(g, j.seed, grid.Load, grid.Locality, st, solver.ForGraph(g))
+			m, md, err := GenerateMatrixCached(g, j.seed, grid.Load, grid.Locality, st, solver.ForGraph(g))
 			if err != nil {
-				return nil, fmt.Errorf("%s seed %d: %w", nets[j.net].Name, j.seed, err)
+				return generated{}, fmt.Errorf("%s seed %d: %w", nets[j.net].Name, j.seed, err)
 			}
-			return m, nil
+			return generated{m, md}, nil
 		})
 	if err != nil {
 		return nil, stats, err
 	}
 	for gi, ji := range genJobs {
-		mats[ji] = gen[gi]
+		mats[ji], digests[ji] = gen[gi].m, gen[gi].md
 	}
 	stats.generated = len(genJobs)
 
 	var cells []Cell
 	for ji, j := range jobs {
 		n := nets[j.net]
-		md := memoed[ji]
-		if mats[ji] != nil {
-			md = store.MatrixDigest(n.Graph, mats[ji])
-		}
 		for _, scheme := range schemes {
-			key := store.KeyForDigest(n.Graph, md, scheme)
+			key := store.KeyForDigest(n.Graph, digests[ji], scheme)
 			cells = append(cells, NewCell(n, j.seed, scheme, grid.Load, grid.Locality, key, mats[ji]))
 		}
 	}

@@ -15,19 +15,23 @@ import (
 //	tm <topology-name>
 //	agg <src> <dst> <volume-bps> <flows> [weight]
 //
-// Node names come from the graph the matrix was generated for.
+// Node names come from the graph the matrix was generated for. Floats are
+// written in strconv's shortest 'g' form, the bytes fmt's %g gives, which
+// the store's matrix digests hash.
 func Marshal(g *graph.Graph, m *Matrix) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "tm %s\n", g.Name())
+	buf := make([]byte, 0, 8+len(g.Name())+40*len(m.Aggregates))
+	buf = append(append(append(buf, "tm "...), g.Name()...), '\n')
 	for _, a := range m.Aggregates {
-		fmt.Fprintf(&buf, "agg %s %s %g %d",
-			g.Node(a.Src).Name, g.Node(a.Dst).Name, a.Volume, a.Flows)
+		buf = append(append(buf, "agg "...), g.Node(a.Src).Name...)
+		buf = append(append(buf, ' '), g.Node(a.Dst).Name...)
+		buf = strconv.AppendFloat(append(buf, ' '), a.Volume, 'g', -1, 64)
+		buf = strconv.AppendInt(append(buf, ' '), int64(a.Flows), 10)
 		if a.Weight != 0 && a.Weight != 1 {
-			fmt.Fprintf(&buf, " %g", a.Weight)
+			buf = strconv.AppendFloat(append(buf, ' '), a.Weight, 'g', -1, 64)
 		}
-		buf.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // Unmarshal parses the text format produced by Marshal, resolving node

@@ -97,27 +97,7 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	if cache == nil {
 		cache = routing.NewPathCache(g)
 	}
-	rng := stats.Rng(cfg.Seed)
-	masses := stats.ShuffledZipfWeights(n, zipfExponent, rng)
-
-	// Gravity model: volume(i,j) proportional to mass_i * mass_j.
-	base := make([][]float64, n)
-	total := 0.0
-	for i := range base {
-		base[i] = make([]float64, n)
-		for j := range base[i] {
-			if i == j {
-				continue
-			}
-			base[i][j] = masses[i] * masses[j]
-			total += base[i][j]
-		}
-	}
-	for i := range base {
-		for j := range base[i] {
-			base[i][j] /= total // unit total volume before scaling
-		}
-	}
+	base := gravity(n, cfg.Seed)
 
 	// Locality redistribution (footnote 3's linear program): minimize
 	// distance-weighted volume subject to preserved marginals and the
@@ -205,6 +185,30 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	}, nil
 }
 
+// gravity returns the unit-total gravity matrix of n PoPs whose Zipf
+// masses seed draws: volume(i,j) proportional to mass_i * mass_j.
+func gravity(n int, seed int64) [][]float64 {
+	masses := stats.ShuffledZipfWeights(n, zipfExponent, stats.Rng(seed))
+	base := make([][]float64, n)
+	total := 0.0
+	for i := range base {
+		base[i] = make([]float64, n)
+		for j := range base[i] {
+			if i == j {
+				continue
+			}
+			base[i][j] = masses[i] * masses[j]
+			total += base[i][j]
+		}
+	}
+	for i := range base {
+		for j := range base[i] {
+			base[i][j] /= total // unit total volume before scaling
+		}
+	}
+	return base
+}
+
 // GenerateSet produces count independent matrices (seeds Seed, Seed+1, ...),
 // all calibrated on one path cache.
 func GenerateSet(g *graph.Graph, cfg Config, count int) ([]*tm.Matrix, error) {
@@ -230,6 +234,32 @@ func GenerateSet(g *graph.Graph, cfg Config, count int) ([]*tm.Matrix, error) {
 // pair's shortest-path delay from cache, which the placement solves of
 // the matrix read next.
 func applyLocality(g *graph.Graph, cache *routing.PathCache, base [][]float64, locality float64) ([][]float64, error) {
+	prob, vars, err := localityLP(g, cache, base, locality)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := prob.Solve()
+	if err != nil {
+		return nil, fmt.Errorf("tmgen: locality LP: %w", err)
+	}
+	if sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("tmgen: locality LP status %v", sol.Status)
+	}
+	out := make([][]float64, len(base))
+	for i := range out {
+		out[i] = make([]float64, len(base))
+		for j := range out[i] {
+			if vars[i][j] >= 0 {
+				out[i][j] = sol.X[vars[i][j]]
+			}
+		}
+	}
+	return out, nil
+}
+
+// localityLP assembles applyLocality's LP; vars[i][j] is t_ij's variable,
+// -1 for a pair with no demand.
+func localityLP(g *graph.Graph, cache *routing.PathCache, base [][]float64, locality float64) (*lp.Problem, [][]int, error) {
 	n := len(base)
 	prob := lp.NewProblem()
 	vars := make([][]int, n)
@@ -246,7 +276,7 @@ func applyLocality(g *graph.Graph, cache *routing.PathCache, base [][]float64, l
 			if !ok {
 				// Unreachable: there is no distance the LP could
 				// weigh an aggregate by.
-				return nil, fmt.Errorf("tmgen: %s has no path from %s to %s",
+				return nil, nil, fmt.Errorf("tmgen: %s has no path from %s to %s",
 					g.Name(), g.Node(graph.NodeID(i)).Name, g.Node(graph.NodeID(j)).Name)
 			}
 			if base[i][j] <= 0 {
@@ -280,22 +310,5 @@ func applyLocality(g *graph.Graph, cache *routing.PathCache, base [][]float64, l
 	for j := 0; j < n; j++ {
 		addSum(colSum[j], func(i int) int { return vars[i][j] })
 	}
-
-	sol, err := prob.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("tmgen: locality LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("tmgen: locality LP status %v", sol.Status)
-	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		for j := range out[i] {
-			if vars[i][j] >= 0 {
-				out[i][j] = sol.X[vars[i][j]]
-			}
-		}
-	}
-	return out, nil
+	return prob, vars, nil
 }
