@@ -103,3 +103,29 @@ func BenchmarkCachedPlaceHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLocalStoreHit is the ladder's store-hit rung: one Place of a
+// stored cell through Local — spec check, the net term's cached
+// topology, the calibration memo, the store read — the path a request
+// takes when the cache tier above misses but the store holds the cell.
+func BenchmarkLocalStoreHit(b *testing.B) {
+	st, err := store.OpenSharded(b.TempDir(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	local := backend.NewLocal(st, backend.LocalOptions{Workers: 1})
+	ctx := context.Background()
+	spec := store.CellSpec{Net: "star-6", Seed: 1, Scheme: "sp", Locality: 1}
+	if _, err := local.Place(ctx, spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, src, err := local.PlaceSourced(ctx, spec)
+		if err != nil || src != backend.SourceStore {
+			b.Fatalf("iteration %d: source %q, %v", i, src, err)
+		}
+	}
+}

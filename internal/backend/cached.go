@@ -107,7 +107,13 @@ func (c *Cached) Place(ctx context.Context, spec store.CellSpec) (store.Result, 
 // the inner backend's source otherwise.
 func (c *Cached) PlaceSourced(ctx context.Context, spec store.CellSpec) (store.Result, Source, error) {
 	spec = spec.Normalized()
-	rk := spec.String()
+	return c.PlaceRendered(ctx, spec, spec.String())
+}
+
+// PlaceRendered is PlaceSourced for a caller that already holds the
+// normalized spec and its String, the tier's request key — the daemon,
+// which renders it once per request for its request log as well.
+func (c *Cached) PlaceRendered(ctx context.Context, spec store.CellSpec, rk string) (store.Result, Source, error) {
 	// Hot path: a spec served before maps straight to its content key —
 	// no graph build, no flight.
 	t0 := time.Now()

@@ -54,6 +54,7 @@ type Local struct {
 	sem    chan struct{} // admission slots (MaxInflight)
 	work   chan struct{} // compute slots (Workers)
 	obs    *obs.Registry
+	nets   *lruCache[string, sweep.NetSpec] // net term -> resolved topology
 
 	storeHits, memoHits, computed, rejected, inflight, errors atomic.Int64
 }
@@ -69,6 +70,7 @@ func NewLocal(st *store.Store, opts LocalOptions) *Local {
 		sem:    make(chan struct{}, opts.MaxInflight),
 		work:   make(chan struct{}, opts.Workers),
 		obs:    obs.NewRegistry(),
+		nets:   newLRU[string, sweep.NetSpec](netCacheCapacity),
 	}
 }
 
@@ -139,9 +141,9 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 	if err != nil {
 		return store.Result{}, "", err
 	}
-	net, err := sweep.ResolveNet(spec.Net)
+	net, err := l.resolveNet(spec.Net)
 	if err != nil {
-		return store.Result{}, "", specf("%v", err)
+		return store.Result{}, "", err
 	}
 	g := net.Graph
 
@@ -202,6 +204,20 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 		return store.Result{}, "", fmt.Errorf("persist cell: %w", err)
 	}
 	return res, SourceComputed, nil
+}
+
+// resolveNet resolves a net term, building its topology once for as
+// long as the term stays among the netCacheCapacity most recently used.
+// Requests share the graph: it is immutable once built.
+func (l *Local) resolveNet(term string) (sweep.NetSpec, error) {
+	if net, ok := l.nets.get(term); ok {
+		return net, nil
+	}
+	net, err := sweep.ResolveNet(term)
+	if err != nil {
+		return sweep.NetSpec{}, specf("%v", err)
+	}
+	return l.nets.getOrAdd(term, net), nil
 }
 
 // compute runs one placement through the engine (panic recovery: a

@@ -8,11 +8,11 @@ import (
 // lruCache is a bounded map with least-recently-used eviction — the one
 // cache type of the serving stack. Cached runs two (content key ->
 // stored result, ahead of the wrapped backend, and request spec ->
-// content key, the shortcut that lets a repeat Place skip graph
-// construction); Predictive runs one (net term -> netInfo). All must
-// stay bounded on a long-running daemon — request coordinates and net
-// terms are client-supplied, so an unbounded index would grow
-// monotonically under a varied workload.
+// content key, the shortcut that lets a repeat Place skip the backend);
+// Local runs one (net term -> resolved topology) and Predictive one
+// (net term -> netInfo). All must stay bounded on a long-running daemon
+// — request coordinates and net terms are client-supplied, so an
+// unbounded index would grow monotonically under a varied workload.
 type lruCache[K comparable, V any] struct {
 	mu  sync.Mutex
 	cap int
@@ -53,11 +53,31 @@ func (c *lruCache[K, V]) add(key K, val V) {
 		return
 	}
 	c.m[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
+	c.evictLocked()
+}
+
+// evictLocked drops least recently used entries beyond capacity.
+func (c *lruCache[K, V]) evictLocked() {
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.m, last.Value.(*lruEntry[K, V]).key)
 	}
+}
+
+// getOrAdd returns the value held for key, promoting it, or inserts val
+// and returns it when none is: callers that raced to compute a value all
+// leave with the one that was stored first.
+func (c *lruCache[K, V]) getOrAdd(key K, val V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[key]; ok {
+		c.ll.MoveToFront(e)
+		return e.Value.(*lruEntry[K, V]).val
+	}
+	c.m[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
+	c.evictLocked()
+	return val
 }
 
 // len reports the current entry count.

@@ -46,12 +46,12 @@ type netInfo struct {
 	fp    store.Digest
 }
 
-// netCacheCapacity bounds Predictive's net-term cache. Net terms are
-// client-supplied ("randomgeo:8:<any seed>"), so the cache must not
-// grow with every distinct term a long-running daemon is asked about.
-// Sized, like routing's solverCacheCapacity, to hold the largest
-// trained working set the repo has — the 116-network zoo — with room
-// to spare; an evicted term costs one ResolveNet on its next request.
+// netCacheCapacity bounds the net-term caches of Local and Predictive.
+// Net terms are client-supplied ("randomgeo:8:<any seed>"), so neither
+// cache may grow with every distinct term a long-running daemon is
+// asked about. Sized, like routing's solverCacheCapacity, to hold the
+// largest working set the repo has — the 116-network zoo — with room to
+// spare; an evicted term costs one ResolveNet on its next request.
 const netCacheCapacity = 128
 
 // Predictive wraps any placement backend with the landscape

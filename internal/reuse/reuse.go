@@ -1,6 +1,8 @@
 // Package reuse keeps the scratch memory of one LP solve for the next: a
 // free list that holds idle buffers between solves, and the growth policy
-// of the slices inside them.
+// of the slices inside them. The serving daemon's handlers draw their
+// request and response buffers, with the JSON encoder that fills them,
+// from a free list too.
 package reuse
 
 import (

@@ -128,7 +128,10 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 	// every round's placement; the rounds share one backing array for
 	// those allocations, and the one placement returned owns it.
 	singles := make([]PathAlloc, m.Len())
-	loadPaths := func() {
+	// loadPaths fetches every aggregate's kCount[i] candidates and reports
+	// whether any list came back longer than the round before's.
+	loadPaths := func() bool {
+		lengthened := false
 		for i, a := range m.Aggregates {
 			ps := s.cache.Paths(a.Src, a.Dst, kCount[i])
 			if s.bound > 0 {
@@ -144,8 +147,10 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 					ps = ps[:cut]
 				}
 			}
+			lengthened = lengthened || len(ps) > len(pathSets[i])
 			pathSets[i] = ps
 		}
+		return lengthened
 	}
 	loadPaths()
 
@@ -218,10 +223,13 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 		if polishing {
 			threshold = 1 - 1e-6
 		}
-		if !s.growAround(m, pathSets, kCount, capped, overloads, threshold) {
+		// Growth can raise kCount for an aggregate whose candidate list
+		// is exhausted. A round with the same path sets solves the same
+		// LP to the same score, and so would every round after it: best
+		// is final.
+		if !s.growAround(m, pathSets, kCount, capped, overloads, threshold) || !loadPaths() {
 			return best, nil // nothing left to grow
 		}
-		loadPaths()
 	}
 	return best, nil
 }

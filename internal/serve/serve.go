@@ -37,7 +37,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -791,7 +790,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	s.c.places.Add(1)
 	var req PlaceRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, errf(http.StatusBadRequest, "bad request body: %v", err))
 		return
 	}
@@ -815,9 +814,10 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	rk := spec.String()
 	tr := obs.TraceFrom(r.Context())
-	tr.Annotate("spec", spec.String())
-	res, src, err := s.tier.PlaceSourced(r.Context(), spec)
+	tr.Annotate("spec", rk)
+	res, src, err := s.tier.PlaceRendered(r.Context(), spec, rk)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -838,7 +838,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 // tier's Put writes through and warms the LRU, so a healed cell serves
 // hot immediately.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
 	if err != nil {
 		writeError(w, errf(http.StatusBadRequest, "read body: %v", err))
 		return
@@ -885,17 +885,6 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 		resp.Digest = d.String()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeJSON encodes v with a trailing newline (curl-friendly).
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// An encode failure here means the connection is gone; the status is
-	// already committed, so there is nothing useful left to report.
-	_ = enc.Encode(v)
 }
 
 // writeError renders an error as {"error": ...} with its HTTP status.

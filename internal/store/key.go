@@ -16,11 +16,25 @@ import (
 type Digest uint64
 
 // String renders the digest as 16 hex digits.
-func (d Digest) String() string { return fmt.Sprintf("%016x", uint64(d)) }
+func (d Digest) String() string {
+	var buf [16]byte
+	return string(d.appendHex(buf[:0]))
+}
+
+// appendHex appends the digest's 16 lowercase hex digits, zero-padded:
+// the fmt "%016x" form.
+func (d Digest) appendHex(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[uint64(d)>>shift&0xf])
+	}
+	return b
+}
 
 // MarshalJSON implements json.Marshaler.
 func (d Digest) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + d.String() + `"`), nil
+	b := append(make([]byte, 0, 18), '"')
+	return append(d.appendHex(b), '"'), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -57,7 +71,11 @@ type CellKey struct {
 
 // String renders the key in its canonical, filename-safe form.
 func (k CellKey) String() string {
-	return "g" + k.Graph.String() + "-m" + k.Matrix.String() + "-c" + k.Config.String() + "-" + k.Scheme
+	var buf [72]byte
+	b := k.Graph.appendHex(append(buf[:0], 'g'))
+	b = k.Matrix.appendHex(append(b, "-m"...))
+	b = k.Config.appendHex(append(b, "-c"...))
+	return string(append(append(b, '-'), k.Scheme...))
 }
 
 // ParseCellKey parses the canonical form String renders

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"lowlat/internal/routing"
@@ -61,5 +62,53 @@ func TestConfigDigestPinned(t *testing.T) {
 		{routing.MinMax{StretchBound: 1.5}, pin{"minmax:k=0:sb=1.5", "18d8315e6508bf4f"}},
 	} {
 		t.Run(tc.want.config, func(t *testing.T) { check(t, tc.scheme, tc.want) })
+	}
+}
+
+// TestStringsMatchFmt pins the strconv renderings of keys and specs to
+// the fmt forms they replaced ("%016x" per digest, "%s|%d|%s|%g|%g|%g"
+// per spec): both are identities — a key string names a stored cell, a
+// spec string is the coalescing and ring key — so no value may render
+// differently, at the edges of %g's notation included.
+func TestStringsMatchFmt(t *testing.T) {
+	digests := []Digest{0, 1, 0xf, 0x10, 0xdeadbeef, 1 << 63, math.MaxUint64}
+	for _, d := range digests {
+		if got, want := d.String(), fmt.Sprintf("%016x", uint64(d)); got != want {
+			t.Errorf("Digest(%#x).String() = %q, want %q", uint64(d), got, want)
+		}
+		js, err := d.MarshalJSON()
+		if err != nil || string(js) != `"`+fmt.Sprintf("%016x", uint64(d))+`"` {
+			t.Errorf("Digest(%#x).MarshalJSON() = %s, %v", uint64(d), js, err)
+		}
+	}
+	for _, k := range []CellKey{
+		{},
+		{Graph: 1, Matrix: math.MaxUint64, Config: 0xabc, Scheme: "minmax-k10"},
+		{Graph: 0xfeedface, Matrix: 2, Config: 3, Scheme: "a-scheme-name-longer-than-the-stack-buffer-the-key-is-built-in"},
+	} {
+		want := fmt.Sprintf("g%016x-m%016x-c%016x-%s", uint64(k.Graph), uint64(k.Matrix), uint64(k.Config), k.Scheme)
+		if got := k.String(); got != want {
+			t.Errorf("CellKey.String() = %q, want %q", got, want)
+		}
+	}
+
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, 0.1, 1.0 / 1.3, 1e20, 1e21, 999999999999999999999,
+		1e-4, 1e-5, 0.00001234, 123456, 1234567, 2.5e9,
+		5e-324, math.SmallestNonzeroFloat64 * 7, 2.2250738585072014e-308, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for i, f := range floats {
+		s := CellSpec{
+			Net: "randomgeo:30:7", Seed: int64(i) - 3, Scheme: "ldr",
+			Headroom: f, Load: floats[(i+1)%len(floats)], Locality: floats[(i+2)%len(floats)],
+		}
+		if i%2 == 1 {
+			s.Net, s.Seed = "gts-like", math.MinInt64
+		}
+		want := fmt.Sprintf("%s|%d|%s|%g|%g|%g", s.Net, s.Seed, s.Scheme, s.Headroom, s.Load, s.Locality)
+		if got := s.String(); got != want {
+			t.Errorf("CellSpec.String() = %q, want %q", got, want)
+		}
 	}
 }

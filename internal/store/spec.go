@@ -1,7 +1,7 @@
 package store
 
 import (
-	"fmt"
+	"strconv"
 )
 
 // CellSpec is the request-side address of one scenario cell: the
@@ -49,6 +49,16 @@ func (s CellSpec) Normalized() CellSpec {
 // separated term. Two specs that would generate the same cell render
 // identically (after Normalized), so the string doubles as a coalescing
 // key and as the consistent-hash ring key for Place routing.
+//
+// The form is fmt's "%s|%d|%s|%g|%g|%g", built with strconv: %g is
+// strconv's shortest 'g' formatting, signs and NaN included.
 func (s CellSpec) String() string {
-	return fmt.Sprintf("%s|%d|%s|%g|%g|%g", s.Net, s.Seed, s.Scheme, s.Headroom, s.Load, s.Locality)
+	var buf [96]byte
+	b := append(append(buf[:0], s.Net...), '|')
+	b = append(strconv.AppendInt(b, s.Seed, 10), '|')
+	b = append(b, s.Scheme...)
+	for _, f := range [...]float64{s.Headroom, s.Load, s.Locality} {
+		b = strconv.AppendFloat(append(b, '|'), f, 'g', -1, 64)
+	}
+	return string(b)
 }

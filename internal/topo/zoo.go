@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"sync"
 
 	"lowlat/internal/graph"
 )
@@ -161,12 +162,21 @@ func Zoo() []Entry {
 	return entries
 }
 
+// zooIndex maps every zoo name to its entry, built once from Zoo, which
+// formats all 116 names on every call: ByName runs on every net-term
+// resolution.
+var zooIndex = sync.OnceValue(func() map[string]Entry {
+	idx := make(map[string]Entry, ZooSize)
+	for _, e := range Zoo() {
+		idx[e.Name] = e
+	}
+	return idx
+})
+
 // ByName returns the zoo entry with the given name.
 func ByName(name string) (Entry, bool) {
-	for _, e := range Zoo() {
-		if e.Name == name {
-			return e, true
-		}
+	if e, ok := zooIndex()[name]; ok {
+		return e, true
 	}
 	if name == "google-like" {
 		return Entry{Name: name, Class: ClassIntercontinental, Build: GoogleLike}, true

@@ -70,11 +70,12 @@ go test -run NONE -count "$count" -benchmem -bench 'PathLPBuild' -benchtime 2000
 # The serving rungs: one /v1/place through the whole handler (httptest
 # recorder, no socket) answered by the mounted cache tier's LRU
 # (cache_hit) or by backend.Local's store-hit path under it (store_hit),
-# and one Place answered by backend.Cached alone. Tens of microseconds
-# and about one, so fixed iteration counts large enough to leave clock
-# granularity behind, never 1x.
+# one Place answered by backend.Cached alone, and one answered by
+# backend.Local from its store. Tens of microseconds, about one and a
+# few, so fixed iteration counts large enough to leave clock granularity
+# behind, never 1x.
 go test -run NONE -count "$count" -benchmem -bench 'ServePlace' -benchtime 20000x ./internal/serve >> "$tmp"
-go test -run NONE -count "$count" -benchmem -bench 'CachedPlaceHit' -benchtime 200000x ./internal/backend >> "$tmp"
+go test -run NONE -count "$count" -benchmem -bench 'CachedPlaceHit|LocalStoreHit' -benchtime 200000x ./internal/backend >> "$tmp"
 cat "$tmp"
 
 # Where the numbers were taken: ladder figures compare only on one host.
