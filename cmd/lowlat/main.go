@@ -1130,7 +1130,7 @@ func cmdStats(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("stats", stderr)
 	addr := fs.String("addr", "", "base URL of a running lowlatd (required)")
 	timeout := fs.Duration("timeout", 30*time.Second, "request timeout")
-	jsonOut := fs.Bool("json", false, "emit the raw /v1/stats JSON (machine-readable, round-trips into serve.Stats)")
+	jsonOut := fs.Bool("json", false, "emit the raw /v1/stats JSON (machine-readable, round-trips into backend.Stats)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -1247,7 +1247,7 @@ func renderWatch(w io.Writer, ev serve.WatchEvent, recent []obs.Event) {
 
 // printStats renders one stats snapshot: a mode line, the non-zero-able
 // counters, and — when any stage has recorded — the latency table.
-func printStats(w io.Writer, st *serve.Stats) {
+func printStats(w io.Writer, st *backend.Stats) {
 	mode := "read-write"
 	if st.ReadOnly {
 		mode = "read-only"
@@ -1410,7 +1410,7 @@ func cmdQuery(args []string, stdout, stderr io.Writer) error {
 			r.Meta.Net, r.Meta.Class, r.Meta.Seed, r.Meta.TM, r.Meta.Scheme, r.Meta.Headroom,
 			r.Metrics.Congested, r.Metrics.Stretch, r.Metrics.MaxStretch, r.Metrics.MaxUtil, r.Metrics.Fits)
 	}
-	fmt.Fprintf(stdout, "%d of %d stored cells matched\n", len(results), b.Stats().Cells)
+	fmt.Fprintf(stdout, "%d of %d stored cells matched\n", len(results), b.Stats().StoreCells)
 	return nil
 }
 

@@ -313,7 +313,7 @@ func TestStatsCommand(t *testing.T) {
 }
 
 // TestStatsJSONRoundTrip pins `stats -json`: the output is the raw
-// /v1/stats payload, it decodes into serve.Stats, and re-encoding the
+// /v1/stats payload, it decodes into backend.Stats, and re-encoding the
 // decoded struct reproduces the daemon's JSON exactly — no field of the
 // wire format is silently dropped by the Go type.
 func TestStatsJSONRoundTrip(t *testing.T) {
@@ -338,9 +338,9 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if code := run([]string{"stats", "-addr", ts.URL, "-json"}, &out, &errOut); code != 0 {
 		t.Fatalf("stats -json: exit %d (stderr %q)", code, errOut.String())
 	}
-	var decoded serve.Stats
+	var decoded backend.Stats
 	if err := json.Unmarshal(out.Bytes(), &decoded); err != nil {
-		t.Fatalf("stats -json output does not decode into serve.Stats: %v\n%s", err, out.String())
+		t.Fatalf("stats -json output does not decode into backend.Stats: %v\n%s", err, out.String())
 	}
 	if decoded.Backend != "store" || decoded.Queries != 3 {
 		t.Fatalf("decoded stats = backend %q queries %d, want store/3", decoded.Backend, decoded.Queries)
@@ -360,7 +360,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("stats JSON does not round-trip through serve.Stats:\nwire: %s\nre-encoded: %s", out.String(), reencoded)
+		t.Fatalf("stats JSON does not round-trip through backend.Stats:\nwire: %s\nre-encoded: %s", out.String(), reencoded)
 	}
 }
 

@@ -161,35 +161,70 @@ func specf(format string, args ...any) *SpecError {
 	return &SpecError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Stats is a backend's counter/gauge snapshot. Aggregating backends (the
-// cluster) roll their replicas' stats up into the top-level counters and
-// keep the per-replica snapshots in Replicas.
+// Stats is a backend's counter/gauge snapshot, and the /v1/stats payload
+// a daemon serves: the daemon fills the server-layer fields (requests per
+// endpoint, its cache tier, slow requests) over its backend's snapshot.
+// Aggregating backends (the cluster) roll their replicas' stats up into
+// the top-level counters and keep the per-replica snapshots in Replicas.
+// Field order is the wire order.
 type Stats struct {
 	// Backend names the implementation: "local", "store" (a Local over a
-	// read-only store), "remote", "cluster".
+	// read-only store), "remote", "cluster", with "cached+" and
+	// "predictive+" prefixes for the wrapping tiers.
 	Backend string `json:"backend"`
-	// Cells and MemoEntries gauge the visible store; ReadOnly reports a
-	// mount that will never compute.
-	Cells       int  `json:"cells"`
+	// StoreCells and MemoEntries gauge the visible store; ReadOnly
+	// reports a mount that will never compute.
+	StoreCells  int  `json:"store_cells"`
 	MemoEntries int  `json:"memo_entries"`
 	ReadOnly    bool `json:"read_only"`
-	// StoreHits answered from persisted cells; MemoHits derived a content
-	// key from the calibration memo without regenerating a matrix.
-	StoreHits int64 `json:"store_hits"`
-	MemoHits  int64 `json:"memo_hits"`
-	// Computed counts engine invocations, Rejected admission-control
-	// refusals, InFlight currently admitted computations.
-	Computed int64 `json:"computed"`
-	Rejected int64 `json:"rejected"`
-	InFlight int64 `json:"in_flight"`
+	// Queries, CellLookups and PlaceRequests count a daemon's requests
+	// per endpoint (server only).
+	Queries       int64 `json:"queries"`
+	CellLookups   int64 `json:"cell_lookups"`
+	PlaceRequests int64 `json:"place_requests"`
+	// CacheHits and CacheMisses count answers served from (and falling
+	// through) a Cached tier's LRU. StoreHits answered from persisted
+	// cells; MemoHits derived a content key from the calibration memo
+	// without regenerating a matrix.
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	StoreHits   int64 `json:"store_hits"`
+	MemoHits    int64 `json:"memo_hits"`
+	// Coalesced counts Place calls that joined another caller's in-flight
+	// dispatch in a Cached tier; Computed counts engine invocations,
+	// Rejected admission-control refusals.
+	Coalesced int64 `json:"coalesced"`
+	Computed  int64 `json:"computed"`
+	Rejected  int64 `json:"rejected"`
+	// InFlight gauges currently admitted computations; CachedEntries
+	// gauges a Cached tier's LRU.
+	InFlight      int64 `json:"in_flight"`
+	CachedEntries int   `json:"cached_entries"`
 	// Errors counts failed calls (transport failures, failed places);
 	// Retried counts backoff retries after 429; Rerouted counts requests
 	// a cluster moved off their ring owner because it was down.
-	Errors   int64 `json:"errors"`
-	Retried  int64 `json:"retried"`
-	Rerouted int64 `json:"rerouted"`
+	Errors   int64 `json:"errors,omitempty"`
+	Retried  int64 `json:"retried,omitempty"`
+	Rerouted int64 `json:"rerouted,omitempty"`
 	// Down counts replicas currently marked unhealthy (cluster only).
 	Down int `json:"down,omitempty"`
+	// Predicted counts Places answered by the interpolation fast path,
+	// PredictFallbacks those that fell through to the exact path after
+	// the index refused; Refined counts background exact solves that
+	// replaced a predicted sample with ground truth, RefineDropped
+	// refinements shed because the queue was full (predictive only).
+	Predicted        int64 `json:"predicted,omitempty"`
+	PredictFallbacks int64 `json:"predict_fallbacks,omitempty"`
+	Refined          int64 `json:"refined,omitempty"`
+	RefineDropped    int64 `json:"refine_dropped,omitempty"`
+	// Surfaces and SurfaceSamples gauge the trained index (predictive
+	// only).
+	Surfaces       int `json:"surfaces,omitempty"`
+	SurfaceSamples int `json:"surface_samples,omitempty"`
+	// Replications counts cells a daemon accepted through /v1/replicate —
+	// writes pushed by a replicating or healing cluster peer, as opposed
+	// to cells it computed itself (server only).
+	Replications int64 `json:"replications"`
 	// ReplicaFactor is the cluster's configured ownership factor R; every
 	// cell is written to its key's first R distinct ring successors
 	// (cluster only, and only reported when R > 1).
@@ -212,35 +247,19 @@ type Stats struct {
 	// only).
 	Healed     int64 `json:"healed,omitempty"`
 	HealSweeps int64 `json:"heal_sweeps,omitempty"`
-	// CacheHits and CacheMisses count answers served from (and falling
-	// through) a client-side Cached wrapper's LRU (cached only).
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
-	// Coalesced counts Place calls that joined another caller's in-flight
-	// dispatch instead of issuing their own (cached only).
-	Coalesced int64 `json:"coalesced,omitempty"`
-	// Predicted counts Places answered by the interpolation fast path,
-	// PredictFallbacks those that fell through to the exact path after
-	// the index refused; Refined counts background exact solves that
-	// replaced a predicted sample with ground truth, RefineDropped
-	// refinements shed because the queue was full (predictive only).
-	Predicted        int64 `json:"predicted,omitempty"`
-	PredictFallbacks int64 `json:"predict_fallbacks,omitempty"`
-	Refined          int64 `json:"refined,omitempty"`
-	RefineDropped    int64 `json:"refine_dropped,omitempty"`
-	// Surfaces and SurfaceSamples gauge the trained index (predictive
-	// only).
-	Surfaces       int `json:"surfaces,omitempty"`
-	SurfaceSamples int `json:"surface_samples,omitempty"`
-	// Telemetry carries the per-stage histograms and rolling windows
-	// (solve, store_read, store_write, predict, replicate, heal,
-	// remote_hop, ...) on the wire as "stages" and "windows". Wrapping
-	// backends merge their own registry into the wrapped backend's; the
-	// cluster merges every replica's, so the top level is always the
-	// full-tree view the SLO engine evaluates.
-	obs.Telemetry
 	// Replicas carries per-replica snapshots (cluster only).
 	Replicas []Stats `json:"replicas,omitempty"`
+	// SlowRequests counts requests that crossed a daemon's slow threshold
+	// since it started, including entries its ring has since evicted
+	// (server only).
+	SlowRequests int64 `json:"slow_requests,omitempty"`
+	// Telemetry carries the per-stage histograms and rolling windows
+	// (solve, store_read, store_write, predict, replicate, heal,
+	// remote_hop, a daemon's http_*, ...) on the wire as "stages" and
+	// "windows". Wrapping backends merge their own registry into the
+	// wrapped backend's; the cluster merges every replica's, so the top
+	// level is always the full-tree view the SLO engine evaluates.
+	obs.Telemetry
 }
 
 // Eventer is the optional event-journal extension: return structured

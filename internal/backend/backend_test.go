@@ -71,7 +71,7 @@ func TestLocalPlaceLifecycle(t *testing.T) {
 		t.Fatalf("query matched %d cells", n)
 	}
 	s := l.Stats()
-	if s.Backend != "local" || s.Cells != 1 || s.Computed != 1 || s.MemoHits != 1 || s.StoreHits != 2 {
+	if s.Backend != "local" || s.StoreCells != 1 || s.Computed != 1 || s.MemoHits != 1 || s.StoreHits != 2 {
 		t.Fatalf("stats %+v", s)
 	}
 }
@@ -163,7 +163,7 @@ func TestReadOnlyLocalNeverComputes(t *testing.T) {
 		t.Fatalf("lookup: %+v, %v", got, ok)
 	}
 	s := b.Stats()
-	if s.Backend != "store" || !s.ReadOnly || s.Cells != 1 || s.Errors != 1 || s.MemoHits != 1 {
+	if s.Backend != "store" || !s.ReadOnly || s.StoreCells != 1 || s.Errors != 1 || s.MemoHits != 1 {
 		t.Fatalf("stats %+v", s)
 	}
 	if n := invocations.Load(); n != 0 || s.Computed != 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lowlat/internal/obs"
+	"lowlat/internal/reuse"
 	"lowlat/internal/store"
 )
 
@@ -51,9 +52,9 @@ func (o CachedOptions) withDefaults() CachedOptions {
 type Cached struct {
 	Forward
 
-	lru     *lruCache[store.CellKey, store.Result] // content key -> result
-	keys    *lruCache[string, store.CellKey]       // normalized spec string -> content key
-	flights *flightGroup                           // in-progress Place dispatches by spec
+	lru     *reuse.LRU[store.CellKey, store.Result] // content key -> result
+	keys    *reuse.LRU[string, store.CellKey]       // normalized spec string -> content key
+	flights *flightGroup                            // in-progress Place dispatches by spec
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -66,8 +67,8 @@ func NewCached(inner Backend, opts CachedOptions) *Cached {
 	opts = opts.withDefaults()
 	return &Cached{
 		Forward: NewForward(inner),
-		lru:     newLRU[store.CellKey, store.Result](opts.Size),
-		keys:    newLRU[string, store.CellKey](opts.Size),
+		lru:     reuse.NewLRU[store.CellKey, store.Result](opts.Size),
+		keys:    reuse.NewLRU[string, store.CellKey](opts.Size),
 		flights: newFlightGroup(),
 		obs:     obs.NewRegistry(),
 	}
@@ -83,7 +84,7 @@ func (c *Cached) Lookup(k store.CellKey) (store.Result, bool) {
 // LookupSourced is Lookup with provenance: SourceCache for an LRU hit,
 // SourceStore for a key the wrapped backend held.
 func (c *Cached) LookupSourced(k store.CellKey) (store.Result, Source, bool) {
-	if r, ok := c.lru.get(k); ok {
+	if r, ok := c.lru.Get(k); ok {
 		c.hits.Add(1)
 		return r, SourceCache, true
 	}
@@ -92,7 +93,7 @@ func (c *Cached) LookupSourced(k store.CellKey) (store.Result, Source, bool) {
 	if !ok {
 		return store.Result{}, "", false
 	}
-	c.lru.add(k, r)
+	c.lru.Add(k, r)
 	return r, SourceStore, true
 }
 
@@ -117,8 +118,8 @@ func (c *Cached) PlaceRendered(ctx context.Context, spec store.CellSpec, rk stri
 	// Hot path: a spec served before maps straight to its content key —
 	// no graph build, no flight.
 	t0 := time.Now()
-	if ck, ok := c.keys.get(rk); ok {
-		if r, hit := c.lru.get(ck); hit {
+	if ck, ok := c.keys.Get(rk); ok {
+		if r, hit := c.lru.Get(ck); hit {
 			c.hits.Add(1)
 			c.obs.Hist(obs.StageCachedPlace).Record(time.Since(t0))
 			return r, SourceCache, nil
@@ -132,8 +133,8 @@ func (c *Cached) PlaceRendered(ctx context.Context, spec store.CellSpec, rk stri
 			return outcome{}, err
 		}
 		if res.Key != (store.CellKey{}) {
-			c.keys.add(rk, res.Key)
-			c.lru.add(res.Key, res)
+			c.keys.Add(rk, res.Key)
+			c.lru.Add(res.Key, res)
 		}
 		return outcome{source: src, result: res}, nil
 	}, func() { c.coalesced.Add(1) })
@@ -146,37 +147,27 @@ func (c *Cached) Put(r store.Result) error {
 	if err := c.Forward.Put(r); err != nil {
 		return err
 	}
-	c.lru.add(r.Key, r)
+	c.lru.Add(r.Key, r)
 	return nil
 }
 
-// CacheStats is the tier's own counter block: answers served from the
-// LRU, requests that consulted it and fell through, Place calls that
-// joined another caller's dispatch, and the LRU's current entry count.
-type CacheStats struct {
-	Hits, Misses, Coalesced int64
-	Entries                 int
-}
-
-// CacheStats snapshots the tier's counters without touching the wrapped
-// backend — what a daemon reports beside its backend's own stats.
-func (c *Cached) CacheStats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Entries:   c.lru.len(),
-	}
+// OverlayCacheStats writes the tier's own counters over s without
+// touching the wrapped backend: answers served from the LRU, requests
+// that consulted it and fell through, Place calls that joined another
+// caller's dispatch, and the LRU's current entry count. A daemon
+// overlays them on its backend's own stats.
+func (c *Cached) OverlayCacheStats(s *Stats) {
+	s.CacheHits = c.hits.Load()
+	s.CacheMisses = c.misses.Load()
+	s.Coalesced = c.coalesced.Load()
+	s.CachedEntries = c.lru.Len()
 }
 
 // Stats snapshots the wrapped backend and overlays the cache counters.
 func (c *Cached) Stats() Stats {
 	s := c.inner.Stats()
-	cs := c.CacheStats()
 	s.Backend = "cached+" + s.Backend
-	s.CacheHits = cs.Hits
-	s.CacheMisses = cs.Misses
-	s.Coalesced = cs.Coalesced
+	c.OverlayCacheStats(&s)
 	s.Telemetry.Merge(c.obs.Snapshot())
 	return s
 }

@@ -177,3 +177,21 @@ func TestCachedLeaderPanicFailsFollowers(t *testing.T) {
 		t.Fatalf("backend saw %d places, want 2 (the panicked one and the fresh one)", n)
 	}
 }
+
+// TestCachedStatsReportEntries: Cached.Stats gauges its LRU, so a client
+// that wraps a remote backend sees the tier's occupancy the way a daemon
+// reports its own, and the gauge stays at the LRU's bound.
+func TestCachedStatsReportEntries(t *testing.T) {
+	c, _ := cachedOverLocal(t, nil)
+	if got := c.Stats().CachedEntries; got != 0 {
+		t.Fatalf("fresh tier reports %d cached entries, want 0", got)
+	}
+	for _, net := range []string{"star-6", "ring-8"} {
+		if _, err := c.Place(context.Background(), store.CellSpec{Net: net, Seed: 1, Scheme: "sp", Locality: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.Stats().CachedEntries, c.lru.Len(); got != want || got == 0 {
+			t.Fatalf("Stats().CachedEntries = %d, LRU holds %d", got, want)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"lowlat/internal/engine"
 	"lowlat/internal/obs"
+	"lowlat/internal/reuse"
 	"lowlat/internal/routing"
 	"lowlat/internal/store"
 	"lowlat/internal/sweep"
@@ -54,7 +55,7 @@ type Local struct {
 	sem    chan struct{} // admission slots (MaxInflight)
 	work   chan struct{} // compute slots (Workers)
 	obs    *obs.Registry
-	nets   *lruCache[string, sweep.NetSpec] // net term -> resolved topology
+	nets   *reuse.LRU[string, sweep.NetSpec] // net term -> resolved topology
 
 	storeHits, memoHits, computed, rejected, inflight, errors atomic.Int64
 }
@@ -70,7 +71,7 @@ func NewLocal(st *store.Store, opts LocalOptions) *Local {
 		sem:    make(chan struct{}, opts.MaxInflight),
 		work:   make(chan struct{}, opts.Workers),
 		obs:    obs.NewRegistry(),
-		nets:   newLRU[string, sweep.NetSpec](netCacheCapacity),
+		nets:   reuse.NewLRU[string, sweep.NetSpec](netCacheCapacity),
 	}
 }
 
@@ -210,14 +211,14 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 // long as the term stays among the netCacheCapacity most recently used.
 // Requests share the graph: it is immutable once built.
 func (l *Local) resolveNet(term string) (sweep.NetSpec, error) {
-	if net, ok := l.nets.get(term); ok {
+	if net, ok := l.nets.Get(term); ok {
 		return net, nil
 	}
 	net, err := sweep.ResolveNet(term)
 	if err != nil {
 		return sweep.NetSpec{}, specf("%v", err)
 	}
-	return l.nets.getOrAdd(term, net), nil
+	return l.nets.GetOrAdd(term, net), nil
 }
 
 // compute runs one placement through the engine (panic recovery: a
@@ -252,7 +253,7 @@ func (l *Local) Stats() Stats {
 	}
 	return Stats{
 		Backend:     name,
-		Cells:       l.st.Len(),
+		StoreCells:  l.st.Len(),
 		MemoEntries: l.st.MemoLen(),
 		ReadOnly:    l.st.ReadOnly(),
 		StoreHits:   l.storeHits.Load(),

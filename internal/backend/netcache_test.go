@@ -40,13 +40,13 @@ func TestPredictiveNetCacheIsBounded(t *testing.T) {
 		// fallback that resolved (and cached) its net term first.
 		p.Place(context.Background(), spec)
 	}
-	if n := p.nets.len(); n > netCacheCapacity {
+	if n := p.nets.Len(); n > netCacheCapacity {
 		t.Fatalf("net cache holds %d terms after %d distinct ones, want <= %d", n, netCacheCapacity+extra+1, netCacheCapacity)
 	}
 	if got := p.Stats().PredictFallbacks; got != netCacheCapacity+extra {
 		t.Fatalf("fallbacks = %d, want %d", got, netCacheCapacity+extra)
 	}
-	if _, held := p.nets.get("star-6"); held {
+	if _, held := p.nets.Get("star-6"); held {
 		t.Fatal("star-6 survived a flood of more distinct terms than the cache holds")
 	}
 	after, err := p.netFor("star-6")
@@ -56,7 +56,7 @@ func TestPredictiveNetCacheIsBounded(t *testing.T) {
 	if after != before {
 		t.Fatalf("evicted net re-resolved to %+v, was %+v", after, before)
 	}
-	if _, held := p.nets.get("star-6"); !held {
+	if _, held := p.nets.Get("star-6"); !held {
 		t.Fatal("re-resolved net was not cached again")
 	}
 }
@@ -88,7 +88,7 @@ func TestLocalNetCacheIsBounded(t *testing.T) {
 	if err != nil || src != SourceStore {
 		t.Fatalf("stored place: %v, source %q", err, src)
 	}
-	before, _ := l.nets.get("star-6")
+	before, _ := l.nets.Get("star-6")
 
 	const extra = 16
 	for seed := 0; seed < netCacheCapacity+extra; seed++ {
@@ -96,10 +96,10 @@ func TestLocalNetCacheIsBounded(t *testing.T) {
 			t.Fatalf("seed %d: %v, want ErrNotStored", seed, err)
 		}
 	}
-	if n := l.nets.len(); n > netCacheCapacity {
+	if n := l.nets.Len(); n > netCacheCapacity {
 		t.Fatalf("net cache holds %d terms after %d distinct ones, want <= %d", n, netCacheCapacity+extra+1, netCacheCapacity)
 	}
-	if _, held := l.nets.get("star-6"); held {
+	if _, held := l.nets.Get("star-6"); held {
 		t.Fatal("star-6 survived a flood of more distinct terms than the cache holds")
 	}
 
@@ -110,7 +110,7 @@ func TestLocalNetCacheIsBounded(t *testing.T) {
 	if again.Key != first.Key {
 		t.Fatalf("evicted net placed to key %v, was %v", again.Key, first.Key)
 	}
-	after, held := l.nets.get("star-6")
+	after, held := l.nets.Get("star-6")
 	if !held {
 		t.Fatal("re-resolved net was not cached again")
 	}
@@ -154,7 +154,7 @@ func TestLocalSharesOneGraphPerTerm(t *testing.T) {
 			t.Fatalf("caller %d resolved star-6 to graph %p, caller 0 to %p", i, g, graphs[0])
 		}
 	}
-	if n := l.nets.len(); n != 1 {
+	if n := l.nets.Len(); n != 1 {
 		t.Fatalf("net cache holds %d terms, want 1", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"lowlat/internal/obs"
 	"lowlat/internal/predict"
+	"lowlat/internal/reuse"
 	"lowlat/internal/routing"
 	"lowlat/internal/store"
 	"lowlat/internal/sweep"
@@ -72,7 +73,7 @@ type Predictive struct {
 	idx  *predict.Index
 	opts PredictiveOptions
 
-	nets *lruCache[string, netInfo] // net term -> what Place needs of it
+	nets *reuse.LRU[string, netInfo] // net term -> what Place needs of it
 
 	refine   chan store.CellSpec
 	inflight sync.Map // spec string -> struct{}: refinements queued or running
@@ -96,7 +97,7 @@ func NewPredictive(inner Backend, opts PredictiveOptions) *Predictive {
 		Forward: NewForward(inner),
 		idx:     predict.NewIndex(predict.Options{}),
 		opts:    opts,
-		nets:    newLRU[string, netInfo](netCacheCapacity),
+		nets:    reuse.NewLRU[string, netInfo](netCacheCapacity),
 		stop:    make(chan struct{}),
 		obs:     obs.NewRegistry(),
 	}
@@ -124,7 +125,7 @@ func (p *Predictive) Train(results []store.Result) {
 		// Meta.Net is the display name; for zoo and named nets it is also
 		// the grid term, which is what specs arrive with. Generated nets
 		// ("randomgeo:30:7") resolve on first request instead.
-		p.nets.add(r.Meta.Net, netInfo{name: r.Meta.Net, class: r.Meta.Class, fp: r.Key.Graph})
+		p.nets.Add(r.Meta.Net, netInfo{name: r.Meta.Net, class: r.Meta.Class, fp: r.Key.Graph})
 	}
 }
 
@@ -145,7 +146,7 @@ func (p *Predictive) Close() error {
 // topology once per term for as long as the term stays among the
 // netCacheCapacity most recently used.
 func (p *Predictive) netFor(term string) (netInfo, error) {
-	if info, ok := p.nets.get(term); ok {
+	if info, ok := p.nets.Get(term); ok {
 		return info, nil
 	}
 	net, err := sweep.ResolveNet(term)
@@ -153,7 +154,7 @@ func (p *Predictive) netFor(term string) (netInfo, error) {
 		return netInfo{}, specf("%v", err)
 	}
 	info := netInfo{name: net.Name, class: net.Class, fp: store.Digest(net.Graph.Fingerprint())}
-	p.nets.add(term, info)
+	p.nets.Add(term, info)
 	return info, nil
 }
 

@@ -651,8 +651,8 @@ func (c *Backend) QueryContext(ctx context.Context, f sweep.Filter) ([]store.Res
 }
 
 // Stats aggregates the cluster's own routing counters with every
-// replica's snapshot (kept individually under Replicas). Cells sums the
-// replicas' gauges — an upper bound when stores overlap after
+// replica's snapshot (kept individually under Replicas). StoreCells sums
+// the replicas' gauges — an upper bound when stores overlap after
 // failovers. Remote snapshots are fetched concurrently, so the call
 // costs one slow replica, not the sum of them.
 func (c *Backend) Stats() backend.Stats {
@@ -688,7 +688,7 @@ func (c *Backend) Stats() backend.Stats {
 	// sums, so the top-level p50/p90/p99 are true cluster-wide quantiles.
 	// Each replica's unmerged snapshot stays visible under Replicas.
 	for i, rs := range snaps {
-		out.Cells += rs.Cells
+		out.StoreCells += rs.StoreCells
 		out.MemoEntries += rs.MemoEntries
 		out.StoreHits += rs.StoreHits
 		out.MemoHits += rs.MemoHits

@@ -142,7 +142,7 @@ func TestClusterStatsMergeStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sresp.Body.Close()
-	var stats serve.Stats
+	var stats backend.Stats
 	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}

@@ -211,14 +211,16 @@ type matrixKey struct {
 type matrixEntry struct {
 	once sync.Once
 	m    *tm.Matrix
+	d    store.Digest
 	err  error
 }
 
 // matrix generates (or recalls) the config's i-th traffic matrix for one
 // network, calibrating on cache (the run's PathCache for the network, so
-// the placements that follow start warm; nil means a private one). It is
-// sweep's generation at the seed Seed + hashName(name) + i.
-func (c Config) matrix(n Network, i int, cache *routing.PathCache) (*tm.Matrix, error) {
+// the placements that follow start warm; nil means a private one), and
+// its store.MatrixDigest. It is sweep's generation at the seed Seed +
+// hashName(name) + i.
+func (c Config) matrix(n Network, i int, cache *routing.PathCache) (*tm.Matrix, store.Digest, error) {
 	key := matrixKey{
 		name:     n.Name,
 		seed:     c.Seed + int64(hashName(n.Name)) + int64(i),
@@ -233,22 +235,31 @@ func (c Config) matrix(n Network, i int, cache *routing.PathCache) (*tm.Matrix, 
 	}
 	matrixMu.Unlock()
 	e.once.Do(func() {
-		e.m, _, e.err = sweep.GenerateMatrixCached(n.Graph, key.seed, key.load, key.locality, nil, cache)
+		e.m, e.d, e.err = sweep.GenerateMatrixCached(n.Graph, key.seed, key.load, key.locality, nil, cache)
 	})
-	return e.m, e.err
+	return e.m, e.d, e.err
+}
+
+// matrixSet is one network's config matrices with their digests, hashed
+// once at generation and shared by every scheme's cell key.
+type matrixSet struct {
+	ms      []*tm.Matrix
+	digests []store.Digest
 }
 
 // matrices returns the config's TMsPerTopology matrices for one network.
-func (c Config) matrices(n Network, cache *routing.PathCache) ([]*tm.Matrix, error) {
-	ms := make([]*tm.Matrix, c.TMsPerTopology)
-	for i := range ms {
-		m, err := c.matrix(n, i, cache)
-		if err != nil {
-			return nil, err
-		}
-		ms[i] = m
+func (c Config) matrices(n Network, cache *routing.PathCache) (matrixSet, error) {
+	set := matrixSet{
+		ms:      make([]*tm.Matrix, c.TMsPerTopology),
+		digests: make([]store.Digest, c.TMsPerTopology),
 	}
-	return ms, nil
+	for i := range set.ms {
+		var err error
+		if set.ms[i], set.digests[i], err = c.matrix(n, i, cache); err != nil {
+			return matrixSet{}, err
+		}
+	}
+	return set, nil
 }
 
 func hashName(s string) uint32 {
@@ -262,35 +273,36 @@ func hashName(s string) uint32 {
 // netMatrices resolves every network's matrix set through the pool, so
 // calibration (several MinMax solves per matrix) parallelizes across
 // networks before the placement scenarios are even enumerated.
-func netMatrices(ctx context.Context, r *engine.Runner, cfg Config, nets []Network) ([][]*tm.Matrix, error) {
+func netMatrices(ctx context.Context, r *engine.Runner, cfg Config, nets []Network) ([]matrixSet, error) {
 	return engine.Map(ctx, r.Workers(), nets,
-		func(_ context.Context, _ int, n Network) ([]*tm.Matrix, error) {
-			ms, err := cfg.matrices(n, r.Cache().ForGraph(n.Graph))
+		func(_ context.Context, _ int, n Network) (matrixSet, error) {
+			set, err := cfg.matrices(n, r.Cache().ForGraph(n.Graph))
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", n.Name, err)
+				return matrixSet{}, fmt.Errorf("%s: %w", n.Name, err)
 			}
-			return ms, nil
+			return set, nil
 		})
 }
 
 // placeGrid places every scheme on every network's matrices, mats[i] being
 // nets[i]'s, and returns out[scheme][net][tm]. Every figure cell goes
-// through it as a sweep.Cell under its content key: cells cfg.Backend
+// through it as a sweep.Cell under its content key (store.KeyForDigest
+// over the set's digest, so no scheme rehashes a matrix): cells cfg.Backend
 // already holds are recalled, and the rest are solved on r's shared
 // solver cache through the pool and checkpointed the moment they land,
 // so an interrupted figure run rerun against the same backend computes
 // only what is missing. Results are identical either way.
-func placeGrid(ctx context.Context, r *engine.Runner, cfg Config, nets []Network, mats [][]*tm.Matrix, schemes []routing.Scheme) ([][][]store.Metrics, error) {
+func placeGrid(ctx context.Context, r *engine.Runner, cfg Config, nets []Network, mats []matrixSet, schemes []routing.Scheme) ([][][]store.Metrics, error) {
 	out := make([][][]store.Metrics, len(schemes))
 	var missing []sweep.Cell
 	var slots []*store.Metrics
 	for si, s := range schemes {
 		out[si] = make([][]store.Metrics, len(nets))
 		for ni, n := range nets {
-			out[si][ni] = make([]store.Metrics, len(mats[ni]))
-			for ti, m := range mats[ni] {
+			out[si][ni] = make([]store.Metrics, len(mats[ni].ms))
+			for ti, m := range mats[ni].ms {
 				c := sweep.Cell{
-					Key: store.KeyFor(n.Graph, m, s),
+					Key: store.KeyForDigest(n.Graph, mats[ni].digests[ti], s),
 					Meta: store.Meta{
 						Net:      n.Name,
 						Class:    string(n.Class),

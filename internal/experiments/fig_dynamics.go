@@ -72,7 +72,7 @@ func FigDynamics(cfg Config) (*FigDynamicsResult, error) {
 	// Each timeline starts from the network's first matrix.
 	mats, err := engine.Map(ctx, r.Workers(), nets,
 		func(_ context.Context, _ int, n Network) (*tm.Matrix, error) {
-			m, err := cfg.matrix(n, 0, r.Cache().ForGraph(n.Graph))
+			m, _, err := cfg.matrix(n, 0, r.Cache().ForGraph(n.Graph))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", n.Name, err)
 			}

@@ -105,7 +105,9 @@ func Fig20(cfg Config) (*Fig20Result, error) {
 	}
 
 	// The same traffic is offered to both topologies: demands do not
-	// change when links are added (node IDs are preserved by Grow).
+	// change when links are added. Grow preserves the graph's name and
+	// its node IDs and names, so a matrix's digest on the grown graph is
+	// the one its generation hashed, and keys the grown cells too.
 	mats, err := netMatrices(ctx, r, cfg, hard)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"lowlat/internal/routing"
 	"lowlat/internal/stats"
-	"lowlat/internal/tm"
 	"lowlat/internal/topo"
 )
 
@@ -34,22 +33,22 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 	e, _ := topo.ByName("gts-like") // a zoo entry: the lookup cannot miss
 	net := Network{Name: e.Name, Class: e.Class, Graph: e.Build()}
 	g := net.Graph
-	ms, err := cfg.matrices(net, r.Cache().ForGraph(g))
+	set, err := cfg.matrices(net, r.Cache().ForGraph(g))
 	if err != nil {
 		return nil, err
 	}
 
-	grid, err := placeGrid(ctx, r, cfg, []Network{net}, [][]*tm.Matrix{ms}, []routing.Scheme{routing.LatencyOpt{}})
+	grid, err := placeGrid(ctx, r, cfg, []Network{net}, []matrixSet{set}, []routing.Scheme{routing.LatencyOpt{}})
 	if err != nil {
 		return nil, err
 	}
 	ranked := stretches(grid[0][0])
-	order := make([]int, len(ms))
+	order := make([]int, len(set.ms))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return ranked[order[a]] < ranked[order[b]] })
-	median := ms[order[len(order)/2]]
+	median := set.ms[order[len(order)/2]]
 
 	// Utilizations are not in store.Metrics, so the two placements the
 	// CDFs are drawn from are solved directly.

@@ -53,7 +53,7 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 	}
 	timings, err := engine.Map(cfg.ctx(), cfg.Workers, hard,
 		func(_ context.Context, _ int, n Network) (timing, error) {
-			m, err := cfg.matrix(n, 0, nil)
+			m, _, err := cfg.matrix(n, 0, nil)
 			if err != nil {
 				return timing{}, fmt.Errorf("%s: %w", n.Name, err)
 			}

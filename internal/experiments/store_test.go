@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"lowlat/internal/graph"
 	"lowlat/internal/store"
+	"lowlat/internal/topo"
 )
 
 // storeTestConfig keeps the store-backed figure runs tiny while giving
@@ -111,5 +113,29 @@ func checkRecall(t *testing.T, dir string, plain []byte) {
 	}
 	if !strings.Contains(string(poisoned), "77.777") {
 		t.Fatalf("sentinel stretch missing from output:\n%s", poisoned)
+	}
+}
+
+// TestFigureKeysAreKeyFor: placeGrid keys every scheme's cell by the
+// digest its matrix's generation hashed. That digest must be the
+// store.MatrixDigest of the matrix on the network's own graph and on the
+// graph Fig 20 grows from it, so every figure key is the store.KeyFor a
+// fresh hash gives and stores written before keep resuming.
+func TestFigureKeysAreKeyFor(t *testing.T) {
+	cfg := storeTestConfig().withDefaults()
+	for _, n := range cfg.networks() {
+		set, err := cfg.matrices(n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown, _ := topo.Grow(n.Graph, topo.GrowConfig{Fraction: 0.05, Seed: cfg.Seed, CandidateSample: 16})
+		for i, m := range set.ms {
+			for _, g := range []*graph.Graph{n.Graph, grown} {
+				if got := store.MatrixDigest(g, m); got != set.digests[i] {
+					t.Fatalf("%s tm %d: generation digest %v, MatrixDigest on %d links %v",
+						n.Name, i, set.digests[i], g.NumLinks(), got)
+				}
+			}
+		}
 	}
 }

@@ -1,19 +1,20 @@
-package backend
+package reuse
 
 import (
 	"container/list"
 	"sync"
 )
 
-// lruCache is a bounded map with least-recently-used eviction — the one
-// cache type of the serving stack. Cached runs two (content key ->
-// stored result, ahead of the wrapped backend, and request spec ->
-// content key, the shortcut that lets a repeat Place skip the backend);
-// Local runs one (net term -> resolved topology) and Predictive one
-// (net term -> netInfo). All must stay bounded on a long-running daemon
-// — request coordinates and net terms are client-supplied, so an
+// LRU is a bounded map with least-recently-used eviction — the one cache
+// type of the module. The serving stack's Cached tier runs two (content
+// key -> stored result, and request spec -> content key, the shortcut
+// that lets a repeat Place skip the backend); backend.Local runs one
+// (net term -> resolved topology), backend.Predictive one (net term ->
+// what a prediction needs of it) and routing.SolverCache one (graph
+// fingerprint -> PathCache). All must stay bounded on a long-running
+// daemon: request coordinates and net terms are client-supplied, so an
 // unbounded index would grow monotonically under a varied workload.
-type lruCache[K comparable, V any] struct {
+type LRU[K comparable, V any] struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List          // front = most recently used; guarded by mu
@@ -25,12 +26,13 @@ type lruEntry[K comparable, V any] struct {
 	val V
 }
 
-func newLRU[K comparable, V any](capacity int) *lruCache[K, V] {
-	return &lruCache[K, V]{cap: capacity, ll: list.New(), m: make(map[K]*list.Element)}
+// NewLRU returns an empty LRU holding at most capacity entries.
+func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
+	return &LRU[K, V]{cap: capacity, ll: list.New(), m: make(map[K]*list.Element)}
 }
 
-// get returns the cached value for key, promoting it to most recent.
-func (c *lruCache[K, V]) get(key K) (V, bool) {
+// Get returns the cached value for key, promoting it to most recent.
+func (c *LRU[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
@@ -42,9 +44,9 @@ func (c *lruCache[K, V]) get(key K) (V, bool) {
 	return e.Value.(*lruEntry[K, V]).val, true
 }
 
-// add inserts or refreshes an entry, evicting the least recently used
+// Add inserts or refreshes an entry, evicting the least recently used
 // beyond capacity.
-func (c *lruCache[K, V]) add(key K, val V) {
+func (c *LRU[K, V]) Add(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
@@ -57,7 +59,7 @@ func (c *lruCache[K, V]) add(key K, val V) {
 }
 
 // evictLocked drops least recently used entries beyond capacity.
-func (c *lruCache[K, V]) evictLocked() {
+func (c *LRU[K, V]) evictLocked() {
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
@@ -65,10 +67,10 @@ func (c *lruCache[K, V]) evictLocked() {
 	}
 }
 
-// getOrAdd returns the value held for key, promoting it, or inserts val
+// GetOrAdd returns the value held for key, promoting it, or inserts val
 // and returns it when none is: callers that raced to compute a value all
 // leave with the one that was stored first.
-func (c *lruCache[K, V]) getOrAdd(key K, val V) V {
+func (c *LRU[K, V]) GetOrAdd(key K, val V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
@@ -80,8 +82,8 @@ func (c *lruCache[K, V]) getOrAdd(key K, val V) V {
 	return val
 }
 
-// len reports the current entry count.
-func (c *lruCache[K, V]) len() int {
+// Len reports the current entry count.
+func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

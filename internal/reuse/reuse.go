@@ -2,7 +2,9 @@
 // free list that holds idle buffers between solves, and the growth policy
 // of the slices inside them. The serving daemon's handlers draw their
 // request and response buffers, with the JSON encoder that fills them,
-// from a free list too.
+// from a free list too. LRU is the bounded cache that keeps a resolved
+// topology, a path cache or a served cell for the next request that
+// names it.
 package reuse
 
 import (

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"lowlat/internal/graph"
+	"lowlat/internal/reuse"
 	"lowlat/internal/tm"
 )
 
@@ -107,19 +108,12 @@ const solverCacheCapacity = 128
 // ForGraph for that topology starts a fresh one that enumerates the
 // identical paths.
 type SolverCache struct {
-	mu   sync.Mutex
-	tick uint64                  // guarded by mu; ForGraph calls so far
-	byFP map[uint64]*solverEntry // guarded by mu
-}
-
-type solverEntry struct {
-	pc   *PathCache
-	used uint64 // the owner's tick at the last ForGraph; touched only under the owner's mu
+	byFP *reuse.LRU[uint64, *PathCache] // graph fingerprint -> its PathCache
 }
 
 // NewSolverCache returns an empty multi-topology cache.
 func NewSolverCache() *SolverCache {
-	return &SolverCache{byFP: make(map[uint64]*solverEntry)}
+	return &SolverCache{byFP: reuse.NewLRU[uint64, *PathCache](solverCacheCapacity)}
 }
 
 // ForGraph returns the PathCache for g, creating it on first use. Graphs
@@ -128,31 +122,10 @@ func NewSolverCache() *SolverCache {
 // caller that rebuilds its graph on every request still run warm.
 func (s *SolverCache) ForGraph(g *graph.Graph) *PathCache {
 	fp := g.Fingerprint()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tick++
-	e, ok := s.byFP[fp]
-	if !ok {
-		if len(s.byFP) >= solverCacheCapacity {
-			s.evictOldestLocked()
-		}
-		e = &solverEntry{pc: NewPathCache(g)}
-		s.byFP[fp] = e
+	if pc, ok := s.byFP.Get(fp); ok {
+		return pc
 	}
-	e.used = s.tick
-	return e.pc
-}
-
-// evictOldestLocked drops the least recently used topology.
-func (s *SolverCache) evictOldestLocked() {
-	var oldest uint64
-	least := s.tick // every retained entry was used at an earlier tick
-	for fp, e := range s.byFP {
-		if e.used < least {
-			oldest, least = fp, e.used
-		}
-	}
-	delete(s.byFP, oldest)
+	return s.byFP.GetOrAdd(fp, NewPathCache(g))
 }
 
 // Place routes one scenario through the shared cache: schemes that can

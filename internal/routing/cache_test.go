@@ -215,11 +215,7 @@ func distinctTopology(i int) *graph.Graph {
 	return b.MustBuild()
 }
 
-func (s *SolverCache) retained() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byFP)
-}
+func (s *SolverCache) retained() int { return s.byFP.Len() }
 
 // TestSolverCacheIsBounded: the cache retains at most solverCacheCapacity
 // topologies, evicts the least recently used one, and an evicted

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"lowlat/internal/backend"
 	"lowlat/internal/obs"
 	"lowlat/internal/store"
 	"lowlat/internal/sweep"
@@ -295,8 +296,8 @@ func (c *Client) Watch(ctx context.Context, interval time.Duration, fn func(Watc
 }
 
 // Stats fetches the daemon's counters.
-func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	var out Stats
+func (c *Client) Stats(ctx context.Context) (*backend.Stats, error) {
+	var out backend.Stats
 	if err := c.get(ctx, "/v1/stats", nil, &out); err != nil {
 		return nil, err
 	}

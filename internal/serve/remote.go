@@ -226,36 +226,28 @@ func (r *Remote) Probe(ctx context.Context) error {
 	return nil
 }
 
-// Stats merges the daemon's counters (gauges, hit/compute counts) with
-// this client's own call counters. An unreachable daemon yields zero
-// gauges and a bumped error count rather than an error: Stats is a
+// Stats is the daemon's own /v1/stats snapshot, named "remote" and
+// carrying this client's call counters. An unreachable daemon yields
+// zero gauges and a bumped error count rather than an error: Stats is a
 // snapshot, not a health check.
 func (r *Remote) Stats() backend.Stats {
-	out := backend.Stats{
-		Backend:   "remote",
-		Errors:    r.errs.Load(),
-		Retried:   r.retried.Load(),
-		Telemetry: r.obs.Snapshot(),
-	}
 	ctx, cancel := r.ctx()
 	defer cancel()
-	st, err := r.c.Stats(ctx)
-	if err != nil {
-		out.Errors = r.errs.Add(1)
-		return out
+	var out backend.Stats
+	if st, err := r.c.Stats(ctx); err != nil {
+		r.errs.Add(1)
+	} else {
+		out = *st
 	}
-	out.Cells = st.StoreCells
-	out.MemoEntries = st.MemoEntries
-	out.ReadOnly = st.ReadOnly
-	out.StoreHits = st.StoreHits
-	out.MemoHits = st.MemoHits
-	out.Computed = st.Computed
-	out.Rejected = st.Rejected
-	out.InFlight = st.InFlight
+	out.Backend = "remote"
+	out.Errors = r.errs.Load()
+	out.Retried = r.retried.Load()
 	// The daemon's own telemetry (solve, store reads/writes, its HTTP
 	// endpoints) merges under this client's remote_hop, so a front's
 	// stats see through the wire.
-	out.Telemetry.Merge(st.Telemetry)
+	t := r.obs.Snapshot()
+	t.Merge(out.Telemetry)
+	out.Telemetry = t
 	return out
 }
 

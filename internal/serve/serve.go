@@ -132,81 +132,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats is the /v1/stats payload: monotonic counters since the server
-// started, plus backend gauges. Field order is the wire order.
-type Stats struct {
-	// Backend names the implementation serving /v1/place: "local",
-	// "store", "remote", "cluster".
-	Backend string `json:"backend"`
-	// StoreCells and MemoEntries gauge the backend's visible store.
-	StoreCells  int  `json:"store_cells"`
-	MemoEntries int  `json:"memo_entries"`
-	ReadOnly    bool `json:"read_only"`
-	// Queries, CellLookups and PlaceRequests count requests per endpoint.
-	Queries       int64 `json:"queries"`
-	CellLookups   int64 `json:"cell_lookups"`
-	PlaceRequests int64 `json:"place_requests"`
-	// CacheHits were answered by the LRU; CacheMisses consulted it and
-	// fell through to the backend. StoreHits were answered by the
-	// backend's store, MemoHits derived their cell key from the
-	// calibration memo without regenerating the matrix.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	StoreHits   int64 `json:"store_hits"`
-	MemoHits    int64 `json:"memo_hits"`
-	// Coalesced requests joined another request's in-flight computation;
-	// Computed counts engine invocations; Rejected counts 429s.
-	Coalesced int64 `json:"coalesced"`
-	Computed  int64 `json:"computed"`
-	Rejected  int64 `json:"rejected"`
-	// InFlight gauges currently admitted computations; CachedEntries
-	// gauges the LRU.
-	InFlight      int64 `json:"in_flight"`
-	CachedEntries int   `json:"cached_entries"`
-	// Predicted counts places answered by the interpolation fast path,
-	// PredictFallbacks those it handed to the exact path; Refined and
-	// RefineDropped count background ground-truth solves completed and
-	// shed. Surfaces and SurfaceSamples gauge the trained index. All six
-	// appear only when the backend is predictive.
-	Predicted        int64 `json:"predicted,omitempty"`
-	PredictFallbacks int64 `json:"predict_fallbacks,omitempty"`
-	Refined          int64 `json:"refined,omitempty"`
-	RefineDropped    int64 `json:"refine_dropped,omitempty"`
-	Surfaces         int   `json:"surfaces,omitempty"`
-	SurfaceSamples   int   `json:"surface_samples,omitempty"`
-	// Replications counts cells accepted through /v1/replicate — writes
-	// pushed by a replicating or healing cluster peer, as opposed to
-	// cells this daemon computed itself.
-	Replications int64 `json:"replications"`
-	// Replication counters, mirrored from a cluster backend running with
-	// R > 1 (see backend.Stats for meanings). All zero — and absent —
-	// otherwise.
-	ReplicaFactor int   `json:"replica_factor,omitempty"`
-	Replicated    int64 `json:"replicated,omitempty"`
-	ReadRepairs   int64 `json:"read_repairs,omitempty"`
-	HintsQueued   int64 `json:"hints_queued,omitempty"`
-	HintsDrained  int64 `json:"hints_drained,omitempty"`
-	HintsDropped  int64 `json:"hints_dropped,omitempty"`
-	HintsPending  int   `json:"hints_pending,omitempty"`
-	Healed        int64 `json:"healed,omitempty"`
-	HealSweeps    int64 `json:"heal_sweeps,omitempty"`
-	// Replicas carries per-replica backend snapshots when the server
-	// fronts a cluster.
-	Replicas []backend.Stats `json:"replicas,omitempty"`
-	// SlowRequests counts requests that crossed the slow threshold since
-	// the server started (including entries the ring has since evicted).
-	SlowRequests int64 `json:"slow_requests,omitempty"`
-	// Telemetry carries the per-stage histograms ("stages") and their
-	// rolling windows ("windows"): the backend's (solve,
-	// store_read/store_write, predict, replicate, heal, remote_hop;
-	// cluster-merged across replicas when fronting a cluster) plus this
-	// server's per-endpoint http_* timings. Each snapshot reports
-	// count/sum/max, p50/p90/p99 and the exact sparse buckets the
-	// quantiles were computed from; each window entry adds its name,
-	// covered span and observation rate.
-	obs.Telemetry
-}
-
 // counters is the server's HTTP-layer atomic counter block; cache
 // counters live in the mounted tier, compute-side counters in the
 // backend.
@@ -522,57 +447,24 @@ func (s *Server) Tier() *backend.Cached { return s.tier }
 // tracing middleware included.
 func (s *Server) Handler() http.Handler { return s.h }
 
-// Stats snapshots the counters: the HTTP layer's own (requests), the
-// mounted tier's (LRU hits, coalesces) and the backend's (store gauges,
-// hit/compute/reject counts). The backend is asked directly, not through
-// the tier: the daemon reports the backend it fronts ("local"), and the
-// tier's hits are already timed inside http_place.
-func (s *Server) Stats() Stats {
-	bs := s.b.Stats()
-	cs := s.tier.CacheStats()
+// Stats is the /v1/stats payload: the backend's snapshot (store gauges,
+// hit/compute/reject counts) with the HTTP layer's own counters
+// (requests, slow requests) and the mounted tier's (LRU hits, coalesces)
+// written over it. The backend is asked directly, not through the tier:
+// the daemon reports the backend it fronts ("local"), and the tier's
+// hits are already timed inside http_place.
+func (s *Server) Stats() backend.Stats {
+	st := s.b.Stats()
+	s.tier.OverlayCacheStats(&st)
+	st.Queries = s.c.queries.Load()
+	st.CellLookups = s.c.cells.Load()
+	st.PlaceRequests = s.c.places.Load()
+	st.Replications = s.c.replications.Load()
+	st.SlowRequests = s.slow.Total()
 	t := s.obs.Snapshot()
-	t.Merge(bs.Telemetry)
-	return Stats{
-		Backend:       bs.Backend,
-		StoreCells:    bs.Cells,
-		MemoEntries:   bs.MemoEntries,
-		ReadOnly:      bs.ReadOnly,
-		Queries:       s.c.queries.Load(),
-		CellLookups:   s.c.cells.Load(),
-		PlaceRequests: s.c.places.Load(),
-		CacheHits:     cs.Hits,
-		CacheMisses:   cs.Misses,
-		StoreHits:     bs.StoreHits,
-		MemoHits:      bs.MemoHits,
-		Coalesced:     cs.Coalesced,
-		Computed:      bs.Computed,
-		Rejected:      bs.Rejected,
-		InFlight:      bs.InFlight,
-		CachedEntries: cs.Entries,
-
-		Predicted:        bs.Predicted,
-		PredictFallbacks: bs.PredictFallbacks,
-		Refined:          bs.Refined,
-		RefineDropped:    bs.RefineDropped,
-		Surfaces:         bs.Surfaces,
-		SurfaceSamples:   bs.SurfaceSamples,
-
-		Replications:  s.c.replications.Load(),
-		ReplicaFactor: bs.ReplicaFactor,
-		Replicated:    bs.Replicated,
-		ReadRepairs:   bs.ReadRepairs,
-		HintsQueued:   bs.HintsQueued,
-		HintsDrained:  bs.HintsDrained,
-		HintsDropped:  bs.HintsDropped,
-		HintsPending:  bs.HintsPending,
-		Healed:        bs.Healed,
-		HealSweeps:    bs.HealSweeps,
-
-		Replicas: bs.Replicas,
-
-		SlowRequests: s.slow.Total(),
-		Telemetry:    t,
-	}
+	t.Merge(st.Telemetry)
+	st.Telemetry = t
+	return st
 }
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts down

@@ -357,7 +357,10 @@ func Run(ctx context.Context, st *store.Store, grid Grid, opts Options) (*Report
 	// observable and a cancellation between cells skips the solve. With a
 	// Backend set the solve is one Place dispatch instead — same pool,
 	// same ordering guarantees, but the engine work happens wherever the
-	// backend routes it.
+	// backend routes it. A return cancels the cells not yet started, so a
+	// checkpoint failure stops the solves too.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	place := func(ctx context.Context, _ int, c Cell) (store.Result, error) {
 		if opts.OnPlace != nil {
 			opts.OnPlace(c)

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lowlat/internal/routing"
 	"lowlat/internal/store"
@@ -437,5 +439,37 @@ func TestObserverSeesComputedAndReused(t *testing.T) {
 	}
 	if len(seen) != rep.Planned {
 		t.Fatalf("observer saw %d distinct cells, want all %d planned", len(seen), rep.Planned)
+	}
+}
+
+// TestRunStopsSolvingOnCheckpointError: a Run that returns because a
+// checkpoint failed cancels the cells it had not started, so no solve
+// runs on after the error. Workers:1 bounds what may still start to the
+// cell in flight when the failure was seen.
+func TestRunStopsSolvingOnCheckpointError(t *testing.T) {
+	st, err := store.OpenReadOnly(t.TempDir()) // every Put fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	grid := Grid{
+		Nets:    []string{"star-6", "ring-8"},
+		Seeds:   []int64{1, 2, 3},
+		Schemes: []string{"sp", "b4", "mplste", "minmax", "minmax-k10", "ldr"},
+	}
+	var places atomic.Int64
+	_, err = Run(context.Background(), st, grid, Options{
+		Workers: 1,
+		OnPlace: func(Cell) { places.Add(1) },
+	})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("Run over a read-only store = %v, want a checkpoint error", err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for time.Now().Before(deadline) {
+		if n := places.Load(); n > 2 {
+			t.Fatalf("%d solves started; after the first checkpoint error only the one then in flight may", n)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
