@@ -2,10 +2,11 @@
 // packages named in lintedPackages (the operator-facing surface plus the
 // engine, store, sweep and predict cores) must document every exported
 // identifier, and the root package may export only what the examples
-// and README name (facade_test.go). It runs as a plain test, so
-// `go test ./...` — and with it CI's short and race jobs — fails on an
-// undocumented export or a facade that grows back instead of leaving
-// the next reader to find either.
+// and README name (facade_test.go). No module source line may compile
+// to a fused multiply-add on any architecture (fma_test.go). It runs as
+// a plain test, so `go test ./...` — and with it CI's short and race
+// jobs — fails on an undocumented export, a facade that grows back or a
+// fused site instead of leaving the next reader to find them.
 package doclint
 
 import (

@@ -16,7 +16,7 @@ import (
 func DiurnalScales(epochs int, amplitude float64) []float64 {
 	out := make([]float64, epochs)
 	for e := range out {
-		out[e] = math.Max(0, 1+amplitude*math.Sin(2*math.Pi*float64(e)/float64(epochs)))
+		out[e] = math.Max(0, 1+float64(amplitude*math.Sin(2*math.Pi*float64(e)/float64(epochs))))
 	}
 	return out
 }

@@ -26,7 +26,7 @@ const (
 func traceSet(ctx context.Context, seed int64, workers int) ([]trace.Trace, error) {
 	cfgs := make([]trace.Config, 0, traceLinks*tracesPerLink)
 	for l := 0; l < traceLinks; l++ {
-		meanBps := 1e9 + 0.5e9*float64(l) // 1-2.5 Gb/s per link, like CAIDA's 1-3
+		meanBps := 1e9 + float64(0.5e9*float64(l)) // 1-2.5 Gb/s per link, like CAIDA's 1-3
 		for t := 0; t < tracesPerLink; t++ {
 			cfgs = append(cfgs, trace.Config{
 				Seed:          seed + int64(l*1000+t),

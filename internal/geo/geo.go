@@ -38,7 +38,7 @@ func DistanceKm(a, b Point) float64 {
 
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	h := float64(sinLat*sinLat) + float64(math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon)
 	if h > 1 {
 		h = 1
 	}

@@ -164,7 +164,7 @@ func randomMask(rng *rand.Rand, size int, p float64) *Mask {
 func TestTypedHeapMatchesContainerHeap(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := tieGraph(rng, 6+rng.Intn(10), 0.15+0.3*rng.Float64())
+		g := tieGraph(rng, 6+rng.Intn(10), 0.15+float64(0.3*rng.Float64()))
 		masks := [][2]*Mask{
 			{nil, nil},
 			{randomMask(rng, g.NumLinks(), 0.15), nil},

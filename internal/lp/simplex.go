@@ -87,7 +87,7 @@ func newSimplex(p *Problem, ws *Workspace) *simplex {
 	for i, r := range p.rows {
 		rhs := r.rhs
 		for _, t := range r.terms {
-			rhs -= t.Coeff * p.lo[t.Var]
+			rhs -= float64(t.Coeff * p.lo[t.Var])
 		}
 		s.bhat[i] = rhs
 		op := normOp(r.op, rhs)
@@ -207,7 +207,7 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 	x := s.extract(p)
 	obj := 0.0
 	for j, c := range p.obj {
-		obj += c * x[j]
+		obj += float64(c * x[j])
 	}
 	return &Solution{Status: Optimal, Objective: obj, X: x, Iterations: s.pivots}, nil
 }
@@ -273,7 +273,7 @@ func (s *simplex) resetZrow() {
 		}
 		row := s.tab[i]
 		for j := 0; j < s.w; j++ {
-			s.zrow[j] -= cb * row[j]
+			s.zrow[j] -= float64(cb * row[j])
 		}
 	}
 	// Clean basic columns exactly.
@@ -434,7 +434,7 @@ func (s *simplex) flipColumn(j int) {
 	for _, i := range s.rows {
 		ti := s.tab[i]
 		c := ti[j]
-		s.bhat[i] -= c * uj
+		s.bhat[i] -= float64(c * uj)
 		if s.bhat[i] < 0 && s.bhat[i] > -1e-9 {
 			s.bhat[i] = 0
 		}
@@ -500,7 +500,7 @@ func (s *simplex) pivot(r, e int, flip bool) {
 		f := rowI[e]
 		axpy(rowI, f, nz, vals)
 		rowI[e] = 0
-		s.bhat[i] -= f * br
+		s.bhat[i] -= float64(f * br)
 		if s.bhat[i] < 0 && s.bhat[i] > -1e-9 {
 			s.bhat[i] = 0
 		}
@@ -520,13 +520,13 @@ func axpy(row []float64, f float64, nz []int32, vals []float64) {
 	k := 0
 	for ; k+4 <= len(nz); k += 4 {
 		j, v := nz[k:k+4:k+4], vals[k:k+4:k+4]
-		row[j[0]] -= f * v[0]
-		row[j[1]] -= f * v[1]
-		row[j[2]] -= f * v[2]
-		row[j[3]] -= f * v[3]
+		row[j[0]] -= float64(f * v[0])
+		row[j[1]] -= float64(f * v[1])
+		row[j[2]] -= float64(f * v[2])
+		row[j[3]] -= float64(f * v[3])
 	}
 	for ; k < len(nz); k++ {
-		row[nz[k]] -= f * vals[k]
+		row[nz[k]] -= float64(f * vals[k])
 	}
 }
 

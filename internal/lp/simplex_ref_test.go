@@ -27,7 +27,7 @@ func refNewSimplex(p *Problem) *simplex {
 		nr := normRow{coef: make([]float64, nStruct), op: r.op, rhs: r.rhs}
 		for _, t := range r.terms {
 			nr.coef[t.Var] += t.Coeff
-			nr.rhs -= t.Coeff * p.lo[t.Var]
+			nr.rhs -= float64(t.Coeff * p.lo[t.Var])
 		}
 		if nr.rhs < 0 {
 			for j := range nr.coef {
@@ -201,7 +201,7 @@ func refFlipColumn(s *simplex, j int) {
 	uj := s.u[j]
 	for i := 0; i < s.m; i++ {
 		if c := s.tab[i][j]; c != 0 {
-			s.bhat[i] -= c * uj
+			s.bhat[i] -= float64(c * uj)
 			if s.bhat[i] < 0 && s.bhat[i] > -1e-9 {
 				s.bhat[i] = 0
 			}
@@ -247,17 +247,17 @@ func refPivot(s *simplex, r, e int) {
 		}
 		rowI := s.tab[i]
 		for _, j := range nz {
-			rowI[j] -= f * rowR[j]
+			rowI[j] -= float64(f * rowR[j])
 		}
 		rowI[e] = 0
-		s.bhat[i] -= f * s.bhat[r]
+		s.bhat[i] -= float64(f * s.bhat[r])
 		if s.bhat[i] < 0 && s.bhat[i] > -1e-9 {
 			s.bhat[i] = 0
 		}
 	}
 	if f := s.zrow[e]; f != 0 {
 		for _, j := range nz {
-			s.zrow[j] -= f * rowR[j]
+			s.zrow[j] -= float64(f * rowR[j])
 		}
 		s.zrow[e] = 0
 	}
@@ -415,7 +415,7 @@ func solveInStep(got, ref *simplex, p *Problem) (*Solution, error) {
 	x := got.extract(p)
 	obj := 0.0
 	for j, c := range p.obj {
-		obj += c * x[j]
+		obj += float64(c * x[j])
 	}
 	if !sameBits(x, ref.extract(p)) {
 		return nil, fmt.Errorf("extracted solutions differ")

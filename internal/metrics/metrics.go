@@ -73,7 +73,7 @@ func canRouteAround(g *graph.Graph, src, dst graph.NodeID, lid graph.LinkID,
 		if !ok {
 			return false // alternates exhausted
 		}
-		if p.Delay > maxDelay+1e-12 {
+		if p.Delay > float64(maxDelay)+1e-12 {
 			return false // every further alternate is even longer
 		}
 		for _, l := range p.Links {

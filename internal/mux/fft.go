@@ -58,7 +58,7 @@ func fft(a []complex128, invert bool) {
 			lo, hi := a[i:i+half], a[i+half:i+2*half]
 			for j, w := range tw {
 				u := lo[j]
-				v := hi[j] * complex(real(w), sign*imag(w))
+				v := cmul(hi[j], complex(real(w), sign*imag(w)))
 				lo[j] = u + v
 				hi[j] = u - v
 			}
@@ -67,7 +67,14 @@ func fft(a []complex128, invert bool) {
 	if invert {
 		inv := complex(1/float64(n), 0)
 		for i := range a {
-			a[i] *= inv
+			a[i] = cmul(a[i], inv)
 		}
 	}
+}
+
+// cmul is a*b with each part's two products rounded before their sum,
+// as amd64 computes a complex *, which other architectures may fuse.
+func cmul(a, b complex128) complex128 {
+	return complex(float64(real(a)*real(b))-float64(imag(a)*imag(b)),
+		float64(real(a)*imag(b))+float64(imag(a)*real(b)))
 }

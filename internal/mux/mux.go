@@ -189,7 +189,7 @@ func MaxQueueDelay(series [][]float64, capacity float64, binSec float64) float64
 	maxDelay := 0.0
 	for _, load := range loads {
 		// Arrivals this bin plus backlog, drained at link rate.
-		queueBits += (load - capacity) * binSec
+		queueBits += float64((load - capacity) * binSec)
 		if queueBits < 0 {
 			queueBits = 0
 		}

@@ -68,7 +68,7 @@ func (p PMF) TailMass() float64 {
 func (p PMF) Mean() float64 {
 	m := 0.0
 	for i, pi := range p.P {
-		m += pi * float64(i) * p.BinWidth
+		m += float64(pi * float64(i) * p.BinWidth)
 	}
 	return m
 }
@@ -128,7 +128,7 @@ func convolveNaive(a, b PMF, levels int) PMF {
 			if aOver || j >= levels || idx >= levels {
 				idx = levels
 			}
-			out.P[idx] += pa * pb
+			out.P[idx] += float64(pa * pb)
 		}
 	}
 	return out
@@ -192,7 +192,7 @@ func (c *convolver) convolve(dst []float64, a, b operand, levels int) operand {
 	out := operand{p: dst, hi: -1}
 	// Overflow is sticky: a's overflow with any of b, b's with a's
 	// in-range bins. In-range pairs that reach levels are added below.
-	over := a.tail*(b.mass+b.tail) + b.tail*a.mass
+	over := float64(a.tail*(b.mass+b.tail)) + float64(b.tail*a.mass)
 	if a.nnz > 0 && b.nnz > 0 {
 		// The direct product walks one operand's non-zero bins and, for
 		// each, the other's whole span; a is the one that makes that the
@@ -231,11 +231,11 @@ func directProduct(dst []float64, a, b operand, levels int) float64 {
 		if cut > 0 {
 			out := dst[i+b.lo:][:cut]
 			for j, pb := range bs[:cut] {
-				out[j] += pa * pb
+				out[j] += float64(pa * pb)
 			}
 		}
 		for _, pb := range bs[cut:] {
-			over += pa * pb
+			over += float64(pa * pb)
 		}
 	}
 	return over
@@ -260,7 +260,7 @@ func (c *convolver) fftProduct(dst []float64, a, b operand, n, levels int) float
 	fft(fa, false)
 	fft(fb, false)
 	for i := range fa {
-		fa[i] *= fb[i]
+		fa[i] = cmul(fa[i], fb[i])
 	}
 	fft(fa, true)
 

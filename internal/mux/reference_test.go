@@ -108,7 +108,7 @@ func refMaxQueueDelay(series [][]float64, capacity float64, binSec float64) floa
 				load += s[t]
 			}
 		}
-		queueBits += (load - capacity) * binSec
+		queueBits += float64((load - capacity) * binSec)
 		if queueBits < 0 {
 			queueBits = 0
 		}

@@ -174,7 +174,7 @@ func (s *Snapshot) quantile(q float64) int64 {
 	if s.Count <= 0 {
 		return 0
 	}
-	rank := int64(q*float64(s.Count) + 0.5)
+	rank := int64(float64(q*float64(s.Count)) + 0.5)
 	if rank < 1 {
 		rank = 1
 	}

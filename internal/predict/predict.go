@@ -101,7 +101,7 @@ func MinuteStds(series []float64, binsPerMinute int) []float64 {
 		varsum := 0.0
 		for _, v := range win {
 			d := v - mean
-			varsum += d * d
+			varsum += float64(d * d)
 		}
 		out = append(out, math.Sqrt(varsum/float64(len(win))))
 	}

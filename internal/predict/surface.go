@@ -43,7 +43,7 @@ func dist(a, b Coord) float64 {
 	dh := a.Headroom - b.Headroom
 	dl := a.Load - b.Load
 	dc := (a.Locality - b.Locality) * localityScale
-	return math.Sqrt(dh*dh + dl*dl + dc*dc)
+	return math.Sqrt(float64(dh*dh) + float64(dl*dl) + float64(dc*dc))
 }
 
 // SurfaceKey names one metric surface: one topology (by graph
@@ -266,12 +266,12 @@ func (ix *Index) Predict(g store.Digest, scheme string, seed int64, at Coord) (E
 	const soften = 1e-4
 	var wsum, congested, stretch, maxStretch, maxUtil, fits float64
 	for _, n := range nbrs {
-		w := 1 / (n.d*n.d + soften*soften)
+		w := 1 / (float64(n.d*n.d) + soften*soften)
 		wsum += w
-		congested += w * n.s.Metrics.Congested
-		stretch += w * n.s.Metrics.Stretch
-		maxStretch += w * n.s.Metrics.MaxStretch
-		maxUtil += w * n.s.Metrics.MaxUtil
+		congested += float64(w * n.s.Metrics.Congested)
+		stretch += float64(w * n.s.Metrics.Stretch)
+		maxStretch += float64(w * n.s.Metrics.MaxStretch)
+		maxUtil += float64(w * n.s.Metrics.MaxUtil)
 		if n.s.Metrics.Fits {
 			fits += w
 		}
@@ -290,13 +290,13 @@ func (ix *Index) Predict(g store.Digest, scheme string, seed int64, at Coord) (E
 	// feasibility boundary, where interpolation lies.
 	var vStretch, vUtil, vCong float64
 	for _, n := range nbrs {
-		w := 1 / (n.d*n.d + soften*soften)
+		w := 1 / (float64(n.d*n.d) + soften*soften)
 		ds := n.s.Metrics.Stretch - stretch
 		du := n.s.Metrics.MaxUtil - maxUtil
 		dc := n.s.Metrics.Congested - congested
-		vStretch += w * ds * ds
-		vUtil += w * du * du
-		vCong += w * dc * dc
+		vStretch += float64(w * ds * ds)
+		vUtil += float64(w * du * du)
+		vCong += float64(w * dc * dc)
 	}
 	rough := math.Sqrt(vStretch/wsum) / math.Max(stretch, 1e-9)
 	if r := math.Sqrt(vUtil/wsum) / math.Max(maxUtil, 1e-9); r > rough {

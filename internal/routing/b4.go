@@ -139,7 +139,7 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 		// headroom (full capacities).
 		loads := make([]float64, g.NumLinks())
 		for i, l := range g.Links() {
-			loads[i] = l.Capacity*(1-b.Headroom) - spare[i]
+			loads[i] = float64(l.Capacity*(1-b.Headroom)) - spare[i]
 			spare[i] = l.Capacity - loads[i]
 		}
 		for _, st := range states {

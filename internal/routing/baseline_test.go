@@ -34,8 +34,8 @@ func refLatencyStretch(p *routing.Placement) float64 {
 			if a.Fraction < fracEps {
 				continue
 			}
-			num += agg.Volume * a.Fraction * a.Path.Delay
-			den += agg.Volume * a.Fraction * sp.Delay
+			num += float64(agg.Volume * a.Fraction * a.Path.Delay)
+			den += float64(agg.Volume * a.Fraction * sp.Delay)
 		}
 	}
 	if den == 0 {
@@ -112,7 +112,7 @@ func diffMatrix(rng *rand.Rand, g *graph.Graph, pairs int, skip func(src, dst gr
 			continue
 		}
 		seen[[2]graph.NodeID{src, dst}] = true
-		gbps := 0.5 + 3*rng.Float64()
+		gbps := 0.5 + float64(3*rng.Float64())
 		aggs = append(aggs, tm.Aggregate{Src: src, Dst: dst, Volume: gbps * 1e9, Flows: int(gbps * 1000)})
 	}
 	return tm.New(aggs)

@@ -57,8 +57,8 @@ func LinkBasedLatencyOpt(g *graph.Graph, m *tm.Matrix, headroom float64) (*LinkB
 		if demand[a.Src] == nil {
 			demand[a.Src] = make(map[graph.NodeID]float64)
 		}
-		demand[a.Src][a.Dst] += a.Volume * vscale
-		norm += a.Volume * vscale * sp.Delay
+		demand[a.Src][a.Dst] += float64(a.Volume * vscale)
+		norm += float64(a.Volume * vscale * sp.Delay)
 	}
 	if norm <= 0 {
 		norm = 1
@@ -139,7 +139,7 @@ func LinkBasedLatencyOpt(g *graph.Graph, m *tm.Matrix, headroom float64) (*LinkB
 		for si := range sources {
 			load += sol.X[f[si][l]]
 		}
-		totalDelay += load * g.Link(graph.LinkID(l)).Delay
+		totalDelay += float64(load * g.Link(graph.LinkID(l)).Delay)
 		if ov := load / caps[l]; ov > maxOv {
 			maxOv = ov
 		}

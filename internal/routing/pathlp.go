@@ -106,7 +106,7 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 	norm := 0.0
 	minS := math.Inf(1)
 	for i, a := range m.Aggregates {
-		norm += float64(a.Flows) * a.EffectiveWeight() * sps[i].Delay
+		norm += float64(float64(a.Flows) * a.EffectiveWeight() * sps[i].Delay)
 		if sps[i].Delay < minS {
 			minS = sps[i].Delay
 		}
@@ -183,9 +183,9 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 		var score float64
 		switch s.kind {
 		case kindLatency:
-			score = bigM2*math.Max(maxOv, 1) + placement.LatencyStretch()
+			score = float64(bigM2*math.Max(maxOv, 1)) + placement.LatencyStretch()
 		case kindMinMax:
-			score = bigM2*maxOv + placement.LatencyStretch()
+			score = float64(bigM2*maxOv) + placement.LatencyStretch()
 		}
 		if score < bestObj-1e-9 {
 			bestObj = score

@@ -107,7 +107,7 @@ func (p *Placement) LinkLoads() []float64 {
 		vol := p.TM.Aggregates[i].Volume
 		for _, a := range allocs {
 			for _, lid := range a.Path.Links {
-				loads[lid] += vol * a.Fraction
+				loads[lid] += float64(vol * a.Fraction)
 			}
 		}
 	}
@@ -178,8 +178,8 @@ func (p *Placement) LatencyStretch() float64 {
 			if a.Fraction < fracEps {
 				continue
 			}
-			num += agg.Volume * a.Fraction * a.Path.Delay
-			den += agg.Volume * a.Fraction * sps[i]
+			num += float64(agg.Volume * a.Fraction * a.Path.Delay)
+			den += float64(agg.Volume * a.Fraction * sps[i])
 		}
 	}
 	if den == 0 {

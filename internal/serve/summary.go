@@ -100,7 +100,7 @@ func cdfPoints(vals []float64, points int) []CDFPoint {
 	out := make([]CDFPoint, 0, points)
 	for i := 0; i < points; i++ {
 		q := float64(i) / float64(points-1)
-		idx := int(q*float64(len(vals)-1) + 0.5)
+		idx := int(float64(q*float64(len(vals)-1)) + 0.5)
 		out = append(out, CDFPoint{Q: q, V: vals[idx]})
 	}
 	return out

@@ -39,7 +39,7 @@ func SpecsFromMatrix(m *tm.Matrix, seed int64) []AggregateSpec {
 			Dst:      a.Dst,
 			Flows:    a.Flows,
 			MeanBps:  a.Volume,
-			BurstStd: 0.05 + 0.35*rng.Float64(),
+			BurstStd: 0.05 + float64(0.35*rng.Float64()),
 			Corr:     0.9,
 		}
 	}
@@ -196,7 +196,7 @@ func RunClosedLoop(g *graph.Graph, specs []AggregateSpec, cfg ClosedLoopConfig) 
 
 	drift := func() {
 		for i := range means {
-			f := 1 + rng.NormFloat64()*cfg.DriftPerMinute
+			f := 1 + float64(rng.NormFloat64()*cfg.DriftPerMinute)
 			if f < 0.5 {
 				f = 0.5
 			}

@@ -199,7 +199,7 @@ func Run(p *routing.Placement, traffic [][]float64, cfg Config) (*Result, error)
 			if at < 0 {
 				continue // still in flight at run start
 			}
-			arrivals[h.link] += traffic[h.agg][at] * h.frac * cfg.BinSec
+			arrivals[h.link] += float64(traffic[h.agg][at] * h.frac * cfg.BinSec)
 		}
 
 		for lid := 0; lid < nLinks; lid++ {

@@ -224,9 +224,9 @@ func Correlation(xs, ys []float64) float64 {
 	var cov, vx, vy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
+		cov += float64(dx * dy)
+		vx += float64(dx * dx)
+		vy += float64(dy * dy)
 	}
 	if vx == 0 || vy == 0 {
 		return math.NaN()
@@ -247,7 +247,7 @@ func MeanStd(samples []float64) (mean, std float64) {
 	varsum := 0.0
 	for _, v := range samples {
 		d := v - mean
-		varsum += d * d
+		varsum += float64(d * d)
 	}
 	return mean, math.Sqrt(varsum / float64(len(samples)))
 }

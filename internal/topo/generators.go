@@ -74,7 +74,8 @@ func Tree(name string, branching, depth int, spacingKm, capacity float64) *graph
 		}
 		span := spacingKm * math.Pow(float64(branching), float64(depth-cur.level-1))
 		for c := 0; c < branching; c++ {
-			x := cur.x + span*(float64(c)-float64(branching-1)/2)
+			// Each product rounds; the compiler turns /2 into a fusable *0.5.
+			x := cur.x + float64(span*(float64(c)-float64(float64(branching-1)/2)))
 			id := b.AddNode(fmt.Sprintf("n%d", count), place(x, -spacingKm*float64(cur.level+1)))
 			count++
 			b.AddGeoBiLink(cur.id, id, capacity)
@@ -270,7 +271,7 @@ func MultiRegion(name string, regions, perRegion int, regionSpanKm, interDistKm 
 		xs := make([]float64, perRegion)
 		ys := make([]float64, perRegion)
 		for i := 0; i < perRegion; i++ {
-			xs[i] = baseX + rng.Float64()*regionSpanKm
+			xs[i] = float64(baseX) + float64(rng.Float64()*regionSpanKm)
 			ys[i] = rng.Float64() * regionSpanKm
 			nodes[i] = b.AddNode(fmt.Sprintf("r%dn%d", r, i), place(xs[i], ys[i]))
 		}

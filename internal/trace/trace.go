@@ -113,8 +113,8 @@ func Generate(cfg Config) Trace {
 
 	for minute := 0; minute < cfg.Minutes; minute++ {
 		for b := 0; b < binsPerMin; b++ {
-			ar = cfg.BurstCorr*ar + rng.NormFloat64()*innovStd
-			v := mean * (1 + burstStd*ar)
+			ar = float64(cfg.BurstCorr*ar) + float64(rng.NormFloat64()*innovStd)
+			v := mean * (1 + float64(burstStd*ar))
 			if v < 0 {
 				v = 0
 			}
@@ -122,14 +122,14 @@ func Generate(cfg Config) Trace {
 		}
 		// Minute-scale evolution: mean drifts slowly; burstiness
 		// wanders slightly (Figure 10's x=y persistence).
-		mean *= 1 + rng.NormFloat64()*cfg.DriftPerMinute
+		mean *= 1 + float64(rng.NormFloat64()*cfg.DriftPerMinute)
 		if mean < cfg.MeanBps*0.25 {
 			mean = cfg.MeanBps * 0.25
 		}
 		if mean > cfg.MeanBps*4 {
 			mean = cfg.MeanBps * 4
 		}
-		burstStd *= 1 + rng.NormFloat64()*burstStdJitter
+		burstStd *= 1 + float64(rng.NormFloat64()*burstStdJitter)
 		if burstStd < cfg.BurstStd*0.5 {
 			burstStd = cfg.BurstStd * 0.5
 		}
@@ -141,7 +141,7 @@ func Generate(cfg Config) Trace {
 }
 
 func sqrtOneMinusSq(c float64) float64 {
-	v := 1 - c*c
+	v := 1 - float64(c*c)
 	if v <= 0 {
 		return 0
 	}

@@ -7,7 +7,8 @@
 # "<name> allocs/op" and any custom "<name> <unit>" rows beside it, every
 # row the median of its five samples (one sample swings several-fold with
 # a busy neighbour on a small VM), and a "host" object (CPU model, nproc,
-# GOMAXPROCS, go version, commit) saying where it ran, written to $1
+# GOMAXPROCS, go version, GOARCH and on amd64 GOAMD64, commit) saying
+# where it ran, written to $1
 # (default BENCH_ci.json). CI
 # archives the file on every push so the repository accumulates a perf
 # trajectory; `make bench` produces the same file locally, and each PR
@@ -87,7 +88,8 @@ if [ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]; then
 fi
 
 awk -v cpu="$cpu" -v nproc="$(getconf _NPROCESSORS_ONLN)" \
-    -v gover="$(go env GOVERSION)" -v commit="$commit" '
+    -v gover="$(go env GOVERSION)" -v goarch="$(go env GOARCH)" \
+    -v goamd64="$(go env GOAMD64)" -v commit="$commit" '
   function row(key, val) {
     if (count++) printf ",\n"
     printf "  \"%s\": %s", key, val
@@ -119,8 +121,10 @@ awk -v cpu="$cpu" -v nproc="$(getconf _NPROCESSORS_ONLN)" \
   BEGIN { printf "{\n" }
   END {
     for (i = 0; i < keys; i++) row(order[i], median(order[i]))
-    row("host", sprintf("{\"cpu\": \"%s\", \"nproc\": %d, \"gomaxprocs\": %d, \"go\": \"%s\", \"commit\": \"%s\"}",
-      cpu, nproc, procs ? procs : 1, gover, commit))
+    arch = sprintf("\"goarch\": \"%s\"", goarch)
+    if (goarch == "amd64") arch = arch sprintf(", \"goamd64\": \"%s\"", goamd64)
+    row("host", sprintf("{\"cpu\": \"%s\", \"nproc\": %d, \"gomaxprocs\": %d, \"go\": \"%s\", %s, \"commit\": \"%s\"}",
+      cpu, nproc, procs ? procs : 1, gover, arch, commit))
     printf "\n}\n"
   }
 ' "$tmp" > "$out"

@@ -59,31 +59,43 @@ echo "cluster-smoke: replicas at $cluster"
 
 fail() { echo "cluster-smoke: FAIL: $1"; cat "$log_a" "$log_b"; exit 1; }
 
+# matches PATTERN CMD...: run CMD; true when it exits 0 and its output
+# matches the extended regexp PATTERN. The output is captured first: sh
+# has no pipefail, so in `CMD | grep -q` CMD's exit status is lost, and a sweep
+# that exits 1 after printing " 0 failed" would pass.
+matches() {
+    pattern="$1"
+    shift
+    out="$("$@")" || { echo "cluster-smoke: $1 exited $?" >&2; return 1; }
+    printf '%s\n' "$out" | grep -Eq -- "$pattern"
+}
+
+# lines CMD...: the line count of CMD's output; empty when CMD fails.
+lines() { out="$("$@")" && printf '%s\n' "$out" | wc -l; }
+
 # The ring's merged query sees both shards (1 cell each).
-"$bindir/lowlat" query -cluster "$cluster" -scheme sp \
-    | grep -q "2 of 2 stored cells matched" || fail "cluster query"
+matches "2 of 2 stored cells matched" "$bindir/lowlat" query -cluster "$cluster" -scheme sp \
+    || fail "cluster query"
 
 # Export through the cluster: CSV header + 2 rows, remote or not.
-[ "$("$bindir/lowlat" export -cluster "$cluster" -format csv | wc -l)" = "3" ] || fail "cluster export"
+[ "$(lines "$bindir/lowlat" export -cluster "$cluster" -format csv)" = "3" ] || fail "cluster export"
 
 # A sweep farms its missing placements out through the ring and still
 # checkpoints locally (4 cells: 2 nets x 2 seeds, 2 already on replicas).
-"$bindir/lowlat" sweep -store "$store_sweep" -cluster "$cluster" \
-    -grid "nets=star-6,ring-8;seeds=1,2;schemes=sp" -workers 1 \
-    | grep -q " 0 failed" || fail "farmed-out sweep"
-"$bindir/lowlat" query -store "$store_sweep" \
-    | grep -q "4 of 4 stored cells matched" || fail "local checkpoint after farm-out"
+matches " 0 failed" "$bindir/lowlat" sweep -store "$store_sweep" -cluster "$cluster" \
+    -grid "nets=star-6,ring-8;seeds=1,2;schemes=sp" -workers 1 || fail "farmed-out sweep"
+matches "4 of 4 stored cells matched" "$bindir/lowlat" query -store "$store_sweep" \
+    || fail "local checkpoint after farm-out"
 
 # Kill one replica: the ring must reroute its keys to the survivor and
 # the CLI must keep answering with zero failed requests.
 kill -TERM "$pid_b"
 wait "$pid_b" 2>/dev/null || true
 pid_b=""
-"$bindir/lowlat" query -cluster "$cluster" -scheme sp \
-    | grep -q "stored cells matched" || fail "query after replica kill"
-"$bindir/lowlat" sweep -store "$store_sweep" -cluster "$cluster" \
-    -grid "nets=star-6,ring-8;seeds=3;schemes=sp" -workers 1 \
-    | grep -q " 0 failed" || fail "rerouted sweep after replica kill"
+matches "stored cells matched" "$bindir/lowlat" query -cluster "$cluster" -scheme sp \
+    || fail "query after replica kill"
+matches " 0 failed" "$bindir/lowlat" sweep -store "$store_sweep" -cluster "$cluster" \
+    -grid "nets=star-6,ring-8;seeds=3;schemes=sp" -workers 1 || fail "rerouted sweep after replica kill"
 
 kill -TERM "$pid_a"
 wait "$pid_a" || fail "replica A exit status"
@@ -116,9 +128,8 @@ echo "cluster-smoke: R=2 replicas at $rcluster"
 # its key's ring owners (plus the computing replica's own store when
 # that differs), so the three stores hold 8..12 copies between them —
 # the exact split depends on the ephemeral-port ring layout.
-"$bindir/lowlat" sweep -store "$store_rsweep" -cluster "$rcluster" -replicas 2 \
-    -grid "nets=star-6,ring-8;seeds=1,2;schemes=sp" -workers 1 \
-    | grep -q " 0 failed" || rfail "replicated seed sweep"
+matches " 0 failed" "$bindir/lowlat" sweep -store "$store_rsweep" -cluster "$rcluster" -replicas 2 \
+    -grid "nets=star-6,ring-8;seeds=1,2;schemes=sp" -workers 1 || rfail "replicated seed sweep"
 total=$(( $(digest_count "$base_r1") + $(digest_count "$base_r2") + $(digest_count "$base_r3") ))
 { [ "$total" -ge 8 ] && [ "$total" -le 12 ]; } || rfail "expected 8..12 replicated copies across 3 stores, found $total"
 "$bindir/lowlat" export -cluster "$rcluster" -replicas 2 -format csv > "$bindir/export_before.csv"
@@ -126,8 +137,8 @@ total=$(( $(digest_count "$base_r1") + $(digest_count "$base_r2") + $(digest_cou
 
 # The health plane answers on every replica: a healthy daemon rolls up
 # to ok and serves its event journal with a cursor.
-curl -fsS "$base_r1/v1/health" | grep -q '"status": "ok"' || rfail "replica health report"
-curl -fsS "$base_r1/v1/events?since=0" | grep -q '"next_since"' || rfail "replica events cursor"
+matches '"status": "ok"' curl -fsS "$base_r1/v1/health" || rfail "replica health report"
+matches '"next_since"' curl -fsS "$base_r1/v1/events?since=0" || rfail "replica events cursor"
 
 # Kill one replica mid-run: every cell still has a live owner, so reads
 # through the replicated ring must keep answering with zero failures.
@@ -136,9 +147,9 @@ curl -fsS "$base_r1/v1/events?since=0" | grep -q '"next_since"' || rfail "replic
 kill -TERM "$pid_r3"
 wait "$pid_r3" 2>/dev/null || true
 pid_r3=""
-"$bindir/lowlat" query -cluster "$rcluster" -replicas 2 -scheme sp \
-    | grep -q "4 of [0-9]* stored cells matched" || rfail "query with a dead replica"
-[ "$("$bindir/lowlat" export -cluster "$rcluster" -replicas 2 -format csv | wc -l)" = "5" ] \
+matches "4 of [0-9]* stored cells matched" "$bindir/lowlat" query -cluster "$rcluster" -replicas 2 -scheme sp \
+    || rfail "query with a dead replica"
+[ "$(lines "$bindir/lowlat" export -cluster "$rcluster" -replicas 2 -format csv)" = "5" ] \
     || rfail "export with a dead replica"
 
 # Restart the dead replica over an EMPTY store — a lost disk — on its
@@ -151,12 +162,10 @@ rm -rf "$store_r3"
 start_replica "$store_r3" "$log_r3" "${base_r3#http://}"; pid_r3=$started_pid
 [ "$started_url" = "$base_r3" ] || rfail "rebuilt replica came back on $started_url, want $base_r3"
 [ "$(digest_count "$base_r3")" = "0" ] || rfail "rebuilt replica should start empty"
-"$bindir/lowlat" heal -cluster "$rcluster" -replicas 2 \
-    | grep -q " 0 failed" || rfail "heal after rebuild"
+matches " 0 failed" "$bindir/lowlat" heal -cluster "$rcluster" -replicas 2 || rfail "heal after rebuild"
 total=$(( $(digest_count "$base_r1") + $(digest_count "$base_r2") + $(digest_count "$base_r3") ))
 { [ "$total" -ge 8 ] && [ "$total" -le 12 ]; } || rfail "expected 8..12 copies after heal, found $total"
-"$bindir/lowlat" heal -cluster "$rcluster" -replicas 2 \
-    | grep -Eq "(0 healed, 0 drained, 0 failed|already converged)" \
+matches "(0 healed, 0 drained, 0 failed|already converged)" "$bindir/lowlat" heal -cluster "$rcluster" -replicas 2 \
     || rfail "second heal should have nothing to copy"
 "$bindir/lowlat" export -cluster "$rcluster" -replicas 2 -format csv > "$bindir/export_after.csv"
 cmp -s "$bindir/export_before.csv" "$bindir/export_after.csv" \

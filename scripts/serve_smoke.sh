@@ -39,24 +39,35 @@ boot -workers 1
 
 fail() { echo "serve-smoke: FAIL: $1"; cat "$log"; exit 1; }
 
+# matches PATTERN CMD...: run CMD; true when it exits 0 and its output
+# matches the extended regexp PATTERN. The output is captured first: sh
+# has no pipefail, so in `CMD | grep -q` CMD's exit status is lost, and grep
+# quitting at its first match can cut curl off mid-write.
+matches() {
+    pattern="$1"
+    shift
+    out="$("$@")" || { echo "serve-smoke: $1 exited $?" >&2; return 1; }
+    printf '%s\n' "$out" | grep -Eq -- "$pattern"
+}
+
 curl -fsS "$base/healthz" > /dev/null || fail "healthz"
-curl -fsS "$base/v1/query?scheme=sp" | grep -q '"count": 1' || fail "query"
+matches '"count": 1' curl -fsS "$base/v1/query?scheme=sp" || fail "query"
 
 # The swept cell serves from the store; a new scheme computes on demand;
 # the repeat is a cache hit.
 body='{"net":"star-6","seed":1,"scheme":"minmax"}'
-curl -fsS "$base/v1/place" -d '{"net":"star-6","seed":1,"scheme":"sp"}' \
-    | grep -q '"source": "store"' || fail "stored place"
-curl -fsS "$base/v1/place" -d "$body" | grep -q '"source": "computed"' || fail "computed place"
-curl -fsS "$base/v1/place" -d "$body" | grep -q '"source": "cache"' || fail "cached place"
-curl -fsS "$base/v1/summary" | grep -q '"classes"' || fail "summary"
-curl -fsS "$base/v1/stats" | grep -q '"computed": 1' || fail "stats"
+matches '"source": "store"' curl -fsS "$base/v1/place" -d '{"net":"star-6","seed":1,"scheme":"sp"}' \
+    || fail "stored place"
+matches '"source": "computed"' curl -fsS "$base/v1/place" -d "$body" || fail "computed place"
+matches '"source": "cache"' curl -fsS "$base/v1/place" -d "$body" || fail "cached place"
+matches '"classes"' curl -fsS "$base/v1/summary" || fail "summary"
+matches '"computed": 1' curl -fsS "$base/v1/stats" || fail "stats"
 
 # The observability surface: /v1/stats carries per-stage latency
 # quantiles, /metrics speaks Prometheus text format (scalar counters plus
 # the stage histograms — the computed place above recorded a solve), and
 # /v1/slow answers even when empty.
-curl -fsS "$base/v1/stats" | grep -q '"stages"' || fail "stats stages"
+matches '"stages"' curl -fsS "$base/v1/stats" || fail "stats stages"
 metrics="$(curl -fsS "$base/metrics")"
 echo "$metrics" | grep -q '^lowlat_place_requests_total 3$' || fail "metrics place counter"
 echo "$metrics" | grep -q '^lowlat_computed_total 1$' || fail "metrics computed counter"
@@ -64,14 +75,14 @@ echo "$metrics" | grep -q '# TYPE lowlat_stage_latency_seconds histogram' || fai
 echo "$metrics" | grep -q 'lowlat_stage_latency_seconds_count{stage="solve"}' || fail "metrics solve histogram"
 echo "$metrics" | grep -q 'lowlat_stage_latency_seconds_bucket{stage="http_place",le="+Inf"}' || fail "metrics http histogram"
 echo "$metrics" | grep -q '^# HELP lowlat_place_requests_total ' || fail "metrics HELP line"
-curl -fsS "$base/v1/slow" | grep -q '"total"' || fail "slow ring"
+matches '"total"' curl -fsS "$base/v1/slow" || fail "slow ring"
 
 # The health plane: /v1/health rolls the daemon up to ok (a -slo-less
 # daemon has no objectives to burn), /v1/events serves the journal
 # cursor, and a second /metrics scrape after more traffic must move the
 # counters forward — monotonicity is what makes them rate()-able.
-curl -fsS "$base/v1/health" | grep -q '"status": "ok"' || fail "health report"
-curl -fsS "$base/v1/events?since=0" | grep -q '"next_since"' || fail "events cursor"
+matches '"status": "ok"' curl -fsS "$base/v1/health" || fail "health report"
+matches '"next_since"' curl -fsS "$base/v1/events?since=0" || fail "events cursor"
 counter() { echo "$1" | sed -n 's/^lowlat_place_requests_total \([0-9]*\)$/\1/p'; }
 curl -fsS "$base/v1/place" -d "$body" > /dev/null || fail "place before rescrape"
 metrics2="$(curl -fsS "$base/metrics")"
@@ -89,8 +100,8 @@ pid=""
 # 403, and the stats name the read-only mount.
 boot -readonly
 status() { curl -s -o /dev/null -w '%{http_code}' "$@"; }
-curl -fsS "$base/v1/place" -d '{"net":"star-6","seed":1,"scheme":"sp"}' \
-    | grep -q '"source": "store"' || fail "read-only stored place"
+matches '"source": "store"' curl -fsS "$base/v1/place" -d '{"net":"star-6","seed":1,"scheme":"sp"}' \
+    || fail "read-only stored place"
 [ "$(status "$base/v1/place" -d '{"net":"star-6","seed":1,"scheme":"b4"}')" = 403 ] \
     || fail "read-only compute not refused with 403"
 stats="$(curl -fsS "$base/v1/stats")"
@@ -104,5 +115,5 @@ grep -q "shut down cleanly" "$log" || fail "read-only clean shutdown message"
 pid=""
 
 # The computed cell persisted: the store now has both.
-go run ./cmd/lowlat query -store "$store" | grep -q "2 of 2 stored cells matched" || fail "persisted cell"
+matches "2 of 2 stored cells matched" go run ./cmd/lowlat query -store "$store" || fail "persisted cell"
 echo "serve-smoke: OK"
