@@ -10,8 +10,11 @@ GO ?= go
 
 ci: vet staticcheck analyze shellcheck build short cli-smoke serve-smoke cluster-smoke predict-gate examples-smoke bench
 
+# bench/ is its own module, compiled against internal APIs: `go vet
+# ./...` at the root never reaches it.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # Invariant analyzer suite (internal/analysis: detrange, atomicguard,
 # locked, sentinelerr, ctxflow, goexit): TestSuiteSelfGate loads every

@@ -443,10 +443,8 @@ func cmdTM(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := tmgen.Config{Locality: *locality, NoLocality: *locality == 0, TargetMaxUtil: *load}
 	for i := 0; i < *n; i++ {
-		cfg.Seed = *seed + int64(i)
-		res, err := tmgen.Generate(g, cfg)
+		res, _, err := sweep.GenerateMatrixCached(g, *seed+int64(i), *load, *locality, nil, nil)
 		if err != nil {
 			return fmt.Errorf("matrix %d: %w", i, err)
 		}
@@ -499,9 +497,7 @@ func cmdSim(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	res, err := tmgen.Generate(g, tmgen.Config{
-		Seed: *seed, TargetMaxUtil: *load, Locality: *locality, NoLocality: *locality == 0,
-	})
+	res, _, err := sweep.GenerateMatrixCached(g, *seed, *load, *locality, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -566,11 +562,7 @@ func cmdRoute(args []string, stdout, stderr io.Writer) error {
 	}
 	matrices, err := engine.Map(ctx, r.Workers(), seeds,
 		func(_ context.Context, i int, s int64) (*tmgen.Result, error) {
-			res, err := tmgen.Generate(g, tmgen.Config{
-				Seed: s, Locality: *locality,
-				NoLocality: *locality == 0, TargetMaxUtil: *load,
-				Cache: r.Cache().ForGraph(g),
-			})
+			res, _, err := sweep.GenerateMatrixCached(g, s, *load, *locality, nil, r.Cache().ForGraph(g))
 			if err != nil {
 				return nil, fmt.Errorf("tm %d: %w", i, err)
 			}
@@ -705,11 +697,7 @@ func cmdDynamics(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		res, err := tmgen.Generate(g, tmgen.Config{
-			Seed: *seed, Locality: *locality,
-			NoLocality: *locality == 0, TargetMaxUtil: *load,
-			Cache: r.Cache().ForGraph(g),
-		})
+		res, _, err := sweep.GenerateMatrixCached(g, *seed, *load, *locality, nil, r.Cache().ForGraph(g))
 		if err != nil {
 			return err
 		}

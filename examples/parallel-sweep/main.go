@@ -32,7 +32,7 @@ func main() {
 
 	// Enumerate the full scenario cube in deterministic nested order.
 	var scenarios []lowlat.Scenario
-	for ni, g := range networks {
+	for _, g := range networks {
 		ms, err := lowlat.GenerateTrafficSet(g, lowlat.TrafficConfig{Seed: 7}, 3)
 		if err != nil {
 			log.Fatal(err)
@@ -40,7 +40,6 @@ func main() {
 		for _, scheme := range schemes {
 			for _, m := range ms {
 				scenarios = append(scenarios, lowlat.Scenario{
-					Group:  ni,
 					Tag:    g.Name() + "/" + scheme.Name(),
 					Graph:  g,
 					Matrix: m,

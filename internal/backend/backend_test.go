@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lowlat/internal/store"
 	"lowlat/internal/sweep"
@@ -136,6 +137,57 @@ func TestLocalOverload(t *testing.T) {
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("held place: %v", err)
+	}
+}
+
+// TestLocalHonorsContext pins the Backend contract that Place blocks
+// until the cell is resolved or the context dies: with the one worker
+// slot held by a parked solve, a Place whose deadline passes while it
+// waits for the slot fails with that deadline instead of waiting.
+func TestLocalHonorsContext(t *testing.T) {
+	st := openStore(t)
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	l := NewLocal(st, LocalOptions{
+		Workers: 1,
+		OnPlace: func(store.CellKey) {
+			select {
+			case entered <- struct{}{}:
+				<-release
+			default:
+			}
+		},
+	})
+	held := make(chan error, 1)
+	go func() {
+		_, err := l.Place(context.Background(), spec("star-6", 1, "sp"))
+		held <- err
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	second := make(chan error, 1)
+	go func() {
+		_, err := l.Place(ctx, spec("ring-8", 1, "sp"))
+		second <- err
+	}()
+	var err error
+	waited := false
+	select {
+	case err = <-second:
+	case <-time.After(5 * time.Second):
+		err, waited = errors.New("still waiting for a worker slot after 5s"), true
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Errorf("held place: %v", err)
+	}
+	if waited {
+		<-second
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("place past its deadline: %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -178,11 +178,15 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 
 	// Worker slot: bounds actual engine work to Workers, however many
 	// computations were admitted.
-	l.work <- struct{}{}
+	select {
+	case l.work <- struct{}{}:
+	case <-ctx.Done():
+		return store.Result{}, "", ctx.Err()
+	}
 	defer func() { <-l.work }()
 
 	t0 := time.Now()
-	m, md, err := sweep.GenerateMatrixCached(g, spec.Seed, spec.Load, spec.Locality, l.st, l.solver.ForGraph(g))
+	gen, md, err := sweep.GenerateMatrixCached(g, spec.Seed, spec.Load, spec.Locality, l.st, l.solver.ForGraph(g))
 	l.obs.Observe(ctx, obs.StageMatrix, time.Since(t0))
 	if err != nil {
 		return store.Result{}, "", fmt.Errorf("generate matrix: %w", err)
@@ -194,7 +198,7 @@ func (l *Local) place(ctx context.Context, spec store.CellSpec) (store.Result, S
 		return res, SourceStore, nil
 	}
 
-	res, err := l.compute(ctx, sweep.NewCell(net, spec.Seed, scheme, spec.Load, spec.Locality, key, m))
+	res, err := l.compute(ctx, sweep.NewCell(net, spec.Seed, scheme, spec.Load, spec.Locality, key, gen.Matrix))
 	if err != nil {
 		return store.Result{}, "", err
 	}
@@ -223,14 +227,11 @@ func (l *Local) resolveNet(term string) (sweep.NetSpec, error) {
 
 // compute runs one placement through the engine (panic recovery: a
 // solver crash surfaces as an error, not a dead process) against the
-// backend's shared solver cache. The computation deliberately runs on a
-// background context: in the serving daemon the leader of a coalesced
-// flight computes for its followers, so a disconnecting leader must not
-// abort them. ctx is used only to carry the caller's trace into the
-// solve-stage observation, never for cancellation.
+// backend's shared solver cache, on ctx: a context that dies before the
+// solve starts fails the call. A flight that must outlive the request
+// that led it is the caller's policy (the daemon's serve.detached).
 func (l *Local) compute(ctx context.Context, c sweep.Cell) (store.Result, error) {
-	//nolint:ctxflow // coalesced flights outlive their leader: followers must not lose the solve when the leader disconnects
-	out := <-engine.Stream(context.Background(), 1, []sweep.Cell{c},
+	out, ok := <-engine.Stream(ctx, 1, []sweep.Cell{c},
 		func(_ context.Context, _ int, c sweep.Cell) (store.Result, error) {
 			if l.opts.OnPlace != nil {
 				l.opts.OnPlace(c.Key)
@@ -241,6 +242,10 @@ func (l *Local) compute(ctx context.Context, c sweep.Cell) (store.Result, error)
 			l.obs.Observe(ctx, obs.StageSolve, time.Since(t0))
 			return res, err
 		})
+	if !ok {
+		// ctx died before the cell was dispatched.
+		return store.Result{}, ctx.Err()
+	}
 	return out.Value, out.Err
 }
 

@@ -229,14 +229,9 @@ func (c *Backend) Close() error {
 // ReplicaFactor reports the resolved ownership factor R.
 func (c *Backend) ReplicaFactor() int { return c.r }
 
-// Owner reports which replica index the ring assigns a key string to
-// (health marks ignored) — exported for tests and operator tooling that
-// reason about placement.
-func (c *Backend) Owner(key string) int { return c.ring.owner(key) }
-
 // Owners reports the key's full replication set: its first R distinct
-// replicas in ring order (health marks ignored). With R = 1 it is
-// [Owner(key)].
+// replicas in ring order (health marks ignored); the first is the key's
+// owner.
 func (c *Backend) Owners(key string) []int { return c.ring.owners(key, c.r) }
 
 // Labels returns the replica labels in index order.
@@ -411,13 +406,7 @@ func (c *Backend) Lookup(k store.CellKey) (store.Result, bool) {
 // read-repair half of self-healing. An unreachable owner is marked down
 // and the write queues as a hint instead.
 func (c *Backend) repair(i int, res store.Result) {
-	if err := c.putTo(i, res); err != nil {
-		if errors.Is(err, backend.ErrUnavailable) {
-			c.markDown(i, "read-repair write failed")
-			c.queueHint(i, res)
-			return
-		}
-		c.errs.Add(1)
+	if c.send(i, res, "read-repair write failed") != nil {
 		return
 	}
 	c.readRepairs.Add(1)
@@ -496,13 +485,7 @@ func (c *Backend) Put(r store.Result) error {
 			c.queueHint(i, r)
 			continue
 		}
-		if err := c.putTo(i, r); err != nil {
-			if errors.Is(err, backend.ErrUnavailable) {
-				c.markDown(i, "replication write failed")
-				c.queueHint(i, r)
-			} else {
-				c.errs.Add(1)
-			}
+		if err := c.send(i, r, "replication write failed"); err != nil {
 			lastErr = err
 			continue
 		}
@@ -534,17 +517,36 @@ func (c *Backend) replicate(owners []int, served int, res store.Result) {
 			c.queueHint(i, res)
 			continue
 		}
-		if err := c.putTo(i, res); err != nil {
-			if errors.Is(err, backend.ErrUnavailable) {
-				c.markDown(i, "put failed")
-				c.queueHint(i, res)
-			} else {
-				c.errs.Add(1)
-			}
+		if c.send(i, res, "put failed") != nil {
 			continue
 		}
 		c.replicated.Add(1)
 	}
+}
+
+// send is the one replica write rule every cross-replica copy follows
+// (Put, Place's replication, read-repair, Heal's copy): put r on replica
+// i; an unreachable replica is marked down for reason and the write
+// queues as a hint. A non-nil return means the write did not land.
+func (c *Backend) send(i int, r store.Result, reason string) error {
+	err := c.putTo(i, r)
+	if err != nil && c.writeFailed(i, err, reason) {
+		c.queueHint(i, r)
+	}
+	return err
+}
+
+// writeFailed classifies a failed write to replica i: an unreachable
+// replica (backend.ErrUnavailable) is marked down for reason and true is
+// returned, so the write can wait for it; any other refusal can never
+// succeed on retry and counts as an error.
+func (c *Backend) writeFailed(i int, err error, reason string) bool {
+	if errors.Is(err, backend.ErrUnavailable) {
+		c.markDown(i, reason)
+		return true
+	}
+	c.errs.Add(1)
+	return false
 }
 
 // putTo persists one result on replica i through its Putter extension,

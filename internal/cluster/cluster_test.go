@@ -105,7 +105,7 @@ func TestClusterAcceptance(t *testing.T) {
 	// --- (b) deterministic placement: 8 concurrent clients, one replica,
 	// one engine invocation.
 	spec := store.CellSpec{Net: "star-6", Seed: 2, Scheme: "sp", Locality: 1}
-	owner := cb.Owner(spec.Normalized().String())
+	owner := cb.Owners(spec.Normalized().String())[0]
 	const clients = 8
 	results := make([]store.Result, clients)
 	errs := make([]error, clients)
@@ -149,7 +149,7 @@ func TestClusterAcceptance(t *testing.T) {
 	// --- (c) kill one replica: its keys reroute to the ring successor
 	// with zero failed requests.
 	victimSpec := store.CellSpec{Net: "ring-8", Seed: 3, Scheme: "sp", Locality: 1}
-	victim := cb.Owner(victimSpec.Normalized().String())
+	victim := cb.Owners(victimSpec.Normalized().String())[0]
 	first, err := cb.Place(context.Background(), victimSpec)
 	if err != nil {
 		t.Fatal(err)

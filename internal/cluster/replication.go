@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"lowlat/internal/backend"
@@ -92,16 +93,13 @@ func (c *Backend) drainHints(i int) {
 	}()
 	for n, r := range pending {
 		if err := c.putTo(i, r); err != nil {
-			if errors.Is(err, backend.ErrUnavailable) {
-				c.markDown(i, "hint drain failed")
+			if c.writeFailed(i, err, "hint drain failed") {
 				c.hmu[i].Lock()
 				c.hints[i] = append(pending[n:], c.hints[i]...)
 				c.hmu[i].Unlock()
 				return
 			}
-			// A structural refusal (read-only replica) can never succeed on
-			// retry: count and drop.
-			c.errs.Add(1)
+			// A structural refusal (read-only replica): drop the hint.
 			c.hintsDropped.Add(1)
 			continue
 		}
@@ -239,8 +237,21 @@ func (c *Backend) Heal(ctx context.Context) (HealReport, error) {
 			fmt.Sprintf("healed %d of %d keys across %d replicas (drained %d, failed %d)",
 				rep.Healed, rep.Keys, rep.Replicas, rep.Drained, rep.Failed))
 	}()
-	for k, holders := range union {
-		for _, o := range c.ring.owners(k.String(), c.r) {
+	// Copy in canonical key order, the order every inventory lists, so
+	// the cells land on a replica (and in its shard file) in the same
+	// order on every run.
+	type entry struct {
+		id string
+		k  store.CellKey
+	}
+	order := make([]entry, 0, len(union))
+	for k := range union {
+		order = append(order, entry{k.String(), k})
+	}
+	sort.Slice(order, func(a, b int) bool { return order[a].id < order[b].id })
+	for _, e := range order {
+		k, holders := e.k, union[e.k]
+		for _, o := range c.ring.owners(e.id, c.r) {
 			if inv[o] == nil || inv[o][k] {
 				continue // owner down/unlistable, or already holds it
 			}
@@ -249,13 +260,7 @@ func (c *Backend) Heal(ctx context.Context) (HealReport, error) {
 				rep.Failed++
 				continue
 			}
-			if err := c.putTo(o, res); err != nil {
-				if errors.Is(err, backend.ErrUnavailable) {
-					c.markDown(o, "heal copy failed")
-					c.queueHint(o, res)
-				} else {
-					c.errs.Add(1)
-				}
+			if c.send(o, res, "heal copy failed") != nil {
 				rep.Failed++
 				continue
 			}

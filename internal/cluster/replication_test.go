@@ -36,6 +36,9 @@ type faulty struct {
 
 	putMu  sync.Mutex
 	putLog []store.Result
+	// putErr, when set, fails every Put with it while the rest of the
+	// replica keeps answering: a fault on the write alone.
+	putErr error
 }
 
 func newFaulty(t *testing.T) *faulty {
@@ -129,9 +132,22 @@ func (f *faulty) Probe(context.Context) error {
 	return nil
 }
 
+// failPuts makes every later Put fail with err (nil heals the fault).
+func (f *faulty) failPuts(err error) {
+	f.putMu.Lock()
+	f.putErr = err
+	f.putMu.Unlock()
+}
+
 func (f *faulty) Put(r store.Result) error {
 	if f.down.Load() {
 		return f.fail()
+	}
+	f.putMu.Lock()
+	err := f.putErr
+	f.putMu.Unlock()
+	if err != nil {
+		return err
 	}
 	if err := f.local().Put(r); err != nil {
 		return err

@@ -75,11 +75,6 @@ func newRing(labels []string, vnodes int) *ring {
 	return r
 }
 
-// owner returns the replica index owning key.
-func (r *ring) owner(key string) int {
-	return r.points[r.successor(hash64(key))].replica
-}
-
 // successor finds the first point at or clockwise of h.
 func (r *ring) successor(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

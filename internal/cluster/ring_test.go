@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// owner returns the replica index owning key: the point at or clockwise
+// of its hash, independently of seq's walk.
+func (r *ring) owner(key string) int {
+	return r.points[r.successor(hash64(key))].replica
+}
+
 // testKeys returns n deterministic key strings shaped like the real ring
 // inputs (cell-spec strings and cell-key strings are both short ASCII).
 func testKeys(n int) []string {

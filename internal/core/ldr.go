@@ -144,12 +144,6 @@ func NewController(g *graph.Graph, cfg Config) *Controller {
 	return c
 }
 
-// DropCaches clears the KSP cache, simulating a cold start (for the
-// Figure 15 comparison).
-func (c *Controller) DropCaches() {
-	c.cache = routing.NewPathCache(c.g)
-}
-
 // Optimize runs one full control cycle over the reported aggregates.
 func (c *Controller) Optimize(inputs []AggregateInput) (*Result, error) {
 	start := time.Now()

@@ -261,19 +261,6 @@ func TestControllerUnresolvableBursts(t *testing.T) {
 	}
 }
 
-func TestDropCaches(t *testing.T) {
-	g := twoPathGraph()
-	c := NewController(g, Config{})
-	in := []AggregateInput{{Src: 0, Dst: 2, Flows: 1, Series: steadySeries(2e9, 60)}}
-	if _, err := c.Optimize(in); err != nil {
-		t.Fatal(err)
-	}
-	c.DropCaches()
-	if _, err := c.Optimize(in); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMuxConfigPlumbs(t *testing.T) {
 	// A tiny queue bound turns moderately bursty traffic into a failure.
 	g := twoPathGraph()

@@ -206,9 +206,9 @@ func TestRunnerParallelMatchesSequential(t *testing.T) {
 	g, ms := scenarioFixture(t)
 	schemes := []routing.Scheme{routing.SP{}, routing.LatencyOpt{}, routing.MinMax{K: 4}}
 	var scs []Scenario
-	for si, s := range schemes {
+	for _, s := range schemes {
 		for _, m := range ms {
-			scs = append(scs, Scenario{Group: si, Tag: "grid/" + s.Name(), Graph: g, Matrix: m, Scheme: s})
+			scs = append(scs, Scenario{Tag: "grid/" + s.Name(), Graph: g, Matrix: m, Scheme: s})
 		}
 	}
 

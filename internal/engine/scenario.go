@@ -14,9 +14,6 @@ import (
 // nested deterministic order (network x matrix x scheme) and submit the
 // whole batch at once.
 type Scenario struct {
-	// Group is a caller-defined key (typically the network index) used to
-	// regroup the flat result stream; the engine never interprets it.
-	Group int
 	// Tag labels the scenario in error messages, e.g. "gts-like/minmax".
 	Tag string
 

@@ -28,6 +28,7 @@ import (
 	"lowlat/internal/store"
 	"lowlat/internal/sweep"
 	"lowlat/internal/tm"
+	"lowlat/internal/tmgen"
 	"lowlat/internal/topo"
 )
 
@@ -235,7 +236,11 @@ func (c Config) matrix(n Network, i int, cache *routing.PathCache) (*tm.Matrix, 
 	}
 	matrixMu.Unlock()
 	e.once.Do(func() {
-		e.m, e.d, e.err = sweep.GenerateMatrixCached(n.Graph, key.seed, key.load, key.locality, nil, cache)
+		var res *tmgen.Result
+		res, e.d, e.err = sweep.GenerateMatrixCached(n.Graph, key.seed, key.load, key.locality, nil, cache)
+		if e.err == nil {
+			e.m = res.Matrix
+		}
 	})
 	return e.m, e.d, e.err
 }

@@ -54,9 +54,3 @@ func PropagationDelay(a, b Point, slack float64) float64 {
 	}
 	return DistanceKm(a, b) * slack / FiberSpeedKmPerSec
 }
-
-// DelayForDistanceKm converts a fiber path length in kilometers to a one-way
-// propagation delay in seconds.
-func DelayForDistanceKm(km float64) float64 {
-	return km / FiberSpeedKmPerSec
-}

@@ -69,8 +69,11 @@ func TestPropagationDelay(t *testing.T) {
 	}
 }
 
+// TestDelayForDistance pins the fiber speed behind every link delay:
+// light in fiber covers 2000 km in 10 ms.
 func TestDelayForDistance(t *testing.T) {
-	if got := DelayForDistanceKm(2000); math.Abs(got-0.01) > 1e-12 {
-		t.Fatalf("2000 km = %v s, want 0.01 s", got)
+	a, b := Point{Lat: 0, Lon: 0}, Point{Lat: 0, Lon: 10}
+	if got, want := PropagationDelay(a, b, 1), DistanceKm(a, b)*0.01/2000; math.Abs(got-want) > 1e-15 {
+		t.Fatalf("delay = %v s, want %v s", got, want)
 	}
 }

@@ -120,23 +120,3 @@ func extractPath(g *Graph, prev []LinkID, src, dst NodeID, delay float64) Path {
 	}
 	return Path{Links: links, Delay: delay}
 }
-
-// AllShortestPaths returns the shortest path for every ordered node pair
-// (src != dst) as a map keyed by src then dst. Unreachable pairs are absent.
-func (g *Graph) AllShortestPaths() map[NodeID]map[NodeID]Path {
-	out := make(map[NodeID]map[NodeID]Path, g.NumNodes())
-	for s := 0; s < g.NumNodes(); s++ {
-		src := NodeID(s)
-		dist, prev := g.ShortestPathTree(src, nil, nil)
-		m := make(map[NodeID]Path)
-		for d := 0; d < g.NumNodes(); d++ {
-			dst := NodeID(d)
-			if dst == src || dist[dst] == infDelay {
-				continue
-			}
-			m[dst] = extractPath(g, prev, src, dst, dist[dst])
-		}
-		out[src] = m
-	}
-	return out
-}

@@ -205,21 +205,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	}
 }
 
-func TestAllShortestPaths(t *testing.T) {
-	g := line(t, 5, 2)
-	all := g.AllShortestPaths()
-	if len(all) != 5 {
-		t.Fatalf("got %d sources, want 5", len(all))
-	}
-	p := all[0][4]
-	if math.Abs(p.Delay-8) > 1e-12 {
-		t.Fatalf("a->e delay = %v, want 8", p.Delay)
-	}
-	if len(all[2]) != 4 {
-		t.Fatalf("source c should reach 4 nodes, got %d", len(all[2]))
-	}
-}
-
 func TestDiameter(t *testing.T) {
 	g := line(t, 4, 3)
 	if d := g.Diameter(); math.Abs(d-9) > 1e-12 {

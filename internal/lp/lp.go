@@ -131,12 +131,6 @@ func (p *Problem) AddVar(lo, hi, obj float64) int {
 	return len(p.obj) - 1
 }
 
-// SetObj overwrites the objective coefficient of variable v.
-func (p *Problem) SetObj(v int, c float64) { p.obj[v] = c }
-
-// AddObj adds c to the objective coefficient of variable v.
-func (p *Problem) AddObj(v int, c float64) { p.obj[v] += c }
-
 // NumVars returns the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.obj) }
 

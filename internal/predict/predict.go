@@ -7,16 +7,19 @@ package predict
 
 import "math"
 
-// Predictor carries Algorithm 1's state. The zero value uses the paper's
-// constants; call Next with each newly measured minute mean.
-type Predictor struct {
-	// DecayMultiplier shrinks the prediction when traffic drops
-	// (paper: 0.98, "2% decay when level drops").
-	DecayMultiplier float64
-	// FixedHedge scales measurements up to absorb growth
-	// (paper: 1.1, "10% hedge against growth").
-	FixedHedge float64
+// Algorithm 1's constants, fixed by the paper.
+const (
+	// decayMultiplier shrinks the prediction when traffic drops
+	// ("2% decay when level drops").
+	decayMultiplier = 0.98
+	// fixedHedge scales measurements up to absorb growth
+	// ("10% hedge against growth").
+	fixedHedge = 1.1
+)
 
+// Predictor carries Algorithm 1's state. The zero value is ready; call
+// Next with each newly measured minute mean.
+type Predictor struct {
 	prevPrediction float64
 	started        bool
 }
@@ -31,14 +34,6 @@ type Predictor struct {
 // the decay floor, or the prediction would be anchored at an artificial
 // zero instead of tracking from the first genuine traffic level.
 func (p *Predictor) Next(prevValue float64) float64 {
-	decay := p.DecayMultiplier
-	if decay <= 0 {
-		decay = 0.98
-	}
-	hedge := p.FixedHedge
-	if hedge <= 0 {
-		hedge = 1.1
-	}
 	if prevValue < 0 {
 		prevValue = 0
 	}
@@ -48,12 +43,12 @@ func (p *Predictor) Next(prevValue float64) float64 {
 		return 0
 	}
 
-	scaledEst := prevValue * hedge
+	scaledEst := prevValue * fixedHedge
 	var next float64
 	if !p.started || scaledEst > p.prevPrediction {
 		next = scaledEst
 	} else {
-		decayPrediction := p.prevPrediction * decay
+		decayPrediction := p.prevPrediction * decayMultiplier
 		next = decayPrediction
 		if scaledEst > next {
 			next = scaledEst
@@ -63,9 +58,6 @@ func (p *Predictor) Next(prevValue float64) float64 {
 	p.prevPrediction = next
 	return next
 }
-
-// Prediction returns the current prediction without consuming a sample.
-func (p *Predictor) Prediction() float64 { return p.prevPrediction }
 
 // MinuteMeans reduces a per-bin bitrate series to per-minute means.
 // binsPerMinute tells how many samples form one minute.

@@ -63,18 +63,6 @@ func TestAlgorithm1DecayFloor(t *testing.T) {
 	}
 }
 
-func TestAlgorithm1CustomConstants(t *testing.T) {
-	p := Predictor{DecayMultiplier: 0.5, FixedHedge: 2}
-	p.Next(10) // 20
-	pred := p.Next(1)
-	if math.Abs(pred-10) > 1e-9 { // decay 20*0.5 = 10 > scaled 2
-		t.Fatalf("pred = %v, want 10", pred)
-	}
-	if p.Prediction() != pred {
-		t.Fatal("Prediction() out of sync")
-	}
-}
-
 func TestMinuteMeansAndStds(t *testing.T) {
 	series := []float64{1, 3, 5, 7, 2, 2, 2, 2}
 	means := MinuteMeans(series, 4)

@@ -55,7 +55,7 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	if cache == nil {
 		cache = NewPathCache(g)
 	}
-	sps, err := shortestDelaysCached(cache, g, m)
+	sps, err := shortestDelays(cache, g, m)
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func (t MPLSTE) Name() string {
 
 // Place implements Scheme.
 func (t MPLSTE) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
-	shortest, err := shortestDelays(g, m)
+	shortest, err := shortestDelays(NewPathCache(g), g, m)
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 	if s.cache == nil {
 		s.cache = NewPathCache(g)
 	}
-	sps, err := shortestDelaysCached(s.cache, g, m)
+	sps, err := shortestDelays(s.cache, g, m)
 	if err != nil {
 		return nil, err
 	}

@@ -16,24 +16,9 @@ type Scheme interface {
 }
 
 // shortestDelays returns each aggregate's shortest-path delay (S_a in the
-// Figure 12 LP) and the paths themselves.
-func shortestDelays(g *graph.Graph, m *tm.Matrix) ([]graph.Path, error) {
-	paths := make([]graph.Path, m.Len())
-	for i, a := range m.Aggregates {
-		sp, ok := g.ShortestPath(a.Src, a.Dst, nil, nil)
-		if !ok {
-			return nil, errUnroutable(g, a)
-		}
-		paths[i] = sp
-	}
-	return paths, nil
-}
-
-// shortestDelaysCached is shortestDelays through a PathCache, so repeated
-// and concurrent solves on the same topology share the Dijkstra work. The
-// cache's first enumerated path per pair is exactly the unmasked shortest
-// path, so results are identical to the uncached variant.
-func shortestDelaysCached(c *PathCache, g *graph.Graph, m *tm.Matrix) ([]graph.Path, error) {
+// Figure 12 LP) and the paths themselves, through a PathCache so repeated
+// and concurrent solves on the same topology share the Dijkstra work.
+func shortestDelays(c *PathCache, g *graph.Graph, m *tm.Matrix) ([]graph.Path, error) {
 	paths := make([]graph.Path, m.Len())
 	for i, a := range m.Aggregates {
 		sp, ok := c.ShortestPath(a.Src, a.Dst)

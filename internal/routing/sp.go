@@ -28,13 +28,11 @@ func (s SP) WithPathCache(c *PathCache) Scheme {
 
 // Place implements Scheme.
 func (s SP) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
-	var sps []graph.Path
-	var err error
-	if s.Cache != nil {
-		sps, err = shortestDelaysCached(s.Cache, g, m)
-	} else {
-		sps, err = shortestDelays(g, m)
+	cache := s.Cache
+	if cache == nil {
+		cache = NewPathCache(g)
 	}
+	sps, err := shortestDelays(cache, g, m)
 	if err != nil {
 		return nil, err
 	}

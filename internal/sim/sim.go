@@ -10,8 +10,7 @@
 // argument is about 100 ms-scale aggregate rate variation, which a fluid
 // carry-over queue captures exactly (it is the same computation as the
 // controller's temporal-correlation test, generalized to every link and
-// arbitrary bin widths, with optional propagation offsets and finite
-// buffers).
+// arbitrary bin widths, with optional finite buffers).
 //
 // Each link is an independent FIFO fed by the offered per-path rates;
 // upstream bottlenecks do not reshape what downstream links see. This
@@ -39,10 +38,6 @@ type Config struct {
 	// beyond it, arriving fluid is dropped. Zero means unbounded queues
 	// (loss-free, delay grows instead).
 	BufferSec float64
-	// ModelPropagation shifts traffic arrival at downstream links by
-	// the accumulated propagation delay (rounded to whole bins). Off by
-	// default: at 100 ms bins most WAN paths fit within one bin.
-	ModelPropagation bool
 }
 
 func (c Config) withDefaults() Config {
@@ -96,20 +91,6 @@ func (r *Result) DropFraction() float64 {
 	return r.DroppedBits / r.OfferedBits
 }
 
-// QueueFreeFraction is the fraction of links that never queued.
-func (r *Result) QueueFreeFraction() float64 {
-	if len(r.Links) == 0 {
-		return 1
-	}
-	n := 0
-	for _, ls := range r.Links {
-		if ls.QueuedBins == 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(r.Links))
-}
-
 // Run plays the traffic series over the placement. traffic[i] holds
 // aggregate i's bitrate (bits/sec) per bin; all series must share one
 // length, which sets the run duration.
@@ -137,13 +118,11 @@ func Run(p *routing.Placement, traffic [][]float64, cfg Config) (*Result, error)
 	g := p.G
 	nLinks := g.NumLinks()
 
-	// Precompute each (aggregate, path, link) share and its arrival
-	// offset in bins.
+	// Precompute each (aggregate, path, link) share.
 	type flowHop struct {
-		agg    int
-		link   graph.LinkID
-		frac   float64
-		offset int
+		agg  int
+		link graph.LinkID
+		frac float64
 	}
 	var hops []flowHop
 	type pathRef struct {
@@ -157,14 +136,8 @@ func Run(p *routing.Placement, traffic [][]float64, cfg Config) (*Result, error)
 				continue
 			}
 			paths = append(paths, pathRef{agg: i, links: al.Path.Links})
-			cum := 0.0
 			for _, lid := range al.Path.Links {
-				offset := 0
-				if cfg.ModelPropagation {
-					offset = int(cum / cfg.BinSec)
-				}
-				hops = append(hops, flowHop{agg: i, link: lid, frac: al.Fraction, offset: offset})
-				cum += g.Link(lid).Delay
+				hops = append(hops, flowHop{agg: i, link: lid, frac: al.Fraction})
 			}
 		}
 	}
@@ -195,11 +168,7 @@ func Run(p *routing.Placement, traffic [][]float64, cfg Config) (*Result, error)
 			arrivals[i] = 0
 		}
 		for _, h := range hops {
-			at := bin - h.offset
-			if at < 0 {
-				continue // still in flight at run start
-			}
-			arrivals[h.link] += float64(traffic[h.agg][at] * h.frac * cfg.BinSec)
+			arrivals[h.link] += float64(traffic[h.agg][bin] * h.frac * cfg.BinSec)
 		}
 
 		for lid := 0; lid < nLinks; lid++ {

@@ -219,32 +219,6 @@ func TestRunAggregateQueueDelayAccumulates(t *testing.T) {
 	}
 }
 
-func TestRunPropagationOffsetShiftsArrival(t *testing.T) {
-	// With a 100 ms first hop and propagation modeling on, the second
-	// link sees nothing in bin 0.
-	b := graph.NewBuilder("prop")
-	a := b.AddNode("a", geo.Point{})
-	mid := b.AddNode("m", geo.Point{})
-	z := b.AddNode("z", geo.Point{})
-	b.AddBiLink(a, mid, 10e9, 0.15) // 1.5 bins of propagation
-	b.AddBiLink(mid, z, 10e9, 0.001)
-	g := b.MustBuild()
-	m := tm.New([]tm.Aggregate{{Src: a, Dst: z, Volume: 8e9, Flows: 10}})
-	p := spPlacement(t, g, m)
-
-	res, err := Run(p, [][]float64{constSeries(8e9, 3)}, Config{BinSec: 0.1, ModelPropagation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, _ := g.FindLink(mid, z)
-	// 3 bins offered upstream; downstream sees only bins shifted by 1
-	// => 2 bins of traffic => mean util = (2/3) * 0.8.
-	wantMean := 0.8 * 2 / 3
-	if math.Abs(res.Links[second.ID].MeanUtil-wantMean) > 1e-9 {
-		t.Fatalf("downstream mean util = %v, want %v", res.Links[second.ID].MeanUtil, wantMean)
-	}
-}
-
 func TestRunInputValidation(t *testing.T) {
 	g, ids := line(10e9, 10e9)
 	m := tm.New([]tm.Aggregate{{Src: ids[0], Dst: ids[2], Volume: 1e9, Flows: 1}})
@@ -261,19 +235,5 @@ func TestRunInputValidation(t *testing.T) {
 	}
 	if _, err := Run(p, [][]float64{{1, 2}, {1}}, Config{}); err == nil {
 		t.Fatal("ragged series must error")
-	}
-}
-
-func TestQueueFreeFraction(t *testing.T) {
-	g, ids := line(10e9, 10e9)
-	m := tm.New([]tm.Aggregate{{Src: ids[0], Dst: ids[2], Volume: 12e9, Flows: 1}})
-	p := spPlacement(t, g, m)
-	res, err := Run(p, [][]float64{constSeries(12e9, 10)}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 links total; the 2 on the path queue under offered-rate load.
-	if got := res.QueueFreeFraction(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("queue-free fraction = %v, want 0.5", got)
 	}
 }

@@ -112,17 +112,6 @@ func WriteJSON(w io.Writer, results []store.Result) error {
 	return enc.Encode(results)
 }
 
-// ReadJSON parses a WriteJSON export (or any JSON array of canonical
-// cell results) back into a result slice — the round-trip inverse used
-// by tests and by tools that post-process exports.
-func ReadJSON(r io.Reader) ([]store.Result, error) {
-	var out []store.Result
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("sweep: read json export: %w", err)
-	}
-	return out, nil
-}
-
 // ExportResults writes a result slice in the named format ("csv" or
 // "json"), however the slice was obtained — a local store query, a
 // remote daemon, a cluster fan-out.

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -26,17 +27,18 @@ func exportResults() []store.Result {
 	}
 }
 
-// TestExportJSONRoundTrip pins the JSON exporter against its inverse:
-// WriteJSON then ReadJSON reproduces the slice exactly, including the
-// content keys (digests survive the hex wire form).
+// TestExportJSONRoundTrip pins that the JSON exporter loses nothing:
+// WriteJSON then a plain encoding/json decode reproduces the slice
+// exactly, including the content keys (digests survive the hex wire
+// form).
 func TestExportJSONRoundTrip(t *testing.T) {
 	want := exportResults()
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	var got []store.Result
+	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
@@ -80,8 +82,8 @@ func TestExportEmptyConsistency(t *testing.T) {
 		if got := strings.TrimSpace(jsonBuf.String()); got != "[]" {
 			t.Fatalf("empty JSON export = %q, want []", got)
 		}
-		back, err := ReadJSON(bytes.NewReader(jsonBuf.Bytes()))
-		if err != nil {
+		var back []store.Result
+		if err := json.Unmarshal(jsonBuf.Bytes(), &back); err != nil {
 			t.Fatal(err)
 		}
 		if len(back) != 0 {

@@ -100,17 +100,22 @@ type Placer interface {
 // re-running the calibration solves; generation is deterministic in
 // (graph, seed, load, locality), which is what makes the memo sound.
 func GenerateMatrix(g *graph.Graph, seed int64, load, locality float64, st *store.Store) (*tm.Matrix, error) {
-	m, _, err := GenerateMatrixCached(g, seed, load, locality, st, nil)
-	return m, err
+	res, _, err := GenerateMatrixCached(g, seed, load, locality, st, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Matrix, nil
 }
 
 // GenerateMatrixCached is GenerateMatrix with the calibration solves run
 // on cache — the PathCache of g that the cell's placement solve will use
 // next, so the two stages enumerate each pair's paths once between them.
 // A nil cache is private to the call; the matrix is the same either way.
-// It also returns the matrix's digest (store.MatrixDigest), hashed once
-// for the memo and for the caller's cell keys (store.KeyForDigest).
-func GenerateMatrixCached(g *graph.Graph, seed int64, load, locality float64, st *store.Store, cache *routing.PathCache) (*tm.Matrix, store.Digest, error) {
+// It returns the whole generation result (matrix, scale, calibrated
+// peak) and the matrix's digest (store.MatrixDigest), hashed once for
+// the memo and for the caller's cell keys (store.KeyForDigest). This is
+// the one recipe that turns (seed, load, locality) into a matrix.
+func GenerateMatrixCached(g *graph.Graph, seed int64, load, locality float64, st *store.Store, cache *routing.PathCache) (*tmgen.Result, store.Digest, error) {
 	res, err := tmgen.Generate(g, tmgen.Config{
 		Seed:          seed,
 		Locality:      locality,
@@ -127,7 +132,7 @@ func GenerateMatrixCached(g *graph.Graph, seed int64, load, locality float64, st
 			return nil, 0, err
 		}
 	}
-	return res.Matrix, md, nil
+	return res, md, nil
 }
 
 // Plan expands a grid into cells in deterministic nested order (net x
@@ -228,11 +233,11 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 		func(_ context.Context, _ int, ji int) (generated, error) {
 			j := jobs[ji]
 			g := nets[j.net].Graph
-			m, md, err := GenerateMatrixCached(g, j.seed, grid.Load, grid.Locality, st, solver.ForGraph(g))
+			res, md, err := GenerateMatrixCached(g, j.seed, grid.Load, grid.Locality, st, solver.ForGraph(g))
 			if err != nil {
 				return generated{}, fmt.Errorf("%s seed %d: %w", nets[j.net].Name, j.seed, err)
 			}
-			return generated{m, md}, nil
+			return generated{res.Matrix, md}, nil
 		})
 	if err != nil {
 		return nil, stats, err

@@ -78,24 +78,6 @@ type Trace struct {
 // BinsPerMinute returns the number of samples forming one minute.
 func (t Trace) BinsPerMinute() int { return t.BinsPerSecond * 60 }
 
-// Rebin aggregates the trace into coarser bins (e.g. 100 ms bins for the
-// multiplexing checks), averaging rates within each bin.
-func (t Trace) Rebin(binSec float64) []float64 {
-	per := int(binSec * float64(t.BinsPerSecond))
-	if per < 1 {
-		per = 1
-	}
-	var out []float64
-	for start := 0; start+per <= len(t.Rates); start += per {
-		sum := 0.0
-		for _, v := range t.Rates[start : start+per] {
-			sum += v
-		}
-		out = append(out, sum/float64(per))
-	}
-	return out
-}
-
 // Generate builds a synthetic trace.
 func Generate(cfg Config) Trace {
 	cfg = cfg.withDefaults()

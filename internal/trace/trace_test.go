@@ -68,25 +68,6 @@ func TestMinuteDriftIsSmall(t *testing.T) {
 	}
 }
 
-func TestRebin(t *testing.T) {
-	tr := Trace{Rates: []float64{1, 3, 5, 7, 9, 11}, BinsPerSecond: 2}
-	// 1-second bins of 2 samples each.
-	out := tr.Rebin(1)
-	want := []float64{2, 6, 10}
-	if len(out) != len(want) {
-		t.Fatalf("out = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-	// Sub-bin rebin degenerates to identity.
-	if got := tr.Rebin(0.0001); len(got) != 6 {
-		t.Fatalf("identity rebin len = %d", len(got))
-	}
-}
-
 func TestAggregateSeries(t *testing.T) {
 	s := AggregateSeries(42, 600, 1e9, 0.3, 0.9)
 	if len(s) != 600 {
